@@ -17,6 +17,13 @@ sharded across worker processes when an ``executor`` is supplied.  The
 driver merges completed units in canonical order and replays
 circuit-breaker bookkeeping there, so results are identical for any
 executor and any completion order.
+
+The three stages share one guarded unit pattern, written once here:
+each stage's shared context (a :class:`_StageShared` subclass) says what
+a unit attempts, how a success and a failure become its run, and which
+context its failure records carry; :func:`_execute_unit` and
+:func:`_quarantine_unit` wrap that in deadline, retry and quarantine
+handling for every stage alike.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    ClassVar,
     Dict,
-    Iterable,
+    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -40,6 +48,7 @@ from typing import (
 
 import numpy as np
 
+from repro.context import CleaningContext
 from repro.datagen.benchmark_dataset import BenchmarkDataset
 from repro.dataset.encoding import TableEncoder, encode_supervised
 from repro.dataset.splits import train_test_split
@@ -52,9 +61,9 @@ from repro.metrics.stats import WilcoxonResult, wilcoxon_signed_rank
 from repro.benchmark.scenarios import Scenario, scenario as get_scenario
 from repro.ml.model_zoo import build_model, get_spec
 from repro.observability.telemetry import current_telemetry, telemetry_scope
-from repro.parallel.engine import block_spans, execute_plan, execute_plan_blocked
+from repro.parallel.engine import block_spans, execute_plan
 from repro.parallel.plan import ExecutionPlan, StageAdapter, UnitSpec
-from repro.repair.base import MLOrientedRepair, RepairMethod, RepairResult
+from repro.repair.base import RepairMethod, RepairResult
 from repro.repository.store import nan_guard
 from repro.resilience.checkpoint import (
     SuiteCheckpoint,
@@ -76,8 +85,6 @@ def _run_staged_plan(
     executor,
     checkpoint,
     breaker,
-    blocks: Optional[Dict[int, List[Tuple[int, int]]]] = None,
-    merge_blocks=None,
     **stage_attrs: Any,
 ) -> List[Any]:
     """Drive one stage plan, bracketed by a telemetry stage span.
@@ -87,39 +94,99 @@ def _run_staged_plan(
     :func:`execute_plan` call (zero observability cost).  The scope is
     re-entrant, so callers that already installed the same telemetry
     (the CLI's suite span) compose cleanly.
-
-    With ``blocks``/``merge_blocks`` set, the plan runs in the engine's
-    ``(unit x row-block)`` sharding mode instead
-    (:func:`~repro.parallel.engine.execute_plan_blocked`).
     """
-
-    def drive(active_telemetry) -> List[Any]:
-        if blocks:
-            return execute_plan_blocked(
-                plan,
-                blocks,
-                merge_blocks,
-                executor=executor,
-                checkpoint=checkpoint,
-                breaker=breaker,
-                telemetry=active_telemetry,
-            )
-        return execute_plan(
-            plan,
-            executor=executor,
-            checkpoint=checkpoint,
-            breaker=breaker,
-            telemetry=active_telemetry,
-        )
-
     telemetry = telemetry if telemetry is not None else current_telemetry()
+    guards = dict(executor=executor, checkpoint=checkpoint, breaker=breaker)
     if telemetry is None:
-        return drive(None)
+        return execute_plan(plan, **guards)
     with telemetry_scope(telemetry):
         with telemetry.stage(
             plan.adapter.stage, units=len(plan.units), **stage_attrs
         ):
-            return drive(telemetry)
+            return execute_plan(plan, telemetry=telemetry, **guards)
+
+
+# ----------------------------------------------------------------------
+# The guarded unit, written once for every stage
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _StageShared:
+    """Per-suite context shipped to every unit of one stage (picklable).
+
+    Holds the guard fields all stages share; subclasses add their own
+    context and the four per-stage hooks below.
+    """
+
+    stage: ClassVar[str]
+
+    dataset: BenchmarkDataset
+    deadline_seconds: Optional[float]
+    retry: Optional[RetryPolicy]
+    clock: Optional[Callable[[], float]]
+    sleep: Callable[[float], None]
+
+    def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
+        """Context kwargs of the unit's failure records and unit span;
+        always carries the unit's ``seed``, which seeds its cleaning
+        context too."""
+        raise NotImplementedError
+
+    def attempt(self, spec: UnitSpec, context: CleaningContext) -> Any:
+        """One attempt at the unit's work (may raise; the guard books it)."""
+        raise NotImplementedError
+
+    def succeeded(self, spec: UnitSpec, value: Any) -> Any:
+        """The unit's run from a successful attempt's value."""
+        raise NotImplementedError
+
+    def failed(self, spec: UnitSpec, record: FailureRecord) -> Any:
+        """The unit's run from a failure record (guard failure or
+        quarantine skip)."""
+        raise NotImplementedError
+
+
+def _execute_unit(shared: _StageShared, spec: UnitSpec) -> Any:
+    """Run one unit under a fresh per-unit deadline and the suite's
+    retry policy; every stage adapter's ``execute``."""
+    failure_context = shared.failure_context(spec)
+    deadline = None
+    if shared.deadline_seconds is not None:
+        deadline = Deadline(
+            shared.deadline_seconds, clock=shared.clock or time.monotonic
+        )
+    context = shared.dataset.context(
+        seed=failure_context["seed"], deadline=deadline, clock=shared.clock
+    )
+    guarded = guarded_call(
+        lambda: shared.attempt(spec, context),
+        method=spec.method,
+        stage=shared.stage,
+        deadline=deadline,
+        retry=shared.retry,
+        clock=shared.clock,
+        sleep=shared.sleep,
+        **failure_context,
+    )
+    if guarded.ok:
+        return shared.succeeded(spec, guarded.value)
+    return shared.failed(spec, guarded.failure)
+
+
+def _quarantine_unit(shared: _StageShared, spec: UnitSpec, reason: str) -> Any:
+    """The run a unit records when its method is quarantined; every
+    stage adapter's ``quarantine_skip``."""
+    record = FailureRecord.quarantine_skip(
+        spec.method, shared.stage, reason, **shared.failure_context(spec)
+    )
+    return shared.failed(spec, record)
+
+
+def _record_to_payload(record: Optional[FailureRecord]) -> Optional[Dict]:
+    return record.to_payload() if record is not None else None
+
+
+def _record_from_payload(payload: Optional[Dict]) -> Optional[FailureRecord]:
+    return FailureRecord.from_payload(payload) if payload is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -136,9 +203,20 @@ class DetectionRun:
     detector: str
     result: DetectionResult
     scores: DetectionScores
-    failed: bool = False
-    failure: str = ""
     failure_record: Optional[FailureRecord] = None
+
+    @property
+    def failed(self) -> bool:
+        return self.failure_record is not None
+
+    @property
+    def failure(self) -> str:
+        return self.failure_record.describe() if self.failed else ""
+
+    @property
+    def runtime_seconds(self) -> float:
+        """Honest per-unit runtime (failed runs carry guard elapsed time)."""
+        return self.result.runtime_seconds
 
     def to_payload(self) -> Dict[str, Any]:
         """Canonical JSON payload for checkpointing."""
@@ -147,20 +225,11 @@ class DetectionRun:
             "cells": sorted([int(r), str(c)] for r, c in self.result.cells),
             "runtime_seconds": self.result.runtime_seconds,
             "scores": scores_to_payload(self.scores),
-            "failure_record": (
-                self.failure_record.to_payload()
-                if self.failure_record is not None
-                else None
-            ),
+            "failure_record": _record_to_payload(self.failure_record),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "DetectionRun":
-        record = (
-            FailureRecord.from_payload(payload["failure_record"])
-            if payload["failure_record"] is not None
-            else None
-        )
         result = DetectionResult(
             payload["detector"],
             frozenset((int(r), str(c)) for r, c in payload["cells"]),
@@ -170,132 +239,67 @@ class DetectionRun:
             payload["detector"],
             result,
             scores_from_payload(payload["scores"]),
-            failed=record is not None,
-            failure=record.describe() if record is not None else "",
-            failure_record=record,
+            failure_record=_record_from_payload(payload["failure_record"]),
         )
-
-
-def _failed_detection_run(
-    dataset: BenchmarkDataset, record: FailureRecord
-) -> DetectionRun:
-    """Book a detection failure with honest elapsed runtime.
-
-    Crashed tools used to report ``runtime=0.0``, which under-reported
-    them in Figure-2-style runtime panels; the guard's elapsed time (up
-    to and including the failing attempt) is the honest figure.
-    """
-    empty = DetectionResult(
-        record.method, frozenset(), record.elapsed_seconds
-    )
-    return DetectionRun(
-        record.method,
-        empty,
-        detection_scores(set(), dataset.error_cells),
-        failed=True,
-        failure=record.describe(),
-        failure_record=record,
-    )
 
 
 @dataclass(frozen=True)
-class _DetectionShared:
-    """Per-suite context shipped to every detection unit (picklable).
+class _DetectionShared(_StageShared):
+    """Detection context.
 
-    ``profiles``/``profile_seconds`` are populated only for blocked
-    runs: position-aligned whole-table fit results (and their fit times)
-    for blockwise detectors, ``None``/``0.0`` elsewhere.
+    ``profiles``/``profile_seconds`` are populated only for blocked runs:
+    position-aligned whole-table fit results (and their fit times) for
+    blockwise detectors, ``None``/``0.0`` elsewhere.
     """
 
-    dataset: BenchmarkDataset
+    stage: ClassVar[str] = "detection"
+
     detectors: Tuple[Detector, ...]
     seed: int
-    deadline_seconds: Optional[float]
-    retry: Optional[RetryPolicy]
-    clock: Optional[Callable[[], float]]
-    sleep: Callable[[float], None]
     profiles: Tuple[Any, ...] = ()
     profile_seconds: Tuple[float, ...] = ()
 
+    def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
+        return {"dataset": self.dataset.name, "seed": self.seed}
 
-def _unit_deadline(shared) -> Optional[Deadline]:
-    """Fresh per-unit deadline carrying the suite's budget and clock."""
-    if shared.deadline_seconds is None:
-        return None
-    return Deadline(
-        shared.deadline_seconds, clock=shared.clock or time.monotonic
-    )
-
-
-def _execute_detection_unit(
-    shared: _DetectionShared, spec: UnitSpec
-) -> DetectionRun:
-    span = spec.params.get("block")
-    if span is not None:
-        return _execute_detection_block(shared, spec, span)
-    detector = shared.detectors[spec.params["position"]]
-    deadline = _unit_deadline(shared)
-    context = shared.dataset.context(
-        seed=shared.seed, deadline=deadline, clock=shared.clock
-    )
-    guarded = guarded_call(
-        lambda: detector.detect(context),
-        method=detector.name,
-        stage="detection",
-        deadline=deadline,
-        retry=shared.retry,
-        clock=shared.clock,
-        sleep=shared.sleep,
-        dataset=shared.dataset.name,
-        seed=shared.seed,
-    )
-    if guarded.ok:
-        result = guarded.value
-        return DetectionRun(
-            detector.name,
-            result,
-            detection_scores(result.cells, shared.dataset.error_cells),
+    def attempt(self, spec: UnitSpec, context: CleaningContext) -> Any:
+        position = spec.params["position"]
+        detector = self.detectors[position]
+        span = spec.params.get("block")
+        if span is None:
+            return detector.detect(context)
+        # A blocked sub-unit: cells carry global row indices; the scores
+        # are the block's partial view (the merged run rescores the union).
+        start, stop = int(span[0]), int(span[1])
+        block = context.dirty.block_view(start, stop)
+        return detector.detect_block(
+            context, self.profiles[position], block, start
         )
-    return _failed_detection_run(shared.dataset, guarded.failure)
 
+    def succeeded(
+        self, spec: UnitSpec, result: DetectionResult
+    ) -> DetectionRun:
+        return self.scored(spec, result)
 
-def _execute_detection_block(
-    shared: _DetectionShared, spec: UnitSpec, span: Tuple[int, int]
-) -> DetectionRun:
-    """Run one detector on one row block (a blocked sub-unit).
+    def failed(self, spec: UnitSpec, record: FailureRecord) -> DetectionRun:
+        # The guard's elapsed time (up to and including the failing
+        # attempt) is the honest runtime of a crashed tool.
+        runtime = record.elapsed_seconds
+        empty = DetectionResult(spec.method, frozenset(), runtime)
+        return self.scored(spec, empty, record)
 
-    The block run's cells carry global row indices; its scores are the
-    block's own partial view (the merged run recomputes scores from the
-    union, which is what the suite reports).
-    """
-    position = spec.params["position"]
-    detector = shared.detectors[position]
-    fitted = shared.profiles[position]
-    deadline = _unit_deadline(shared)
-    context = shared.dataset.context(
-        seed=shared.seed, deadline=deadline, clock=shared.clock
-    )
-    start, stop = int(span[0]), int(span[1])
-    block = context.dirty.block_view(start, stop)
-    guarded = guarded_call(
-        lambda: detector.detect_block(context, fitted, block, start),
-        method=detector.name,
-        stage="detection",
-        deadline=deadline,
-        retry=shared.retry,
-        clock=shared.clock,
-        sleep=shared.sleep,
-        dataset=shared.dataset.name,
-        seed=shared.seed,
-    )
-    if guarded.ok:
-        result = guarded.value
+    def scored(
+        self,
+        spec: UnitSpec,
+        result: DetectionResult,
+        record: Optional[FailureRecord] = None,
+    ) -> DetectionRun:
         return DetectionRun(
-            detector.name,
+            spec.method,
             result,
-            detection_scores(result.cells, shared.dataset.error_cells),
+            detection_scores(result.cells, self.dataset.error_cells),
+            failure_record=record,
         )
-    return _failed_detection_run(shared.dataset, guarded.failure)
 
 
 def _merge_detection_blocks(
@@ -311,64 +315,27 @@ def _merge_detection_blocks(
     block order) failure record, mirroring how a whole-table run dies on
     the first block it would have reached.
     """
-    position = spec.params["position"]
-    detector = shared.detectors[position]
-    runtime = shared.profile_seconds[position] + sum(
+    runtime = shared.profile_seconds[spec.params["position"]] + sum(
         run.result.runtime_seconds for run in runs
     )
-    failed = next((run for run in runs if run.failed), None)
-    if failed is not None:
-        record = failed.failure_record
-        empty = DetectionResult(detector.name, frozenset(), runtime)
-        return DetectionRun(
-            detector.name,
-            empty,
-            detection_scores(set(), shared.dataset.error_cells),
-            failed=True,
-            failure=record.describe() if record is not None else "",
-            failure_record=record,
-        )
-    cells: Set[Cell] = set()
-    for run in runs:
-        cells.update(run.result.cells)
-    result = DetectionResult(detector.name, frozenset(cells), runtime)
-    return DetectionRun(
-        detector.name,
-        result,
-        detection_scores(result.cells, shared.dataset.error_cells),
+    record = next(
+        (run.failure_record for run in runs if run.failed), None
     )
-
-
-def _detection_quarantine_run(
-    shared: _DetectionShared, spec: UnitSpec, reason: str
-) -> DetectionRun:
-    record = FailureRecord.quarantine_skip(
-        spec.method,
-        "detection",
-        reason,
-        dataset=shared.dataset.name,
-        seed=shared.seed,
+    cells: FrozenSet[Cell] = frozenset()
+    if record is None:
+        cells = cells.union(*(run.result.cells for run in runs))
+    return shared.scored(
+        spec, DetectionResult(spec.method, cells, runtime), record
     )
-    return _failed_detection_run(shared.dataset, record)
-
-
-def _run_failure_record(run) -> Optional[FailureRecord]:
-    return run.failure_record
-
-
-def _detection_runtime(run: DetectionRun) -> float:
-    """Honest per-unit runtime (failed runs carry guard elapsed time)."""
-    return run.result.runtime_seconds
 
 
 _DETECTION_ADAPTER = StageAdapter(
-    stage="detection",
-    execute=_execute_detection_unit,
+    stage=_DetectionShared.stage,
+    execute=_execute_unit,
     to_payload=DetectionRun.to_payload,
     from_payload=DetectionRun.from_payload,
-    quarantine_skip=_detection_quarantine_run,
-    failure_of=_run_failure_record,
-    runtime_of=_detection_runtime,
+    quarantine_skip=_quarantine_unit,
+    merge_blocks=_merge_detection_blocks,
 )
 
 
@@ -413,21 +380,19 @@ def run_detection_suite(
     the guard records the failure through the ordinary taxonomy.
     """
     detectors = tuple(detectors)
-    profiles: Tuple[Any, ...] = ()
-    profile_seconds: Tuple[float, ...] = ()
-    blocks: Dict[int, List[Tuple[int, int]]] = {}
+    blocks: List[Tuple[Tuple[int, int], ...]] = [()] * len(detectors)
+    profiles: List[Any] = []
+    profile_seconds: List[float] = []
     if block_rows is not None:
         if block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+        profiles = [None] * len(detectors)
+        profile_seconds = [0.0] * len(detectors)
         fit_clock = clock or time.perf_counter
         fit_context = dataset.context(seed=seed, clock=clock)
-        fitted: List[Any] = []
-        fit_times: List[float] = []
-        spans = block_spans(dataset.dirty.n_rows, block_rows)
+        spans = tuple(block_spans(dataset.dirty.n_rows, block_rows))
         for index, detector in enumerate(detectors):
             if not isinstance(detector, BlockwiseDetector):
-                fitted.append(None)
-                fit_times.append(0.0)
                 continue
             started = fit_clock()
             guarded = guarded_call(
@@ -440,24 +405,20 @@ def run_detection_suite(
                 dataset=dataset.name,
                 seed=seed,
             )
-            fit_times.append(fit_clock() - started)
+            profile_seconds[index] = fit_clock() - started
             if guarded.ok:
-                fitted.append(guarded.value)
+                profiles[index] = guarded.value
                 blocks[index] = spans
-            else:
-                fitted.append(None)
-        profiles = tuple(fitted)
-        profile_seconds = tuple(fit_times)
     shared = _DetectionShared(
-        dataset,
-        detectors,
-        seed,
-        deadline_seconds,
-        retry,
-        clock,
-        sleep,
-        profiles=profiles,
-        profile_seconds=profile_seconds,
+        dataset=dataset,
+        deadline_seconds=deadline_seconds,
+        retry=retry,
+        clock=clock,
+        sleep=sleep,
+        detectors=detectors,
+        seed=seed,
+        profiles=tuple(profiles),
+        profile_seconds=tuple(profile_seconds),
     )
     units = [
         UnitSpec(
@@ -467,6 +428,7 @@ def run_detection_suite(
             ),
             detector.name,
             {"position": index},
+            blocks=blocks[index],
         )
         for index, detector in enumerate(detectors)
     ]
@@ -475,18 +437,7 @@ def run_detection_suite(
     if block_rows is not None:
         stage_attrs["block_rows"] = block_rows
     return _run_staged_plan(
-        plan,
-        telemetry,
-        executor,
-        checkpoint,
-        breaker,
-        blocks=blocks or None,
-        merge_blocks=(
-            (lambda spec, runs: _merge_detection_blocks(shared, spec, runs))
-            if blocks
-            else None
-        ),
-        **stage_attrs,
+        plan, telemetry, executor, checkpoint, breaker, **stage_attrs
     )
 
 
@@ -514,13 +465,28 @@ class RepairRun:
     categorical_precision: float = math.nan
     categorical_recall: float = math.nan
     numerical_rmse: float = math.nan
-    failed: bool = False
-    failure: str = ""
     failure_record: Optional[FailureRecord] = None
 
     @property
     def strategy(self) -> str:
         return f"{self.detector}+{self.repair}"
+
+    @property
+    def failed(self) -> bool:
+        return self.failure_record is not None
+
+    @property
+    def failure(self) -> str:
+        return self.failure_record.describe() if self.failed else ""
+
+    @property
+    def runtime_seconds(self) -> Optional[float]:
+        """Repair runtime; failed units report the guard's elapsed time."""
+        if self.result is not None:
+            return self.result.runtime_seconds
+        if self.failure_record is not None:
+            return self.failure_record.elapsed_seconds
+        return None
 
     def to_payload(self) -> Dict[str, Any]:
         """Canonical JSON payload for checkpointing."""
@@ -540,20 +506,11 @@ class RepairRun:
             "categorical_precision": self.categorical_precision,
             "categorical_recall": self.categorical_recall,
             "numerical_rmse": self.numerical_rmse,
-            "failure_record": (
-                self.failure_record.to_payload()
-                if self.failure_record is not None
-                else None
-            ),
+            "failure_record": _record_to_payload(self.failure_record),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "RepairRun":
-        record = (
-            FailureRecord.from_payload(payload["failure_record"])
-            if payload["failure_record"] is not None
-            else None
-        )
         result = None
         if payload["result"] is not None:
             result = RepairResult(
@@ -570,9 +527,7 @@ class RepairRun:
             categorical_precision=nan_guard(payload["categorical_precision"]),
             categorical_recall=nan_guard(payload["categorical_recall"]),
             numerical_rmse=nan_guard(payload["numerical_rmse"]),
-            failed=record is not None,
-            failure=record.describe() if record is not None else "",
-            failure_record=record,
+            failure_record=_record_from_payload(payload["failure_record"]),
         )
 
 
@@ -605,107 +560,54 @@ def _score_repair_run(run: RepairRun, dataset: BenchmarkDataset) -> None:
 
 
 @dataclass(frozen=True)
-class _RepairShared:
-    """Per-suite context shipped to every repair unit (picklable).
+class _RepairShared(_StageShared):
+    """Repair context.
 
     ``detections`` maps detector name -> *sorted tuple* of flagged cells;
     tuples keep pickling cheap and give every worker process the same
     canonical iteration order regardless of hash seed.
     """
 
-    dataset: BenchmarkDataset
+    stage: ClassVar[str] = "repair"
+
     repairs: Tuple[RepairMethod, ...]
     detections: Dict[str, Tuple[Cell, ...]]
     seed: int
-    deadline_seconds: Optional[float]
-    retry: Optional[RetryPolicy]
-    clock: Optional[Callable[[], float]]
-    sleep: Callable[[float], None]
 
+    def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
+        return {
+            "dataset": self.dataset.name,
+            "detector": spec.params["detector"],
+            "seed": self.seed,
+        }
 
-def _execute_repair_unit(shared: _RepairShared, spec: UnitSpec) -> RepairRun:
-    detector_name = spec.params["detector"]
-    method = shared.repairs[spec.params["position"]]
-    # Rebuild the set by sorted insertion so iteration order is canonical
-    # in every worker process.
-    cells: Set[Cell] = set()
-    for cell in shared.detections[detector_name]:
-        cells.add(cell)
-    deadline = _unit_deadline(shared)
-    context = shared.dataset.context(
-        seed=shared.seed, deadline=deadline, clock=shared.clock
-    )
-
-    def attempt() -> RepairResult:
-        result = method.repair(context, cells)
-        validate_repair_result(result, shared.dataset.dirty, cells)
+    def attempt(
+        self, spec: UnitSpec, context: CleaningContext
+    ) -> RepairResult:
+        # Rebuilt by sorted insertion so iteration order is canonical in
+        # every worker process.
+        cells: Set[Cell] = set(self.detections[spec.params["detector"]])
+        result = self.repairs[spec.params["position"]].repair(context, cells)
+        validate_repair_result(result, self.dataset.dirty, cells)
         return result
 
-    guarded = guarded_call(
-        attempt,
-        method=method.name,
-        stage="repair",
-        deadline=deadline,
-        retry=shared.retry,
-        clock=shared.clock,
-        sleep=shared.sleep,
-        dataset=shared.dataset.name,
-        detector=detector_name,
-        seed=shared.seed,
-    )
-    if guarded.ok:
-        run = RepairRun(detector_name, method.name, guarded.value)
-        _score_repair_run(run, shared.dataset)
+    def succeeded(self, spec: UnitSpec, result: RepairResult) -> RepairRun:
+        run = RepairRun(spec.params["detector"], spec.method, result)
+        _score_repair_run(run, self.dataset)
         return run
-    record = guarded.failure
-    return RepairRun(
-        detector_name,
-        method.name,
-        None,
-        failed=True,
-        failure=record.describe(),
-        failure_record=record,
-    )
 
-
-def _repair_quarantine_run(
-    shared: _RepairShared, spec: UnitSpec, reason: str
-) -> RepairRun:
-    record = FailureRecord.quarantine_skip(
-        spec.method,
-        "repair",
-        reason,
-        dataset=shared.dataset.name,
-        detector=spec.params["detector"],
-        seed=shared.seed,
-    )
-    return RepairRun(
-        spec.params["detector"],
-        spec.method,
-        None,
-        failed=True,
-        failure=record.describe(),
-        failure_record=record,
-    )
-
-
-def _repair_runtime(run: RepairRun) -> Optional[float]:
-    """Repair runtime; failed units report the guard's elapsed time."""
-    if run.result is not None:
-        return run.result.runtime_seconds
-    if run.failure_record is not None:
-        return run.failure_record.elapsed_seconds
-    return None
+    def failed(self, spec: UnitSpec, record: FailureRecord) -> RepairRun:
+        return RepairRun(
+            spec.params["detector"], spec.method, None, failure_record=record
+        )
 
 
 _REPAIR_ADAPTER = StageAdapter(
-    stage="repair",
-    execute=_execute_repair_unit,
+    stage=_RepairShared.stage,
+    execute=_execute_unit,
     to_payload=RepairRun.to_payload,
     from_payload=RepairRun.from_payload,
-    quarantine_skip=_repair_quarantine_run,
-    failure_of=_run_failure_record,
-    runtime_of=_repair_runtime,
+    quarantine_skip=_quarantine_unit,
 )
 
 
@@ -734,17 +636,17 @@ def run_repair_suite(
     """
     repairs = tuple(repairs)
     shared = _RepairShared(
-        dataset,
-        repairs,
-        {
+        dataset=dataset,
+        deadline_seconds=deadline_seconds,
+        retry=retry,
+        clock=clock,
+        sleep=sleep,
+        repairs=repairs,
+        detections={
             name: tuple(sorted(cells))
             for name, cells in detections_by_detector.items()
         },
-        seed,
-        deadline_seconds,
-        retry,
-        clock,
-        sleep,
+        seed=seed,
     )
     units = []
     for detector_name in sorted(detections_by_detector):
@@ -1013,98 +915,71 @@ class ScenarioEvaluation:
         return lines
 
 
+@dataclass
+class ScenarioRun:
+    """One (scenario, seed) unit's metric (NaN when the run failed)."""
+
+    value: float
+    failure_record: Optional[FailureRecord] = None
+
+    def to_payload(self) -> Dict[str, Any]:
+        """Canonical JSON payload for checkpointing."""
+        return {
+            "value": self.value,
+            "failure_record": _record_to_payload(self.failure_record),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "ScenarioRun":
+        return cls(
+            nan_guard(payload["value"]),
+            _record_from_payload(payload["failure_record"]),
+        )
+
+
 @dataclass(frozen=True)
-class _ScenarioShared:
+class _ScenarioShared(_StageShared):
     """Per-evaluation context shipped to every (scenario, seed) unit."""
 
-    dataset: BenchmarkDataset
+    stage: ClassVar[str] = "model"
+
     variant_table: Table
     variant_name: str
     model_name: str
     kept_rows: Optional[Tuple[int, ...]]
     sample_rows: Optional[int]
-    deadline_seconds: Optional[float]
-    retry: Optional[RetryPolicy]
-    clock: Optional[Callable[[], float]]
-    sleep: Callable[[float], None]
 
+    def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
+        return {
+            "dataset": self.dataset.name,
+            "scenario": spec.params["scenario"],
+            "seed": spec.params["seed"],
+        }
 
-def _execute_scenario_unit(
-    shared: _ScenarioShared, spec: UnitSpec
-) -> Dict[str, Any]:
-    name = spec.params["scenario"]
-    seed = spec.params["seed"]
-    deadline = _unit_deadline(shared)
-    guarded = guarded_call(
-        lambda: run_scenario(
-            name,
-            shared.variant_table,
-            shared.dataset,
-            shared.model_name,
-            seed=seed,
-            kept_rows=shared.kept_rows,
-            sample_rows=shared.sample_rows,
-        ),
-        method=f"{shared.variant_name}:{shared.model_name}",
-        stage="model",
-        deadline=deadline,
-        retry=shared.retry,
-        clock=shared.clock,
-        sleep=shared.sleep,
-        dataset=shared.dataset.name,
-        scenario=name,
-        seed=seed,
-    )
-    if guarded.ok:
-        return {"value": guarded.value, "failure_record": None}
-    return {"value": math.nan, "failure_record": guarded.failure}
+    def attempt(self, spec: UnitSpec, context: CleaningContext) -> float:
+        return run_scenario(
+            spec.params["scenario"],
+            self.variant_table,
+            self.dataset,
+            self.model_name,
+            seed=spec.params["seed"],
+            kept_rows=self.kept_rows,
+            sample_rows=self.sample_rows,
+        )
 
+    def succeeded(self, spec: UnitSpec, value: float) -> ScenarioRun:
+        return ScenarioRun(value)
 
-def _scenario_quarantine_run(
-    shared: _ScenarioShared, spec: UnitSpec, reason: str
-) -> Dict[str, Any]:
-    record = FailureRecord.quarantine_skip(
-        spec.method,
-        "model",
-        reason,
-        dataset=shared.dataset.name,
-        scenario=spec.params["scenario"],
-        seed=spec.params["seed"],
-    )
-    return {"value": math.nan, "failure_record": record}
-
-
-def _scenario_run_to_payload(run: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        "value": run["value"],
-        "failure_record": (
-            run["failure_record"].to_payload()
-            if run["failure_record"] is not None
-            else None
-        ),
-    }
-
-
-def _scenario_run_from_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    record = (
-        FailureRecord.from_payload(payload["failure_record"])
-        if payload["failure_record"] is not None
-        else None
-    )
-    return {"value": nan_guard(payload["value"]), "failure_record": record}
-
-
-def _scenario_failure_record(run: Dict[str, Any]) -> Optional[FailureRecord]:
-    return run["failure_record"]
+    def failed(self, spec: UnitSpec, record: FailureRecord) -> ScenarioRun:
+        return ScenarioRun(math.nan, record)
 
 
 _SCENARIO_ADAPTER = StageAdapter(
-    stage="model",
-    execute=_execute_scenario_unit,
-    to_payload=_scenario_run_to_payload,
-    from_payload=_scenario_run_from_payload,
-    quarantine_skip=_scenario_quarantine_run,
-    failure_of=_scenario_failure_record,
+    stage=_ScenarioShared.stage,
+    execute=_execute_unit,
+    to_payload=ScenarioRun.to_payload,
+    from_payload=ScenarioRun.from_payload,
+    quarantine_skip=_quarantine_unit,
 )
 
 
@@ -1136,16 +1011,18 @@ def evaluate_scenarios(
     ``telemetry`` observes the stage without perturbing results.
     """
     shared = _ScenarioShared(
-        dataset,
-        variant_table,
-        variant_name,
-        model_name,
-        tuple(int(i) for i in kept_rows) if kept_rows is not None else None,
-        sample_rows,
-        deadline_seconds,
-        retry,
-        clock,
-        sleep,
+        dataset=dataset,
+        deadline_seconds=deadline_seconds,
+        retry=retry,
+        clock=clock,
+        sleep=sleep,
+        variant_table=variant_table,
+        variant_name=variant_name,
+        model_name=model_name,
+        kept_rows=(
+            tuple(int(i) for i in kept_rows) if kept_rows is not None else None
+        ),
+        sample_rows=sample_rows,
     )
     units = []
     for name in scenario_names:
@@ -1181,9 +1058,9 @@ def evaluate_scenarios(
         evaluation.scores[name] = []
     for spec, run in zip(units, runs):
         name = spec.params["scenario"]
-        evaluation.scores[name].append(run["value"])
-        if run["failure_record"] is not None:
+        evaluation.scores[name].append(run.value)
+        if run.failure_record is not None:
             evaluation.record_failure(
-                name, spec.params["seed"], run["failure_record"]
+                name, spec.params["seed"], run.failure_record
             )
     return evaluation

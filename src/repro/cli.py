@@ -32,8 +32,6 @@ Resilience flags (available on every stage command):
   stage context as named segments plus a small pickled shell, so even
   ``spawn`` (which cannot inherit memory) dispatches without copying
   tables per worker; results are byte-identical for every method.
-- ``--chunk-size N``: units handed to a worker per dispatch (default:
-  adaptive, scaled from grid size and worker count).
 - ``--block-rows N`` (``detect`` only): stream block-capable detectors
   over N-row zero-copy blocks instead of materializing whole-table
   intermediates; cells and scores are byte-identical to the unblocked
@@ -193,11 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
                  "either way)",
         )
         stage.add_argument(
-            "--chunk-size", type=_positive_int, default=None, metavar="N",
-            help="units dispatched to a worker at a time (default: "
-                 "adaptive, derived from grid size and worker count)",
-        )
-        stage.add_argument(
             "--cache-dir", default=None, metavar="PATH",
             help="content-addressed artifact cache directory; encoded "
                  "matrices and detector features are memoized there "
@@ -345,9 +338,7 @@ def _guard_kwargs(args: argparse.Namespace) -> dict:
         "breaker": CircuitBreaker(threshold=3),
         "checkpoint": _open_checkpoint(args),
         "executor": make_executor(
-            args.workers,
-            start_method=args.start_method,
-            chunk_size=args.chunk_size,
+            args.workers, start_method=args.start_method
         ),
     }
 

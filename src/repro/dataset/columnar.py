@@ -19,17 +19,37 @@ here:
 Memoizing per distinct payload is safe because every normalizer used by
 the kernels (``str(v).strip()``, KB normalization, ``coerce_float``) is
 a pure function of the payload's type and value: the memo key is
-``(type(v), v)`` so ``1`` and ``True`` (equal and hash-equal, but with
-different ``str()``) never share an entry.
+:func:`payload_key`, so ``1`` and ``True`` (equal and hash-equal, but
+with different ``str()``) never share an entry, and neither do ``-0.0``
+and ``0.0``.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 _MISS = object()
+_PACK_DOUBLE = struct.Struct("<d").pack
+_NUMPY_FLOATS = frozenset({np.float16, np.float32, np.float64, np.longdouble})
+
+
+def payload_key(value: Any) -> Tuple[type, Any]:
+    """Memo key under which equal keys mean identical cell payloads.
+
+    ``(type(v), v)`` for most payloads; floats key on their bit pattern
+    instead, because ``-0.0 == 0.0`` (and hash-equal) yet the two differ
+    under ``str()``.  Raises ``TypeError`` on hashing an unhashable
+    payload, like the plain tuple would.
+    """
+    kind = type(value)
+    if kind is float:
+        return kind, _PACK_DOUBLE(value)
+    if kind in _NUMPY_FLOATS:
+        return kind, value.tobytes()
+    return kind, value
 
 
 def normalized_column(
@@ -43,7 +63,7 @@ def normalized_column(
     memo: Dict[Any, Any] = {}
     out: List[Any] = []
     for value in column:
-        key = (type(value), value)
+        key = payload_key(value)
         try:
             cached = memo.get(key, _MISS)
         except TypeError:  # unhashable payload

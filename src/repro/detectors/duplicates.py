@@ -34,7 +34,12 @@ import numpy as np
 from repro.cache.keys import artifact_key, table_fingerprint
 from repro.cache.store import current_cache
 from repro.context import CleaningContext
-from repro.dataset.columnar import csr_gather, intern_values, normalized_column
+from repro.dataset.columnar import (
+    csr_gather,
+    intern_values,
+    normalized_column,
+    payload_key,
+)
 from repro.dataset.table import Cell, Table, coerce_float, is_missing
 from repro.detectors._reference import (
     reference_build_blocks,
@@ -222,14 +227,15 @@ def build_blocks(table: Table) -> Dict[str, List[int]]:
         column_values = table.column(column)
         if _numeric_column_blocks(column, column_values, blocks):
             continue
-        by_value: Dict[Any, List[int]] = {}
+        by_value: Dict[Any, Tuple[Any, List[int]]] = {}
         unkeyed: List[Tuple[int, Any]] = []
         for index, value in enumerate(column_values):
             try:
-                by_value.setdefault((type(value), value), []).append(index)
+                key = payload_key(value)
+                by_value.setdefault(key, (value, []))[1].append(index)
             except TypeError:  # unhashable payload: key it directly
                 unkeyed.append((index, value))
-        for (_, value), members in by_value.items():
+        for value, members in by_value.values():
             for key, multiplicity in Counter(
                 _block_keys(column, value)
             ).items():

@@ -15,7 +15,8 @@ Layers:
 - :mod:`repro.parallel.engine` -- :class:`SerialExecutor` (reference and
   default), :class:`ShuffledExecutor` (order-chaos testing aid),
   :class:`ProcessPoolExecutor` (N workers over a result queue), and
-  :func:`execute_plan`, the single-writer driver that replays
+  :func:`execute_plan`, the single-writer driver that expands blocked
+  units into row-span sub-units and folds them back, replays
   circuit-breaker bookkeeping in canonical order and batches checkpoint
   commits.
 
@@ -33,7 +34,6 @@ from repro.parallel.engine import (
     block_spans,
     block_unit_key,
     execute_plan,
-    execute_plan_blocked,
     make_executor,
     null_sleep,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "block_spans",
     "block_unit_key",
     "execute_plan",
-    "execute_plan_blocked",
     "make_executor",
     "null_sleep",
 ]

@@ -25,8 +25,8 @@ The pool dispatches through the shared-memory data plane
 into named segments plus a small pickled shell (tables are *not*
 pickled per worker), workers attach the segments read-only, and results
 come back as canonical-JSON payload frames -- byte-for-byte the text
-the checkpoint layer would store -- batched by an adaptive
-``chunk_size``.  Segment lifetime is owned by the driver: a
+the checkpoint layer would store -- batched in chunks sized by
+:func:`adaptive_chunk_size`.  Segment lifetime is owned by the driver: a
 ``finally`` around dispatch closes and unlinks every segment on normal
 teardown, interrupts, and worker crashes alike (a SIGKILLed worker is
 detected mid-run and surfaces as :class:`WorkerCrashError`; resume from
@@ -50,6 +50,7 @@ import json
 import multiprocessing
 import os
 import signal
+from dataclasses import replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cache.store import current_cache, install_cache
@@ -267,7 +268,7 @@ class ProcessPoolExecutor:
     Dispatch goes through the shared-memory data plane: ``plan.shared``
     is packed once (tables into segments, the rest into a small shell)
     and every worker attaches the same bytes, for ``fork`` and ``spawn``
-    start methods alike.  ``chunk_size=None`` picks
+    start methods alike.  Dispatch chunks are sized by
     :func:`adaptive_chunk_size`; ``share_tables=False`` keeps tables
     inline in the pickled shell (the legacy behavior the speed benchmark
     measures against).  The driver polls the result stream
@@ -281,17 +282,13 @@ class ProcessPoolExecutor:
         self,
         workers: int,
         start_method: Optional[str] = None,
-        chunk_size: Optional[int] = None,
         share_tables: bool = True,
         poll_seconds: float = 0.1,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.workers = workers
         self.start_method = start_method
-        self.chunk_size = chunk_size
         self.share_tables = share_tables
         self.poll_seconds = poll_seconds
 
@@ -331,9 +328,7 @@ class ProcessPoolExecutor:
         if not dispatched:
             return
         n_workers = min(self.workers, len(dispatched))
-        chunk = self.chunk_size or adaptive_chunk_size(
-            len(dispatched), n_workers
-        )
+        chunk = adaptive_chunk_size(len(dispatched), n_workers)
         context = self._context()
         start_method = getattr(context, "_name", self.start_method)
         telemetry = current_telemetry()
@@ -409,206 +404,17 @@ class ProcessPoolExecutor:
                 )
 
 
-def make_executor(
-    workers: Optional[int],
-    start_method: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-):
+def make_executor(workers: Optional[int], start_method: Optional[str] = None):
     """Executor for a worker count: None/1 -> serial (None), N -> pool.
 
-    ``start_method`` and ``chunk_size`` pass straight through to
-    :class:`ProcessPoolExecutor` (``None`` = platform default and
-    adaptive chunking respectively).
+    ``start_method`` passes straight through to
+    :class:`ProcessPoolExecutor` (``None`` = platform default).
     """
     if workers is None or workers == 1:
         return None
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return ProcessPoolExecutor(
-        workers, start_method=start_method, chunk_size=chunk_size
-    )
-
-
-# ----------------------------------------------------------------------
-# The driver: deterministic merge + breaker replay + single-writer
-# checkpointing
-# ----------------------------------------------------------------------
-def execute_plan(
-    plan: ExecutionPlan,
-    executor: Any = None,
-    checkpoint: Any = None,
-    breaker: Any = None,
-    progress: Optional[Callable[[UnitSpec, Any], None]] = None,
-    telemetry: Any = None,
-) -> List[Any]:
-    """Run a plan under any executor; return runs in canonical order.
-
-    The driver owns everything that must be deterministic and
-    single-threaded:
-
-    - **checkpoint reads**: completed units are loaded up front and never
-      dispatched (workers do not touch the store);
-    - **finalization order**: executed runs buffer until their canonical
-      turn, so unit ``i`` is always finalized before unit ``i+1``;
-    - **circuit-breaker replay**: success/failure bookkeeping is applied
-      at finalization, in canonical order -- a method whose breaker trips
-      at unit ``i`` yields the exact quarantine-skip records a serial run
-      would produce for every later unit of that method, even if a worker
-      already executed (and therefore wastes) one of them;
-    - **checkpoint writes**: the driver is the single writer draining the
-      executor's result stream; ``put`` batches inside the store and the
-      driver flushes once at the end (and on interruption);
-    - **telemetry merge**: worker span/metric buffers ride the result
-      stream and are absorbed at finalization, in canonical order -- so
-      the merged trace is complete and structurally identical for any
-      worker count.  Buffers of units a worker wastefully executed after
-      their method's breaker opened are *dropped*, keeping merged totals
-      equal to the serial run's.  ``telemetry`` defaults to the installed
-      :func:`~repro.observability.current_telemetry` (None = off; the
-      run's outputs are byte-identical either way).
-
-    ``progress`` is invoked once per finalized unit, in canonical order
-    (an exception it raises aborts the run like an interrupt, which the
-    chaos suite uses to simulate kills at exact unit boundaries).
-    """
-    executor = executor or SerialExecutor()
-    telemetry = telemetry if telemetry is not None else current_telemetry()
-    units = plan.units
-    n = len(units)
-    results: List[Any] = [None] * n
-    cached = [False] * n
-    pending: List[UnitSpec] = []
-    for spec in units:
-        payload = checkpoint.get(spec.key) if checkpoint is not None else None
-        if payload is not None:
-            results[spec.index] = plan.adapter.from_payload(payload)
-            cached[spec.index] = True
-        else:
-            pending.append(spec)
-
-    def should_execute(spec: UnitSpec) -> bool:
-        return not (
-            breaker is not None
-            and spec.method
-            and breaker.is_quarantined(spec.method)
-        )
-
-    executed: Dict[int, Any] = {}
-    transports: Dict[int, Any] = {}
-    received_at: Dict[int, float] = {}
-    state = {"next": 0}
-
-    def checkpoint_put(spec: UnitSpec, run: Any) -> None:
-        checkpoint.put(spec.key, plan.adapter.to_payload(run))
-        if telemetry is not None:
-            telemetry.count("checkpoint.puts")
-
-    def book_finalized(spec: UnitSpec, run: Any, status: str) -> None:
-        """Ledger + metrics for one finalized unit (telemetry on only)."""
-        record = plan.adapter.failure_of(run)
-        runtime = None
-        if plan.adapter.runtime_of is not None:
-            runtime = plan.adapter.runtime_of(run)
-        if record is not None and status == "executed":
-            telemetry.record_failure(record)
-        telemetry.event(
-            "unit_finalized",
-            unit=spec.key,
-            method=spec.method,
-            stage=plan.adapter.stage,
-            status=status,
-            ok=record is None,
-            runtime_seconds=runtime,
-        )
-
-    def finalize_ready() -> None:
-        while state["next"] < n:
-            index = state["next"]
-            spec = units[index]
-            status = "executed"
-            if cached[index]:
-                run = results[index]
-                status = "cached"
-                if telemetry is not None:
-                    telemetry.count("units.cached")
-            elif (
-                breaker is not None
-                and spec.method
-                and breaker.is_quarantined(spec.method)
-            ):
-                executed.pop(index, None)  # a worker may have raced ahead
-                transports.pop(index, None)  # ...its telemetry is wasted too
-                run = plan.adapter.quarantine_skip(
-                    plan.shared, spec, breaker.reason(spec.method)
-                )
-                results[index] = run
-                status = "quarantine_skip"
-                if telemetry is not None:
-                    telemetry.count("units.quarantine_skips")
-                if checkpoint is not None:
-                    checkpoint_put(spec, run)
-            elif index in executed:
-                run = executed.pop(index)
-                results[index] = run
-                if telemetry is not None:
-                    telemetry.absorb_transport(transports.pop(index, None))
-                    telemetry.count("units.executed")
-                    if index in received_at:
-                        telemetry.observe(
-                            "unit.merge_wait_seconds",
-                            telemetry.tracer.clock() - received_at.pop(index),
-                        )
-                if breaker is not None and spec.method:
-                    record = plan.adapter.failure_of(run)
-                    if record is None:
-                        breaker.record_success(spec.method)
-                    else:
-                        was_open = breaker.is_quarantined(spec.method)
-                        breaker.record_failure(spec.method, record.describe())
-                        if (
-                            telemetry is not None
-                            and not was_open
-                            and breaker.is_quarantined(spec.method)
-                        ):
-                            telemetry.record_breaker_open(
-                                spec.method, breaker.reason(spec.method)
-                            )
-                if checkpoint is not None:
-                    checkpoint_put(spec, run)
-            else:
-                return  # waiting on an out-of-order completion
-            if telemetry is not None:
-                book_finalized(spec, run, status)
-            state["next"] += 1
-            if progress is not None:
-                progress(spec, run)
-
-    try:
-        finalize_ready()
-        for item in executor.run(plan, pending, should_execute):
-            index, run = item[0], item[1]
-            executed[index] = run
-            if telemetry is not None:
-                if len(item) > 2 and item[2]:
-                    transports[index] = item[2]
-                received_at[index] = telemetry.tracer.clock()
-            finalize_ready()
-        finalize_ready()
-    finally:
-        if checkpoint is not None:
-            checkpoint.flush()
-            if telemetry is not None:
-                telemetry.count("checkpoint.commits")
-                telemetry.event(
-                    "checkpoint_commit", stage=plan.adapter.stage
-                )
-    if state["next"] != n:
-        missing = [units[i].key for i in range(n) if results[i] is None]
-        raise RuntimeError(
-            f"executor finished but {len(missing)} unit(s) never completed: "
-            f"{missing[:5]}"
-        )
-    return results
+    return ProcessPoolExecutor(workers, start_method=start_method)
 
 
 # ----------------------------------------------------------------------
@@ -638,105 +444,256 @@ def block_unit_key(key: str, start: int, stop: int) -> str:
     return f"{key}@rows{start}-{stop}"
 
 
-def execute_plan_blocked(
+def _sub_units(spec: UnitSpec, first: int) -> List[UnitSpec]:
+    """The sub-units one unit executes as, indexed from ``first``.
+
+    A unit without row spans is its own single sub-unit under its
+    original key; a blocked unit becomes one sub-unit per span, keyed
+    ``<key>@rows<start>-<stop>`` with the span in ``params["block"]``.
+    """
+    if not spec.blocks:
+        return [replace(spec, index=first)]
+    return [
+        UnitSpec(
+            first + offset,
+            block_unit_key(spec.key, start, stop),
+            spec.method,
+            {**spec.params, "block": (start, stop)},
+        )
+        for offset, (start, stop) in enumerate(spec.blocks)
+    ]
+
+
+# ----------------------------------------------------------------------
+# The driver: deterministic merge + breaker replay + single-writer
+# checkpointing
+# ----------------------------------------------------------------------
+def execute_plan(
     plan: ExecutionPlan,
-    blocks: Dict[int, List[Tuple[int, int]]],
-    merge_blocks: Callable[[UnitSpec, List[Any]], Any],
     executor: Any = None,
     checkpoint: Any = None,
     breaker: Any = None,
     progress: Optional[Callable[[UnitSpec, Any], None]] = None,
     telemetry: Any = None,
 ) -> List[Any]:
-    """Run a plan in ``(unit x row-block)`` sharding mode.
+    """Run a plan under any executor; return runs in canonical order.
 
-    ``blocks`` maps a unit's canonical index to its row spans (from
-    :func:`block_spans`); units absent from the mapping execute whole, so
-    a stage can mix blockable and whole-table methods in one plan.  Each
-    blocked unit is expanded into per-block sub-units whose params carry
-    a ``"block": (start, stop)`` entry and whose checkpoint keys get a
-    ``@rows<start>-<stop>`` suffix; the expanded plan then runs through
-    the ordinary :func:`execute_plan` driver, so sub-units shard across
-    workers, checkpoint individually (intra-unit resume), and replay
-    circuit-breaker bookkeeping deterministically.
+    Each unit executes as its sub-units (:func:`_sub_units`): itself, or
+    one per row span when it carries ``blocks``.  Executors see only
+    sub-units; the driver owns everything that must be deterministic and
+    single-threaded:
 
-    The fold back to whole-unit runs happens here, in the single-writer
-    driver, strictly in canonical unit order with each unit's block runs
-    in canonical block order -- which is why a blocked run's merged
-    output is byte-identical to the unblocked run for any executor and
-    worker count.  Merged runs are checkpointed under the unit's
-    *original* key, so a unit finished by an earlier run (blocked or
-    not) is reused without re-expanding, and later unblocked resumes can
-    consume blocked results transparently.
+    - **checkpoint reads**: a unit whose original key is stored is loaded
+      and never expanded (whether an earlier run was blocked or not);
+      stored sub-units of a blocked unit are loaded too (intra-unit
+      resume).  Nothing loaded is dispatched -- workers never touch the
+      store;
+    - **finalization order**: executed sub-units buffer until their
+      canonical turn, so sub-unit ``i`` is always finalized before
+      ``i+1``;
+    - **circuit-breaker replay**: success/failure bookkeeping is applied
+      per sub-unit at finalization, in canonical order -- a method whose
+      breaker trips at sub-unit ``i`` yields the exact quarantine-skip
+      records a serial run would produce for every later sub-unit of
+      that method, even if a worker already executed (and therefore
+      wastes) one of them.  One poisoned block counts one failure, which
+      only makes quarantine trip earlier than a whole-unit run;
+    - **block folding**: once a blocked unit's last sub-unit finalizes,
+      ``adapter.merge_blocks`` folds its span runs (canonical span order)
+      and the merged run is checkpointed under the unit's *original*
+      key, so later blocked or unblocked resumes reuse it;
+    - **checkpoint writes**: the driver is the single writer draining the
+      executor's result stream; ``put`` batches inside the store and the
+      driver flushes once at the end (and on interruption);
+    - **telemetry merge**: worker span/metric buffers ride the result
+      stream and are absorbed at finalization, in canonical order -- so
+      the merged trace is complete and structurally identical for any
+      worker count.  Buffers of units a worker wastefully executed after
+      their method's breaker opened are *dropped*, keeping merged totals
+      equal to the serial run's.  ``telemetry`` defaults to the installed
+      :func:`~repro.observability.current_telemetry` (None = off; the
+      run's outputs are byte-identical either way).
 
-    ``progress`` fires once per *original* unit, after its merge, in
-    canonical order.  Breaker failure counts accrue per sub-unit (one
-    poisoned block counts one failure), which only makes quarantine
-    trip earlier than a whole-unit run -- never later.
+    ``progress`` is invoked once per finalized *original* unit, in
+    canonical order (an exception it raises aborts the run like an
+    interrupt, which the chaos suite uses to simulate kills at exact unit
+    boundaries).
     """
+    executor = executor or SerialExecutor()
     telemetry = telemetry if telemetry is not None else current_telemetry()
-    merged: List[Any] = [None] * len(plan.units)
-    # (spec, n_subunits, is_blocked); n_subunits == 0 -> checkpoint hit.
-    origin: List[Tuple[UnitSpec, int, bool]] = []
-    expanded: List[UnitSpec] = []
+    adapter = plan.adapter
+    # A blocked plan's ledger speaks of sub-units: a unit loaded whole
+    # from the store scheduled none, so it books no unit_finalized event.
+    blocked = any(spec.blocks for spec in plan.units)
+    results: List[Any] = [None] * len(plan.units)
+    subunits: List[UnitSpec] = []
+    sub_runs: List[Any] = []
+    # (unit, first sub-unit, stop); first == stop -> loaded from the store.
+    groups: List[Tuple[UnitSpec, int, int]] = []
+
+    def load(key: str) -> Any:
+        payload = checkpoint.get(key) if checkpoint is not None else None
+        return adapter.from_payload(payload) if payload is not None else None
+
     for spec in plan.units:
-        payload = checkpoint.get(spec.key) if checkpoint is not None else None
-        if payload is not None:
-            merged[spec.index] = plan.adapter.from_payload(payload)
-            origin.append((spec, 0, False))
+        first = len(subunits)
+        results[spec.index] = load(spec.key)
+        if results[spec.index] is None:
+            for sub in _sub_units(spec, first):
+                subunits.append(sub)
+                sub_runs.append(load(sub.key) if spec.blocks else None)
+        groups.append((spec, first, len(subunits)))
+    n = len(subunits)
+    cached = [run is not None for run in sub_runs]
+    pending = [sub for sub in subunits if not cached[sub.index]]
+
+    def should_execute(spec: UnitSpec) -> bool:
+        return not (
+            breaker is not None
+            and spec.method
+            and breaker.is_quarantined(spec.method)
+        )
+
+    executed: Dict[int, Any] = {}
+    transports: Dict[int, Any] = {}
+    received_at: Dict[int, float] = {}
+    state = {"next": 0, "group": 0}
+
+    def checkpoint_put(spec: UnitSpec, run: Any) -> None:
+        checkpoint.put(spec.key, adapter.to_payload(run))
+        if telemetry is not None:
+            telemetry.count("checkpoint.puts")
+
+    def book_finalized(spec: UnitSpec, run: Any, status: str) -> None:
+        """Ledger + metrics for one finalized unit (telemetry on only)."""
+        record = adapter.failure_of(run)
+        if record is not None and status == "executed":
+            telemetry.record_failure(record)
+        telemetry.event(
+            "unit_finalized",
+            unit=spec.key,
+            method=spec.method,
+            stage=adapter.stage,
+            status=status,
+            ok=record is None,
+            runtime_seconds=getattr(run, "runtime_seconds", None),
+        )
+
+    def finalize_sub_unit(index: int) -> bool:
+        """Finalize sub-unit ``index``; False while it is still running."""
+        spec = subunits[index]
+        status = "executed"
+        if cached[index]:
+            run = sub_runs[index]
+            status = "cached"
             if telemetry is not None:
                 telemetry.count("units.cached")
-            continue
-        spans = blocks.get(spec.index)
-        if not spans:
-            expanded.append(
-                UnitSpec(len(expanded), spec.key, spec.method, dict(spec.params))
+        elif (
+            breaker is not None
+            and spec.method
+            and breaker.is_quarantined(spec.method)
+        ):
+            executed.pop(index, None)  # a worker may have raced ahead
+            transports.pop(index, None)  # ...its telemetry is wasted too
+            run = adapter.quarantine_skip(
+                plan.shared, spec, breaker.reason(spec.method)
             )
-            origin.append((spec, 1, False))
-        else:
-            for start, stop in spans:
-                expanded.append(
-                    UnitSpec(
-                        len(expanded),
-                        block_unit_key(spec.key, start, stop),
-                        spec.method,
-                        {**spec.params, "block": (start, stop)},
+            status = "quarantine_skip"
+            if telemetry is not None:
+                telemetry.count("units.quarantine_skips")
+            if checkpoint is not None:
+                checkpoint_put(spec, run)
+        elif index in executed:
+            run = executed.pop(index)
+            if telemetry is not None:
+                telemetry.absorb_transport(transports.pop(index, None))
+                telemetry.count("units.executed")
+                if index in received_at:
+                    telemetry.observe(
+                        "unit.merge_wait_seconds",
+                        telemetry.tracer.clock() - received_at.pop(index),
                     )
-                )
-            origin.append((spec, len(spans), True))
-    sub_plan = ExecutionPlan(plan.adapter, plan.shared, expanded)
-    sub_results = execute_plan(
-        sub_plan,
-        executor=executor,
-        checkpoint=checkpoint,
-        breaker=breaker,
-        telemetry=telemetry,
-    )
-    cursor = 0
-    try:
-        for spec, count, is_blocked in origin:
-            if count == 0:
-                run = merged[spec.index]
-            else:
-                group = sub_results[cursor : cursor + count]
-                cursor += count
-                run = merge_blocks(spec, group) if is_blocked else group[0]
-                merged[spec.index] = run
-                if is_blocked:
-                    if checkpoint is not None:
-                        checkpoint.put(spec.key, plan.adapter.to_payload(run))
-                    if telemetry is not None:
-                        telemetry.count("units.block_merged")
-                        telemetry.event(
-                            "unit_block_merged",
-                            unit=spec.key,
-                            method=spec.method,
-                            stage=plan.adapter.stage,
-                            n_blocks=count,
+            if breaker is not None and spec.method:
+                record = adapter.failure_of(run)
+                if record is None:
+                    breaker.record_success(spec.method)
+                else:
+                    was_open = breaker.is_quarantined(spec.method)
+                    breaker.record_failure(spec.method, record.describe())
+                    if (
+                        telemetry is not None
+                        and not was_open
+                        and breaker.is_quarantined(spec.method)
+                    ):
+                        telemetry.record_breaker_open(
+                            spec.method, breaker.reason(spec.method)
                         )
+            if checkpoint is not None:
+                checkpoint_put(spec, run)
+        else:
+            return False  # waiting on an out-of-order completion
+        sub_runs[index] = run
+        if telemetry is not None:
+            book_finalized(spec, run, status)
+        return True
+
+    def finalize_unit(spec: UnitSpec, first: int, stop: int) -> Any:
+        """The unit's run once all its sub-units have finalized."""
+        if first == stop:
+            if telemetry is not None:
+                telemetry.count("units.cached")
+                if not blocked:
+                    book_finalized(spec, results[spec.index], "cached")
+            return results[spec.index]
+        if not spec.blocks:
+            return sub_runs[first]
+        run = adapter.merge_blocks(plan.shared, spec, sub_runs[first:stop])
+        if checkpoint is not None:
+            checkpoint.put(spec.key, adapter.to_payload(run))
+        if telemetry is not None:
+            telemetry.count("units.block_merged")
+            telemetry.event(
+                "unit_block_merged",
+                unit=spec.key,
+                method=spec.method,
+                stage=adapter.stage,
+                n_blocks=stop - first,
+            )
+        return run
+
+    def finalize_ready() -> None:
+        while state["group"] < len(groups):
+            spec, first, stop = groups[state["group"]]
+            while state["next"] < stop:
+                if not finalize_sub_unit(state["next"]):
+                    return
+                state["next"] += 1
+            run = results[spec.index] = finalize_unit(spec, first, stop)
+            state["group"] += 1
             if progress is not None:
                 progress(spec, run)
+
+    try:
+        finalize_ready()
+        for item in executor.run(plan, pending, should_execute):
+            index, run = item[0], item[1]
+            executed[index] = run
+            if telemetry is not None:
+                if len(item) > 2 and item[2]:
+                    transports[index] = item[2]
+                received_at[index] = telemetry.tracer.clock()
+            finalize_ready()
+        finalize_ready()
     finally:
         if checkpoint is not None:
             checkpoint.flush()
-    return merged
+            if telemetry is not None:
+                telemetry.count("checkpoint.commits")
+                telemetry.event("checkpoint_commit", stage=adapter.stage)
+    if state["group"] != len(groups):
+        missing = [subunits[i].key for i in range(n) if sub_runs[i] is None]
+        raise RuntimeError(
+            f"executor finished but {len(missing)} unit(s) never completed: "
+            f"{missing[:5]}"
+        )
+    return results

@@ -10,8 +10,8 @@ scenario, seed) combinations the checkpoint layer keys by.  An
   stage-specific parameters needed to execute it);
 - the :class:`StageAdapter` supplies the stage's behaviour as
   module-level functions (execute a unit, serialize/deserialize its run
-  object, build a quarantine-skip run, extract the failure record), so
-  the whole plan can cross a process boundary;
+  object, build a quarantine-skip run, fold row-block runs), so the
+  whole plan can cross a process boundary;
 - ``shared`` carries the per-suite context every unit needs (the
   dataset, the tool pool, guard parameters) exactly once.
 
@@ -24,7 +24,7 @@ or completion order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,23 @@ class UnitSpec:
             empty string opts the unit out of breaker bookkeeping.
         params: picklable stage-specific parameters (e.g. which detector
             slot to run, which (scenario, seed) pair to evaluate).
+        blocks: ``[start, stop)`` row spans to shard the unit over
+            (:func:`~repro.parallel.engine.block_spans`); empty runs the
+            unit whole.  Each span executes as a sub-unit whose params
+            carry ``"block": (start, stop)``, and the adapter's
+            ``merge_blocks`` folds the span runs back into the unit's run.
     """
 
     index: int
     key: str
     method: str
     params: Dict[str, Any] = field(default_factory=dict)
+    blocks: Tuple[Tuple[int, int], ...] = ()
+
+
+def run_failure(run: Any) -> Optional[Any]:
+    """The default ``failure_of``: the run's ``failure_record``."""
+    return run.failure_record
 
 
 @dataclass(frozen=True)
@@ -67,11 +78,15 @@ class StageAdapter:
             run object a serial suite would record when the unit's method
             is quarantined at the moment the unit is reached.
         failure_of: ``(run) -> Optional[FailureRecord]`` -- the failure
-            record driving circuit-breaker bookkeeping (None = success).
-        runtime_of: optional ``(run) -> Optional[float]`` -- the unit's
-            honest elapsed seconds, feeding the observability ledger's
-            ``unit_finalized`` events and the runtime panels built from
-            them (None = the stage has no per-unit runtime notion).
+            record driving circuit-breaker bookkeeping (None = success);
+            defaults to the run's ``failure_record`` attribute.
+        merge_blocks: ``(shared, spec, runs) -> run`` -- fold the runs of
+            a blocked unit's row spans (canonical span order) into the
+            whole-unit run; required only when units carry ``blocks``.
+
+    A run that exposes ``runtime_seconds`` reports it as the unit's
+    honest elapsed time in the observability ledger's ``unit_finalized``
+    events (and the runtime panels built from them).
     """
 
     stage: str
@@ -79,8 +94,8 @@ class StageAdapter:
     to_payload: Callable[[Any], Dict[str, Any]]
     from_payload: Callable[[Dict[str, Any]], Any]
     quarantine_skip: Callable[[Any, UnitSpec, str], Any]
-    failure_of: Callable[[Any], Optional[Any]]
-    runtime_of: Optional[Callable[[Any], Optional[float]]] = None
+    failure_of: Callable[[Any], Optional[Any]] = run_failure
+    merge_blocks: Optional[Callable[[Any, UnitSpec, List[Any]], Any]] = None
 
 
 @dataclass(frozen=True)

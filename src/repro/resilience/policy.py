@@ -34,12 +34,6 @@ class ResiliencePolicy:
         workers: worker processes for the execution engine (1 = serial
             reference; N > 1 shards the unit grid across N processes
             with results identical to serial).
-        start_method: multiprocessing start method for the pool
-            (``"fork"``, ``"spawn"``, ``"forkserver"``; None = platform
-            default).  Results are byte-identical either way; only
-            dispatch cost differs.
-        chunk_size: units handed to a worker per dispatch; None picks an
-            adaptive size from the grid and worker count.
         clock / sleep: injectable time sources so chaos tests can drive
             deterministic timing.
     """
@@ -51,8 +45,6 @@ class ResiliencePolicy:
     resume: bool = False
     run_id: Optional[str] = None
     workers: int = 1
-    start_method: Optional[str] = None
-    chunk_size: Optional[int] = None
     clock: Optional[Callable[[], float]] = None
     sleep: Callable[[float], None] = field(default=time.sleep)
 
@@ -63,11 +55,7 @@ class ResiliencePolicy:
 
     def make_executor(self):
         """Executor implied by ``workers`` (None = serial reference)."""
-        return make_executor(
-            self.workers,
-            start_method=self.start_method,
-            chunk_size=self.chunk_size,
-        )
+        return make_executor(self.workers)
 
     def open_checkpoint(self, *run_id_parts: object) -> Optional[SuiteCheckpoint]:
         """Open this policy's checkpoint view, or None when disabled."""

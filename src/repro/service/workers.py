@@ -73,8 +73,6 @@ class ServiceWorker:
         telemetry: Optional[Telemetry] = None,
         heartbeat_interval: Optional[float] = None,
         job_workers: int = 1,
-        start_method: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         self.queue = queue
         self.worker_id = worker_id
@@ -82,8 +80,6 @@ class ServiceWorker:
         self.store_path = store_path
         self.telemetry = telemetry
         self.job_workers = job_workers
-        self.start_method = start_method
-        self.chunk_size = chunk_size
         lease = queue.policy.lease_seconds
         self.heartbeat_interval = (
             heartbeat_interval if heartbeat_interval is not None
@@ -195,11 +191,7 @@ class ServiceWorker:
             # configured so test doubles keep their narrower signature.
             from repro.parallel import make_executor
 
-            kwargs["executor"] = make_executor(
-                self.job_workers,
-                start_method=self.start_method,
-                chunk_size=self.chunk_size,
-            )
+            kwargs["executor"] = make_executor(self.job_workers)
         return self.execute(job.spec.to_payload(), **kwargs)
 
     def run_forever(
@@ -244,8 +236,6 @@ def worker_main(
     events_path: Optional[str] = None,
     poll_seconds: float = 0.1,
     job_workers: int = 1,
-    start_method: Optional[str] = None,
-    chunk_size: Optional[int] = None,
 ) -> None:
     """Entry point of one worker process.
 
@@ -274,8 +264,6 @@ def worker_main(
         store_path=store_path,
         telemetry=telemetry,
         job_workers=job_workers,
-        start_method=start_method,
-        chunk_size=chunk_size,
     )
     try:
         worker.run_forever(stop, poll_seconds=poll_seconds)
@@ -308,8 +296,6 @@ class WorkerPool:
         poll_seconds: float = 0.1,
         name_prefix: str = "worker",
         job_workers: int = 1,
-        start_method: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -324,8 +310,6 @@ class WorkerPool:
         self.poll_seconds = poll_seconds
         self.name_prefix = name_prefix
         self.job_workers = job_workers
-        self.start_method = start_method
-        self.chunk_size = chunk_size
         self._processes: List[multiprocessing.process.BaseProcess] = []
 
     def start(self) -> None:
@@ -346,8 +330,6 @@ class WorkerPool:
                     "events_path": self.events_path,
                     "poll_seconds": self.poll_seconds,
                     "job_workers": self.job_workers,
-                    "start_method": self.start_method,
-                    "chunk_size": self.chunk_size,
                 },
                 name=worker_id,
                 # Daemonic processes may not have children: a worker

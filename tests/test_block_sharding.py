@@ -10,6 +10,8 @@ that split rows carrying quoted/multiline text cells straight out of a
 CSV round trip.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,7 +33,8 @@ from repro.ml.forest import (
 )
 from repro.ml.neighbors import KNNClassifier, KNNRegressor
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
-from repro.parallel.engine import block_spans, block_unit_key
+from repro.parallel.engine import block_spans, block_unit_key, null_sleep
+from repro.resilience import SuiteCheckpoint
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +237,114 @@ class TestBlockedDetectionSuite:
         dataset = generate("Adult", n_rows=20, seed=2)
         with pytest.raises(ValueError):
             run_detection_suite(dataset, [MVDetector()], block_rows=0)
+
+
+class _StepClock:
+    """Deterministic clock: every reading advances one power-of-two tick."""
+
+    def __init__(self) -> None:
+        self.ticks = 0
+
+    def __call__(self) -> float:
+        self.ticks += 1
+        return self.ticks * 2.0 ** -10
+
+
+class _SpySD(SDDetector):
+    """SD that logs its whole-table and per-block detection calls, and
+    can simulate a kill when detection reaches a given block."""
+
+    name = "SD"
+
+    def __init__(self, log, interrupt_at=None) -> None:
+        super().__init__()
+        self.log = log
+        self.interrupt_at = interrupt_at
+
+    def detect(self, context):
+        self.log.append("detect")
+        return super().detect(context)
+
+    def detect_block(self, context, fitted, block, start):
+        if start == self.interrupt_at:
+            raise KeyboardInterrupt
+        self.log.append(start)
+        return super().detect_block(context, fitted, block, start)
+
+
+class TestBlockedResume:
+    """Checkpoint interop between blocked and unblocked runs."""
+
+    BLOCK_ROWS = 30  # 120 rows -> four blocks per blockwise detector
+
+    def _suite(self, path, spy, block_rows, resume):
+        with SuiteCheckpoint.open(path, "run", resume=resume) as checkpoint:
+            return run_detection_suite(
+                generate("Adult", n_rows=120, seed=2),
+                [spy, MVDetector(), IQRDetector()],
+                clock=_StepClock(),
+                sleep=null_sleep,
+                checkpoint=checkpoint,
+                block_rows=block_rows,
+            )
+
+    @staticmethod
+    def _final_units(runs):
+        """Run payloads minus the runtime, which differs by mode."""
+        payloads = [run.to_payload() for run in runs]
+        for payload in payloads:
+            del payload["runtime_seconds"]
+        return payloads
+
+    @staticmethod
+    def _store(path):
+        with SuiteCheckpoint.open(path, "run", resume=True) as checkpoint:
+            units = sorted(checkpoint.completed_units())
+            return json.dumps(
+                {unit: checkpoint.get(unit) for unit in units}, sort_keys=True
+            )
+
+    def _uninterrupted(self, tmp_path, block_rows):
+        path = str(tmp_path / f"reference-{block_rows}.sqlite")
+        return self._suite(path, _SpySD([]), block_rows, resume=False), path
+
+    def test_unblocked_store_feeds_blocked_resume(self, tmp_path):
+        written, path = self._uninterrupted(tmp_path, None)
+        log = []
+        resumed = self._suite(path, _SpySD(log), self.BLOCK_ROWS, resume=True)
+        assert log == []  # no detect_block (and no detect) call
+        assert self._final_units(resumed) == self._final_units(written)
+
+    def test_blocked_store_feeds_unblocked_resume(self, tmp_path):
+        written, path = self._uninterrupted(tmp_path, self.BLOCK_ROWS)
+        log = []
+        resumed = self._suite(path, _SpySD(log), None, resume=True)
+        assert log == []  # no detect call
+        assert [run.to_payload() for run in resumed] == [
+            run.to_payload() for run in written
+        ]
+        plain, _ = self._uninterrupted(tmp_path, None)
+        assert self._final_units(resumed) == self._final_units(plain)
+
+    def test_interrupted_blocked_run_resumes_remaining_blocks(self, tmp_path):
+        path = str(tmp_path / "killed.sqlite")
+        log = []
+        with pytest.raises(KeyboardInterrupt):
+            self._suite(
+                path, _SpySD(log, interrupt_at=60), self.BLOCK_ROWS,
+                resume=False,
+            )
+        assert log == [0, 30]  # two of SD's four blocks finalized
+        log = []
+        resumed = self._suite(path, _SpySD(log), self.BLOCK_ROWS, resume=True)
+        assert log == [60, 90]  # the finalized blocks never re-ran
+        written, reference = self._uninterrupted(tmp_path, self.BLOCK_ROWS)
+        assert self._store(path) == self._store(reference)
+        plain, _ = self._uninterrupted(tmp_path, None)
+        assert self._final_units(resumed) == self._final_units(plain)
+        assert [run.to_payload() for run in resumed] == [
+            run.to_payload() for run in written
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ import math
 import random
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.benchmark.runner import run_detection_suite, run_repair_suite
@@ -61,6 +61,7 @@ from repro.detectors.duplicates import (
     column_standard_deviations,
     pair_feature_matrix,
 )
+from repro.dataset.columnar import normalized_column
 from repro.detectors.katara import katara_violations
 from repro.kernels import reference_kernels
 from repro.parallel import ProcessPoolExecutor
@@ -107,6 +108,11 @@ def small_tables(draw, min_rows=1, max_rows=16, min_categorical=0):
                 st.lists(strategy, min_size=n_rows, max_size=n_rows)
             )
     return Table(schema, columns)
+
+
+def _numeric_table(values):
+    """One numerical column holding exactly ``values``."""
+    return Table(Schema.from_pairs([("n0", NUMERICAL)]), {"n0": list(values)})
 
 
 @st.composite
@@ -171,10 +177,33 @@ class TestHistogramKernel:
 
 
 # ----------------------------------------------------------------------
+# Columnar normalization memo
+# ----------------------------------------------------------------------
+class TestNormalizedColumn:
+    def test_signed_zeros_keep_their_own_normalization(self):
+        column = np.array([float("-inf"), -0.0, 0.0], dtype=object)
+        assert normalized_column(column, str) == ["-inf", "-0.0", "0.0"]
+        assert normalized_column([0.0, -0.0], str) == ["0.0", "-0.0"]
+        assert normalized_column(
+            [np.float32(-0.0), np.float32(0.0)], str
+        ) == ["-0.0", "0.0"]
+
+    @given(st.lists(st.one_of(numeric_cell, unicode_text, st.booleans())))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_row_comprehension(self, values):
+        assert normalized_column(values, repr) == [repr(v) for v in values]
+
+
+# ----------------------------------------------------------------------
 # Duplicates: blocking, pair enumeration, pair features
 # ----------------------------------------------------------------------
 class TestDuplicateKernels:
     @given(small_tables())
+    @example(
+        Table(
+            Schema.from_pairs([("c0", CATEGORICAL)]), {"c0": ["a", -0.0, 0.0]}
+        )
+    )
     @settings(max_examples=40, deadline=None)
     def test_blocks_same_key_multisets(self, table):
         got = build_blocks(table)
@@ -192,6 +221,8 @@ class TestDuplicateKernels:
         assert got == want
 
     @given(small_tables(min_rows=2))
+    @example(_numeric_table([float("-inf"), -0.0, 0.0]))
+    @example(_numeric_table([0.0, -0.0]))
     @settings(max_examples=30, deadline=None)
     def test_pair_feature_matrix_byte_identical(self, table):
         # Feature the blocking candidates when there are any, otherwise

@@ -32,7 +32,7 @@ from repro.dataplane import (
 )
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.detectors import MVDetector, SDDetector
-from repro.parallel import ProcessPoolExecutor, null_sleep
+from repro.parallel import ProcessPoolExecutor, engine, null_sleep
 from repro.repository import CheckpointStore
 from repro.resilience import SuiteCheckpoint
 
@@ -311,14 +311,18 @@ class TestEndToEndByteIdentity:
         assert store == reference_store
         assert payloads == reference_payloads
 
-    def test_explicit_chunk_sizes_do_not_change_bytes(self, tmp_path):
+    def test_explicit_chunk_sizes_do_not_change_bytes(
+        self, tmp_path, monkeypatch
+    ):
         reference_store, reference_payloads = _checkpointed_detection(
             tmp_path, "serial", None, 32
         )
         for chunk_size in (1, 3):
-            pool = ProcessPoolExecutor(2, chunk_size=chunk_size)
+            monkeypatch.setattr(
+                engine, "adaptive_chunk_size", lambda n, w, c=chunk_size: c
+            )
             store, payloads = _checkpointed_detection(
-                tmp_path, f"chunk-{chunk_size}", pool, 32
+                tmp_path, f"chunk-{chunk_size}", ProcessPoolExecutor(2), 32
             )
             assert store == reference_store
             assert payloads == reference_payloads

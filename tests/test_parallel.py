@@ -365,8 +365,6 @@ class TestExecutorConstruction:
     def test_pool_validates_arguments(self):
         with pytest.raises(ValueError):
             ProcessPoolExecutor(0)
-        with pytest.raises(ValueError):
-            ProcessPoolExecutor(2, chunk_size=0)
 
     def test_serial_executor_skips_quarantined_lazily(self):
         # The serial reference consults should_execute per unit, so a
