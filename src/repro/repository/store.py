@@ -7,7 +7,7 @@ import math
 import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar
 
 import numpy as np
 
@@ -383,13 +383,17 @@ class CheckpointStore:
     same run id loads finished units from here and executes only the
     remainder, reproducing the uninterrupted results exactly.
 
-    The store is tuned for the single-writer execution model of
-    :mod:`repro.parallel`: the database runs in WAL mode (readers never
-    block the writer) and :meth:`put` batches transaction commits --
-    every ``commit_interval`` writes, plus an explicit :meth:`commit` /
-    :meth:`close` flush -- instead of paying one fsync per unit.  Reads
-    through the same connection always observe pending writes, so
-    ``get``/``units`` stay consistent mid-batch.
+    The database runs in WAL mode (readers never block the writer) and
+    may be shared by several writers, e.g. the service workers of
+    ``repro serve --store``.  :meth:`put` only adds the serialized
+    payload to an in-memory batch; :meth:`commit` writes the batch in
+    one short transaction -- every ``commit_interval`` pending units,
+    plus an explicit :meth:`commit` / :meth:`close` flush -- instead of
+    paying one fsync per unit.  SQLite's single write lock is therefore
+    held only for the length of a commit, never while units compute.
+    Reads see pending rows, so ``get``/``units``/``count`` stay
+    consistent mid-batch; rows not yet committed are lost if the
+    process is killed.
     """
 
     def __init__(
@@ -398,7 +402,7 @@ class CheckpointStore:
         if commit_interval < 1:
             raise ValueError("commit_interval must be >= 1")
         self.commit_interval = commit_interval
-        self._pending = 0
+        self._batch: Dict[Tuple[str, str], str] = {}
         self._connection = connect(path)
         self._connection.execute(
             """
@@ -412,20 +416,34 @@ class CheckpointStore:
         )
         self._connection.commit()
 
-    def commit(self) -> None:
-        """Flush any batched writes to durable storage.
+    def _transaction(self, sql: str, rows: List[Tuple[str, ...]]) -> None:
+        with self._connection:
+            self._connection.executemany(sql, rows)
 
-        Commits contend with concurrent service workers sharing one
-        checkpoint database, so SQLITE_BUSY is retried before being
-        surfaced as a transient failure.
+    def commit(self) -> None:
+        """Write the pending batch to durable storage in one transaction.
+
+        The write lock is taken and released inside this call.  Commits
+        contend with concurrent service workers sharing one checkpoint
+        database, so SQLITE_BUSY is retried before being surfaced as a
+        transient failure; a failed attempt rolls back and keeps the
+        batch, so the retry (or the next commit) writes the same rows.
         """
-        busy_retry(self._connection.commit, key="checkpoint-commit")
-        self._pending = 0
+        rows = [(run, unit, text) for (run, unit), text in self._batch.items()]
+        busy_retry(
+            lambda: self._transaction(
+                "INSERT OR REPLACE INTO checkpoints VALUES (?, ?, ?)", rows
+            ),
+            key="checkpoint-commit",
+        )
+        self._batch.clear()
 
     def close(self) -> None:
-        if self._pending:
-            self.commit()
-        self._connection.close()
+        try:
+            if self._batch:
+                self.commit()
+        finally:
+            self._connection.close()
 
     def __enter__(self) -> "CheckpointStore":
         return self
@@ -438,58 +456,60 @@ class CheckpointStore:
 
         NaN scores are encoded as ``null`` (:func:`sanitize_payload`) so
         the stored text is standard JSON; ``allow_nan=False`` guarantees
-        no non-standard token ever reaches disk.  The write lands in the
-        current batch transaction and becomes durable at the next
-        :meth:`commit` (automatic every ``commit_interval`` puts).
+        no non-standard token ever reaches disk, and a bad payload fails
+        here rather than at commit.  The text joins the in-memory batch
+        (a later put of the same unit replaces it) and becomes durable
+        at the next :meth:`commit` (automatic every ``commit_interval``
+        pending units).
         """
-        text = json.dumps(
+        self._batch[(run_id, unit)] = json.dumps(
             sanitize_payload(payload), sort_keys=True, allow_nan=False
         )
-        busy_retry(
-            lambda: self._connection.execute(
-                "INSERT OR REPLACE INTO checkpoints VALUES (?, ?, ?)",
-                (run_id, unit, text),
-            ),
-            key=f"checkpoint-put/{unit}",
-        )
-        self._pending += 1
-        if self._pending >= self.commit_interval:
+        if len(self._batch) >= self.commit_interval:
             self.commit()
 
     def get(self, run_id: str, unit: str) -> Optional[Dict[str, Any]]:
         """The stored payload for one unit, or None when not yet done."""
-        row = self._connection.execute(
-            "SELECT payload_json FROM checkpoints "
-            "WHERE run_id = ? AND unit = ?",
-            (run_id, unit),
-        ).fetchone()
-        if row is None:
-            return None
-        return json.loads(row[0])
+        text = self._batch.get((run_id, unit))
+        if text is None:
+            row = self._connection.execute(
+                "SELECT payload_json FROM checkpoints "
+                "WHERE run_id = ? AND unit = ?",
+                (run_id, unit),
+            ).fetchone()
+            if row is None:
+                return None
+            text = row[0]
+        return json.loads(text)
 
-    def units(self, run_id: str) -> List[str]:
-        """All completed unit keys for one run, sorted."""
-        cursor = self._connection.execute(
-            "SELECT unit FROM checkpoints WHERE run_id = ? ORDER BY unit",
-            (run_id,),
-        )
-        return [r[0] for r in cursor.fetchall()]
-
-    def clear_run(self, run_id: str) -> None:
-        """Drop every checkpoint of one run (fresh, non-resumed start)."""
-        self._connection.execute(
-            "DELETE FROM checkpoints WHERE run_id = ?", (run_id,)
-        )
-        self.commit()
-
-    def count(self, run_id: Optional[str] = None) -> int:
+    def _keys(self, run_id: Optional[str]) -> Set[Tuple[str, str]]:
+        """Committed and pending ``(run_id, unit)`` keys of one or all runs."""
         if run_id is None:
             cursor = self._connection.execute(
-                "SELECT COUNT(*) FROM checkpoints"
+                "SELECT run_id, unit FROM checkpoints"
             )
         else:
             cursor = self._connection.execute(
-                "SELECT COUNT(*) FROM checkpoints WHERE run_id = ?",
+                "SELECT run_id, unit FROM checkpoints WHERE run_id = ?",
                 (run_id,),
             )
-        return int(cursor.fetchone()[0])
+        keys = set(cursor.fetchall())
+        keys.update(k for k in self._batch if run_id in (None, k[0]))
+        return keys
+
+    def units(self, run_id: str) -> List[str]:
+        """All completed unit keys for one run, sorted."""
+        return sorted(unit for _, unit in self._keys(run_id))
+
+    def clear_run(self, run_id: str) -> None:
+        """Drop every checkpoint of one run (fresh, non-resumed start)."""
+        self._batch = {k: t for k, t in self._batch.items() if k[0] != run_id}
+        busy_retry(
+            lambda: self._transaction(
+                "DELETE FROM checkpoints WHERE run_id = ?", [(run_id,)]
+            ),
+            key="checkpoint-clear",
+        )
+
+    def count(self, run_id: Optional[str] = None) -> int:
+        return len(self._keys(run_id))

@@ -468,6 +468,116 @@ class TestCheckpointBatching:
         with pytest.raises(ValueError):
             CheckpointStore(commit_interval=0)
 
+    def test_pending_batch_does_not_hold_the_write_lock(self, tmp_path):
+        from repro.repository import CheckpointStore
+        from repro.repository.store import connect
+
+        path = str(tmp_path / "ckpt.sqlite")
+        store = CheckpointStore(path, commit_interval=64)
+        other = connect(path, busy_timeout_seconds=0.05)
+        try:
+            for i in range(3):
+                store.put("r", f"u{i}", {"i": i})
+            # A second writer (another service worker) commits at once
+            # instead of waiting for this store's batch to flush.
+            with other:
+                other.execute(
+                    "INSERT INTO checkpoints VALUES ('s', 'u', '{}')"
+                )
+            store.commit()
+            assert other.execute(
+                "SELECT COUNT(*) FROM checkpoints"
+            ).fetchone()[0] == 4
+        finally:
+            other.close()
+            store.close()
+
+    def test_reads_see_pending_rows(self, tmp_path):
+        from repro.repository import CheckpointStore
+
+        path = str(tmp_path / "ckpt.sqlite")
+        with CheckpointStore(path, commit_interval=64) as store:
+            store.put("r", "b", {"v": 0})
+            store.commit()
+            store.put("r", "b", {"v": 1})  # pending over a committed row
+            store.put("r", "a", {"v": 1})
+            store.put("r", "a", {"v": 2})  # a repeated put keeps the last
+            store.put("s", "c", {"v": 3})
+            assert store.get("r", "a") == {"v": 2}
+            assert store.get("r", "b") == {"v": 1}
+            assert store.units("r") == ["a", "b"]
+            assert store.count("r") == 2
+            assert store.count() == 3
+            store.commit()
+            assert store.get("r", "a") == {"v": 2}
+            assert store.get("r", "b") == {"v": 1}
+            assert store.count() == 3
+
+    def test_clear_run_drops_only_that_runs_pending_rows(self, tmp_path):
+        from repro.repository import CheckpointStore
+
+        path = str(tmp_path / "ckpt.sqlite")
+        with CheckpointStore(path, commit_interval=64) as store:
+            store.put("r", "old", {"v": 0})
+            store.commit()
+            store.put("r", "new", {"v": 1})
+            store.put("s", "keep", {"v": 2})
+            store.clear_run("r")
+            assert store.units("r") == []
+            assert store.get("s", "keep") == {"v": 2}
+        with CheckpointStore(path) as reopened:
+            assert reopened.units("r") == []
+            assert reopened.units("s") == ["keep"]
+
+    @staticmethod
+    def _locked_store(path):
+        """A store with two pending rows and a second connection holding
+        the database's write lock; the store's busy wait is shortened so
+        a commit exhausts its retries quickly."""
+        from repro.repository import CheckpointStore
+        from repro.repository.store import connect
+
+        store = CheckpointStore(path, commit_interval=64)
+        store._connection.execute("PRAGMA busy_timeout=10")
+        store.put("r", "a", {"v": 1})
+        store.put("r", "b", {"v": 2})
+        blocker = connect(path)
+        blocker.execute("BEGIN IMMEDIATE")
+        return store, blocker
+
+    def test_busy_commit_keeps_the_batch(self, tmp_path):
+        from repro.resilience.failures import TransientError
+
+        path = str(tmp_path / "ckpt.sqlite")
+        store, blocker = self._locked_store(path)
+        try:
+            with pytest.raises(TransientError):
+                store.commit()
+            assert store.units("r") == ["a", "b"]
+            blocker.rollback()
+            store.commit()
+            assert blocker.execute(
+                "SELECT unit, payload_json FROM checkpoints ORDER BY unit"
+            ).fetchall() == [("a", '{"v": 1}'), ("b", '{"v": 2}')]
+        finally:
+            blocker.close()
+            store.close()
+
+    def test_close_closes_connection_when_final_commit_fails(self, tmp_path):
+        import sqlite3
+
+        from repro.resilience.failures import TransientError
+
+        path = str(tmp_path / "ckpt.sqlite")
+        store, blocker = self._locked_store(path)
+        try:
+            with pytest.raises(TransientError):
+                store.close()
+            with pytest.raises(sqlite3.ProgrammingError):
+                store._connection.execute("SELECT 1")
+        finally:
+            blocker.close()
+
 
 class TestParallelLintCoverage:
     def test_parallel_package_is_lint_clean_and_not_allowlisted(self):
