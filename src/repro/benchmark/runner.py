@@ -59,6 +59,7 @@ from repro.metrics.model import f1_score, rmse, silhouette_score
 from repro.metrics.repair import repair_rmse, repair_scores_categorical
 from repro.metrics.stats import WilcoxonResult, wilcoxon_signed_rank
 from repro.benchmark.scenarios import Scenario, scenario as get_scenario
+from repro.ml.base import fit_predict
 from repro.ml.model_zoo import build_model, get_spec
 from repro.observability.telemetry import current_telemetry, telemetry_scope
 from repro.parallel.engine import block_spans, execute_plan
@@ -797,8 +798,7 @@ def run_scenario(
         )
     else:
         model = build_model(task, model_name, **(model_params or {}))
-        model.fit(x_train, y_train)
-    predictions = model.predict(x_test)
+    predictions = fit_predict(model, x_train, y_train, x_test)
     if task == "classification":
         return f1_score(y_test, predictions)
     return rmse(y_test, predictions)
@@ -812,7 +812,10 @@ def _tuned_model(
     n_trials: int,
     seed: int,
 ):
-    """Hyperparameter-tune a zoo model on an inner holdout, then refit.
+    """Hyperparameter-tune a zoo model on an inner holdout.
+
+    Returns the winning configuration *unfitted*; the caller fits it on
+    the full training split.
 
     This is where REIN plugs Optuna in (Section 4); we use the TPE-style
     study of :mod:`repro.tuning` with the model's declared search space.
@@ -833,11 +836,8 @@ def _tuned_model(
         n_trials=n_trials,
         seed=seed,
     )
-    # Refit the winning configuration on the full training split
-    # (spec.build drops placeholder "_"-prefixed dimensions).
-    winner = spec.build(**model.get_params())
-    winner.fit(x_train, y_train)
-    return winner
+    # spec.build drops placeholder "_"-prefixed dimensions.
+    return spec.build(**model.get_params())
 
 
 @dataclass

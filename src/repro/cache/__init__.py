@@ -7,6 +7,7 @@ the process-wide ``current_cache`` hook.
 
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
+    array_fingerprint,
     artifact_key,
     canonical_cell,
     config_fingerprint,
@@ -25,6 +26,7 @@ __all__ = [
     "ArtifactCache",
     "CacheEntry",
     "CACHE_SCHEMA_VERSION",
+    "array_fingerprint",
     "artifact_key",
     "cache_scope",
     "canonical_cell",

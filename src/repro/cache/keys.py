@@ -113,6 +113,28 @@ def table_block_fingerprint(table: Table, start: int, stop: int) -> str:
     return result
 
 
+def array_fingerprint(array: np.ndarray) -> str:
+    """SHA-256 hex digest of an array's dtype, shape and raw bytes.
+
+    Equality is bit equality: ``-0.0`` and ``0.0`` differ, NaNs with
+    different payloads differ, and an ``int64`` array never matches the
+    ``float64`` array of equal values.  A non-contiguous view hashes like
+    its contiguous copy.  Object arrays hold pointers, not values, and
+    are rejected with ``ValueError``.
+    """
+    array = np.asarray(array)
+    if array.dtype.hasobject:
+        raise ValueError("cannot fingerprint an object-dtype array")
+    digest = hashlib.sha256()
+    header = {
+        "dtype": np.lib.format.dtype_to_descr(array.dtype),
+        "shape": list(array.shape),
+    }
+    digest.update(json.dumps(header, sort_keys=True).encode())
+    digest.update(np.ascontiguousarray(array).data)
+    return digest.hexdigest()
+
+
 def config_fingerprint(config: Mapping[str, Any]) -> str:
     """SHA-256 hex digest of a JSON-serializable configuration mapping."""
     text = json.dumps(

@@ -2,7 +2,8 @@
 
 Models follow the familiar fit/predict contract.  Constructor arguments are
 hyperparameters; :func:`clone` rebuilds an unfitted copy from them, which the
-tuning and AutoML layers rely on.
+tuning and AutoML layers rely on.  :func:`fit_predict` is the pipeline's one
+fit-then-predict call, memoized in the artifact cache when one is installed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import inspect
 from typing import Any, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
+
+from repro.cache.keys import array_fingerprint, artifact_key
+from repro.cache.store import current_cache
 
 EstimatorT = TypeVar("EstimatorT", bound="BaseEstimator")
 
@@ -74,6 +78,65 @@ def clone(estimator: EstimatorT) -> EstimatorT:
     return type(estimator)(**estimator.get_params())
 
 
+#: Cache kind of memoized predictions; bump when any model's output changes.
+FIT_PREDICT_KIND = "model/fit_predict@v1"
+
+
+def _fit_predict_key(
+    model: Any, x_train: Any, y_train: Any, x_query: Any
+) -> Optional[str]:
+    """Content key of one fit->predict call, or None if it cannot be keyed
+    (hyperparameters that are not JSON, object-dtype inputs)."""
+    kind = type(model)
+    try:
+        return artifact_key(
+            FIT_PREDICT_KIND,
+            [],
+            {
+                "model": f"{kind.__module__}.{kind.__qualname__}",
+                "params": model.get_params(),
+                "arrays": [
+                    array_fingerprint(a) for a in (x_train, y_train, x_query)
+                ],
+            },
+        )
+    except (AttributeError, TypeError, ValueError):
+        return None
+
+
+def fit_predict(
+    model: Any, x_train: Any, y_train: Any, x_query: Any
+) -> np.ndarray:
+    """Fit ``model`` on the training pair and predict ``x_query``.
+
+    Without an installed artifact cache this is exactly ``fit`` then
+    ``predict``.  With one, the predictions are memoized under the model's
+    class and hyperparameters plus the bit-level fingerprints of all three
+    arrays, so a repeated call returns the stored array and skips the fit
+    -- which leaves ``model`` unfitted: callers use only the return value.
+    Failed fits, object-dtype predictions and unkeyable calls are never
+    stored.  Sound because every fit is a pure function of those inputs
+    (seeded generators only; ``tools/check_rng.py``).
+    """
+    cache = current_cache()
+    key = None if cache is None else _fit_predict_key(
+        model, x_train, y_train, x_query
+    )
+    if key is not None:
+        entry = cache.get(key)
+        if entry is not None:
+            return entry.arrays["predictions"]
+    model.fit(x_train, y_train)
+    predictions = model.predict(x_query)
+    if (
+        key is not None
+        and isinstance(predictions, np.ndarray)
+        and not predictions.dtype.hasobject
+    ):
+        cache.put(key, {"predictions": predictions})
+    return predictions
+
+
 class ClassifierMixin:
     """Adds class bookkeeping and accuracy scoring to classifiers."""
 
@@ -92,6 +155,12 @@ class ClassifierMixin:
     def score(self, features: np.ndarray, targets: np.ndarray) -> float:
         """Mean accuracy."""
         predictions = self.predict(features)  # type: ignore[attr-defined]
+        return self.score_predictions(predictions, targets)
+
+    def score_predictions(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> float:
+        """Mean accuracy of ``predictions`` against ``targets``."""
         return float(np.mean(np.asarray(predictions) == np.asarray(targets)))
 
 
@@ -100,7 +169,14 @@ class RegressorMixin:
 
     def score(self, features: np.ndarray, targets: np.ndarray) -> float:
         """Coefficient of determination R^2."""
-        predictions = np.asarray(self.predict(features))  # type: ignore[attr-defined]
+        predictions = self.predict(features)  # type: ignore[attr-defined]
+        return self.score_predictions(predictions, targets)
+
+    def score_predictions(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> float:
+        """Coefficient of determination R^2 of ``predictions``."""
+        predictions = np.asarray(predictions)
         targets = np.asarray(targets, dtype=np.float64)
         residual = float(np.sum((targets - predictions) ** 2))
         total = float(np.sum((targets - targets.mean()) ** 2))

@@ -26,6 +26,7 @@ import numpy as np
 from repro.context import CleaningContext
 from repro.dataset.encoding import TableEncoder
 from repro.dataset.table import Cell, Table, is_missing
+from repro.ml.base import fit_predict
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.linear import BayesianRidgeRegressor
 from repro.ml.mlp import MLPClassifier, MLPRegressor
@@ -123,8 +124,9 @@ class MLImputeRepair(RepairMethod):
         for _ in range(self.n_iterations):
             for column in order:
                 holes = holes_by_column[column]
+                hole_set = set(holes)
                 observed = [
-                    i for i in range(table.n_rows) if i not in set(holes)
+                    i for i in range(table.n_rows) if i not in hole_set
                 ]
                 if len(observed) < 5:
                     continue
@@ -164,9 +166,13 @@ class MLImputeRepair(RepairMethod):
             usable = [i for i in observed if not np.isnan(targets[i])]
             if len(usable) < 5:
                 return None
-            model = self.numeric_factory()
-            model.fit(features[usable], targets[usable])
-            return [float(v) for v in model.predict(features[holes])]
+            predicted = fit_predict(
+                self.numeric_factory(),
+                features[usable],
+                targets[usable],
+                features[holes],
+            )
+            return [float(v) for v in predicted]
         values = [
             None if is_missing(v) else str(v).strip()
             for v in current.column(column)
@@ -179,9 +185,9 @@ class MLImputeRepair(RepairMethod):
             return None
         index = {c: j for j, c in enumerate(classes)}
         labels = np.array([index[values[i]] for i in usable])
-        model = self.categorical_factory()
-        model.fit(features[usable], labels)
-        predicted = model.predict(features[holes])
+        predicted = fit_predict(
+            self.categorical_factory(), features[usable], labels, features[holes]
+        )
         return [classes[int(p)] for p in predicted]
 
 

@@ -225,15 +225,18 @@ def tune_estimator(
     """Tune an estimator factory against a holdout split.
 
     Returns ``(fitted_best_estimator, best_trial)``.  The estimator's own
-    ``score`` (accuracy or R^2) is the objective, matching how REIN tunes
-    each model with Optuna before the scenario runs.
+    ``score_predictions`` (accuracy or R^2) on the holdout is the
+    objective, matching how REIN tunes each model with Optuna before the
+    scenario runs.  Trials fit through :func:`repro.ml.base.fit_predict`,
+    so a repeated trial is an artifact-cache hit.
     """
+    from repro.ml.base import fit_predict
 
     def objective(params: Dict[str, Any]) -> float:
         model = factory(**params)
         try:
-            model.fit(x_train, y_train)
-            return model.score(x_valid, y_valid)
+            predictions = fit_predict(model, x_train, y_train, x_valid)
+            return model.score_predictions(predictions, y_valid)
         except (ValueError, np.linalg.LinAlgError):
             return -np.inf
 

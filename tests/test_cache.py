@@ -3,7 +3,8 @@
 Covers the key scheme (content addressing, mutation invalidation,
 missing-marker collapse), the store's atomic write/read discipline and
 counters, the cached encoding/featurization paths (cache hits must be
-byte-identical to fresh computation), and the end-to-end acceptance
+byte-identical to fresh computation), the memoized model fit->predict
+(a repeated call fits nothing and returns the same bytes), and the end-to-end acceptance
 property: a cached run's outputs equal an uncached run's, serial or
 pooled.
 """
@@ -13,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.benchmark import run_detection_suite
+from repro.benchmark import run_detection_suite, run_scenario
 from repro.cache import (
     ArtifactCache,
     artifact_key,
@@ -30,8 +31,11 @@ from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.encoding import TableEncoder, encode_supervised
 from repro.detectors import MVDetector, SDDetector
 from repro.detectors.features import combined_features
+from repro.ml.base import BaseEstimator, ClassifierMixin, fit_predict
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.observability import Telemetry, telemetry_scope
 from repro.parallel import ProcessPoolExecutor
+from repro.repair import MissForestMixRepair
 from repro.resilience import SuiteCheckpoint
 
 
@@ -333,6 +337,206 @@ class TestCachedEncoding:
         matrix = encoder.fit_transform(table)
         assert matrix.shape[0] == table.n_rows
         assert "_fingerprint_memo" not in table.__dict__
+
+
+# ----------------------------------------------------------------------
+# Memoized model fit -> predict
+# ----------------------------------------------------------------------
+def _estimator_classes():
+    stack, found = [BaseEstimator], []
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in found:
+                found.append(sub)
+                stack.append(sub)
+    return found
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Count every estimator ``fit`` call (a forest counts its trees too)."""
+    calls = []
+    for cls in _estimator_classes():
+        if "fit" not in vars(cls):
+            continue
+
+        def counting(self, *args, _fit=vars(cls)["fit"], **kwargs):
+            calls.append(type(self).__name__)
+            return _fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "fit", counting)
+    return calls
+
+
+def _supervised_arrays(seed=0, n=40):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, 3))
+    labels = (features[:, 0] + features[:, 1] > 0).astype(np.int64)
+    return features, labels
+
+
+class _Raising(BaseEstimator, ClassifierMixin):
+    def __init__(self, depth=1):
+        self.depth = depth
+
+    def fit(self, features, targets):
+        raise ValueError("cannot fit")
+
+    def predict(self, features):
+        raise AssertionError("predict after a failed fit")
+
+
+class _ObjectPredictions(BaseEstimator, ClassifierMixin):
+    def __init__(self, depth=1):
+        self.depth = depth
+
+    def fit(self, features, targets):
+        return self
+
+    def predict(self, features):
+        return np.array(["a"] * len(features), dtype=object)
+
+
+class _CallableParam(DecisionTreeClassifier):
+    def __init__(self, hook=len, max_depth=None):
+        super().__init__(max_depth=max_depth)
+        self.hook = hook
+
+
+class TestFitPredictMemo:
+    def _repair(self, dataset):
+        return MissForestMixRepair().repair(
+            dataset.context(seed=0), dataset.error_cells
+        ).repaired
+
+    @staticmethod
+    def _cells(table):
+        return [
+            [repr(v) for v in table.column(name)]
+            for name in table.column_names
+        ]
+
+    def test_repeated_repair_fits_nothing_and_matches(self, tmp_path, fit_calls):
+        dataset = generate("Beers", n_rows=40, seed=1)
+        reference = self._cells(self._repair(dataset))
+        uncached_fits = len(fit_calls)
+        assert uncached_fits > 0
+        assert self._cells(self._repair(dataset)) == reference
+        assert len(fit_calls) == 2 * uncached_fits  # no cache: every call fits
+
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            cold = self._cells(self._repair(dataset))
+            before = len(fit_calls)
+            warm = self._cells(self._repair(dataset))
+        assert len(fit_calls) == before
+        assert cold == reference and warm == reference
+        assert cache.stats()["hits"] > 0
+
+    def test_repeated_run_scenario_fits_nothing_and_matches(
+        self, tmp_path, fit_calls
+    ):
+        dataset = generate("SmartFactory", n_rows=80, seed=2)
+
+        def scores():
+            return [
+                run_scenario(name, dataset.dirty, dataset, "DT", seed=seed)
+                for name in ("S1", "S4")
+                for seed in (0, 1)
+            ] + [
+                run_scenario(
+                    "S1", dataset.dirty, dataset, "KNN", seed=0, tune_trials=3
+                )
+            ]
+
+        reference = scores()
+        uncached_fits = len(fit_calls)
+        assert scores() == reference
+        assert len(fit_calls) == 2 * uncached_fits
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            cold = scores()
+            before = len(fit_calls)
+            warm = scores()
+        tuned_winner_fits = 1  # tune_estimator returns a fitted winner
+        assert len(fit_calls) - before == tuned_winner_fits
+        assert np.array(cold).tobytes() == np.array(reference).tobytes()
+        assert np.array(warm).tobytes() == np.array(reference).tobytes()
+
+    def test_hit_returns_identical_predictions(self, tmp_path, fit_calls):
+        features, labels = _supervised_arrays()
+        fresh = fit_predict(
+            DecisionTreeRegressor(max_depth=3), features, labels * 1.5, features
+        )
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            cold = fit_predict(
+                DecisionTreeRegressor(max_depth=3), features, labels * 1.5, features
+            )
+            calls = len(fit_calls)
+            warm = fit_predict(
+                DecisionTreeRegressor(max_depth=3), features, labels * 1.5, features
+            )
+        assert len(fit_calls) == calls
+        for result in (cold, warm):
+            assert result.dtype == fresh.dtype
+            assert result.tobytes() == fresh.tobytes()
+        stats = cache.stats()
+        assert (stats["hits"], stats["puts"]) == (1, 1)
+
+    def test_key_separates_params_class_and_arrays(self, tmp_path, fit_calls):
+        features, labels = _supervised_arrays()
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            fit_predict(DecisionTreeClassifier(max_depth=1), features, labels, features)
+            fit_predict(DecisionTreeClassifier(max_depth=2), features, labels, features)
+            fit_predict(DecisionTreeRegressor(max_depth=1), features, labels, features)
+            fit_predict(
+                DecisionTreeClassifier(max_depth=1), features, labels, features[:5]
+            )
+            fit_predict(
+                DecisionTreeClassifier(max_depth=1),
+                features, labels.astype(np.int32), features,
+            )
+            for zero in (0.0, -0.0):
+                signed = features.copy()
+                signed[0, 0] = zero
+                fit_predict(
+                    DecisionTreeClassifier(max_depth=1), signed, labels, features
+                )
+        assert len(fit_calls) == 7
+        assert cache.stats()["hits"] == 0
+        assert len(cache.entries()) == 7
+
+    def test_failed_fit_is_not_stored(self, tmp_path):
+        features, labels = _supervised_arrays()
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="cannot fit"):
+                    fit_predict(_Raising(), features, labels, features)
+        assert cache.entries() == []
+        assert cache.stats()["puts"] == 0
+
+    def test_object_predictions_bypass_the_cache(self, tmp_path):
+        features, labels = _supervised_arrays()
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            first = fit_predict(_ObjectPredictions(), features, labels, features)
+            second = fit_predict(_ObjectPredictions(), features, labels, features)
+        assert first.dtype == object and second.dtype == object
+        assert cache.entries() == []
+
+    def test_non_json_params_bypass_the_cache(self, tmp_path, fit_calls):
+        features, labels = _supervised_arrays()
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            first = fit_predict(_CallableParam(), features, labels, features)
+            second = fit_predict(_CallableParam(), features, labels, features)
+        assert first.tobytes() == second.tobytes()
+        assert len([c for c in fit_calls if c == "_CallableParam"]) == 2
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["puts"]) == (0, 0, 0)
 
 
 # ----------------------------------------------------------------------

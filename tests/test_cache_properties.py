@@ -6,6 +6,9 @@ Two families, both hypothesis-driven:
   matrix back through the artifact cache is byte-identical to computing
   it fresh, and the restored encoder state transforms unseen tables
   byte-identically too;
+- **array fingerprints**: two arrays share an ``array_fingerprint``
+  exactly when their dtype, shape and raw bytes agree, the property the
+  memoized fit->predict keys rest on;
 - **kernel equivalence**: the vectorized CART builder and batched
   predictors in :mod:`repro.ml.tree` produce *exactly* the trees and
   predictions of the frozen scalar reference implementations in
@@ -14,10 +17,11 @@ Two families, both hypothesis-driven:
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.cache import ArtifactCache, cache_scope
+from repro.cache import ArtifactCache, array_fingerprint, cache_scope
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.encoding import TableEncoder, encode_supervised
 from repro.ml._reference import (
@@ -94,6 +98,70 @@ def _trees_identical(a, b) -> bool:
     return _trees_identical(a.left, b.left) and _trees_identical(
         a.right, b.right
     )
+
+
+def _nan(payload: int) -> np.ndarray:
+    """A one-element float64 array holding a quiet NaN with ``payload``."""
+    bits = np.array([0x7FF8000000000000 | payload], dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+_FINGERPRINT_DTYPES = [np.float64, np.float32, np.int64, np.int32, np.bool_]
+
+
+@st.composite
+def array_pairs(draw):
+    """An array and a copy, a one-bit flip, a retype or a reshape of it."""
+    array = draw(
+        hnp.arrays(
+            dtype=st.sampled_from(_FINGERPRINT_DTYPES),
+            shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+        )
+    )
+    change = draw(st.sampled_from(["copy", "flip", "retype", "reshape"]))
+    other = array.copy()
+    if change == "flip" and array.size:
+        raw = other.view(np.uint8).reshape(-1)
+        position = draw(st.integers(0, raw.size - 1))
+        raw[position] ^= np.uint8(1 << draw(st.integers(0, 7)))
+    elif change == "retype":
+        other = array.astype(draw(st.sampled_from(_FINGERPRINT_DTYPES)))
+    elif change == "reshape":
+        other = array.reshape(array.shape[::-1])
+    return array, other
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Array fingerprints
+# ----------------------------------------------------------------------
+@given(array_pairs())
+@example((np.array([-0.0]), np.array([0.0])))
+@example((_nan(1), _nan(2)))
+@example((np.arange(3, dtype=np.int64), np.arange(3, dtype=np.float64)))
+@example((np.zeros((2, 3)), np.zeros((3, 2))))
+@settings(max_examples=60, deadline=None)
+def test_array_fingerprint_is_bit_equality(pair):
+    a, b = pair
+    assert (array_fingerprint(a) == array_fingerprint(b)) == _same_bits(a, b)
+
+
+@given(
+    hnp.arrays(
+        dtype=st.sampled_from(_FINGERPRINT_DTYPES),
+        shape=hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+    )
+)
+@example(np.arange(6.0).reshape(2, 3))
+@settings(max_examples=40, deadline=None)
+def test_array_fingerprint_of_view_matches_contiguous_copy(matrix):
+    for view in (matrix.T, matrix[::2], matrix[:, ::-1]):
+        assert array_fingerprint(view) == array_fingerprint(
+            np.ascontiguousarray(view)
+        )
 
 
 # ----------------------------------------------------------------------

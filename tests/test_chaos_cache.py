@@ -7,7 +7,9 @@ The cache's acceptance properties under fault injection:
   is ever visible, only ignorable ``*.tmp`` debris -- and the resumed
   run converges to byte-identical results;
 - a cached run's checkpoint store is byte-identical to an uncached
-  serial run's, for any worker count, cold or warm cache.
+  serial run's, for any worker count, cold or warm cache -- including a
+  pipeline whose model fits are memoized (MISS-Mix repair, S1-S5 and a
+  tuned scenario run).
 
 Kills are injected at the cache's ``_finalize`` boundary (the exact
 window a real worker death would hit between write and publish),
@@ -20,10 +22,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.benchmark import evaluate_scenarios
+from repro.benchmark import evaluate_scenarios, run_repair_suite, run_scenario
 from repro.cache import ArtifactCache, cache_scope
 from repro.datagen import generate
 from repro.parallel import ProcessPoolExecutor
+from repro.repair import MissForestMixRepair
 from repro.resilience import SuiteCheckpoint
 
 pytestmark = pytest.mark.chaos
@@ -77,6 +80,30 @@ def _evaluate(store_path, cache, executor=None, resume=False):
                 executor=executor,
             )
     return evaluation
+
+
+def _pipeline(store_path, cache, executor=None):
+    """A MISS-Mix repair, S1-S5 on its output and one tuned scenario run:
+    every site whose model fit -> predict the cache memoizes."""
+    dataset = generate("Beers", n_rows=60, seed=4)
+    with SuiteCheckpoint.open(store_path, "run", resume=False) as ckpt:
+        with cache_scope(cache):
+            (repair,) = run_repair_suite(
+                dataset, {"GT": dataset.error_cells}, [MissForestMixRepair()],
+                checkpoint=ckpt, clock=StepClock(), sleep=NO_SLEEP,
+                executor=executor,
+            )
+            variant = repair.result.repaired
+            evaluate_scenarios(
+                dataset, variant, repair.strategy, "DT",
+                scenario_names=("S1", "S2", "S3", "S4", "S5"), n_seeds=2,
+                checkpoint=ckpt, clock=StepClock(), sleep=NO_SLEEP,
+                executor=executor,
+            )
+            tuned = run_scenario(
+                "S1", variant, dataset, "DT", seed=0, tune_trials=3
+            )
+            ckpt.put("tuned/DT/S1/0", {"value": tuned})
 
 
 def _evaluation_canonical(evaluation) -> bytes:
@@ -179,6 +206,20 @@ class TestCachedUncachedStoreEquivalence:
         if workers is None:
             # The warm serial pass hit every supervised-encode artifact.
             assert cache.stats()["hits"] > 0
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_memoized_fit_pipeline_store_identical(self, tmp_path, workers):
+        executor = (
+            ProcessPoolExecutor(workers, start_method="fork") if workers else None
+        )
+        ref_store = str(tmp_path / "ref.sqlite")
+        _pipeline(ref_store, cache=None)
+        cache = ArtifactCache(str(tmp_path / "art"))
+        for run in ("cold", "warm"):
+            store = str(tmp_path / f"{run}.sqlite")
+            _pipeline(store, cache=cache, executor=executor)
+            assert _store_canonical(store) == _store_canonical(ref_store), run
+        assert cache.stats()["hits"] > 0
 
     def test_scores_are_real_numbers_not_placeholders(self, tmp_path):
         evaluation = _evaluate(

@@ -13,6 +13,7 @@ import check_clocks  # noqa: E402
 import check_dataplane  # noqa: E402
 import check_exceptions  # noqa: E402
 import check_hot_loops  # noqa: E402
+import check_rng  # noqa: E402
 import check_service_endpoints  # noqa: E402
 
 
@@ -542,3 +543,80 @@ def test_dataplane_lint_cli_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stray.py:2" in out
     assert check_dataplane.main(["prog", str(tmp_path / "nope")]) == 2
+
+
+def test_no_process_global_randomness_in_fit_paths():
+    violations = check_rng.check_tree(REPO_ROOT / "src")
+    assert violations == [], "\n".join(violations)
+
+
+def test_rng_lint_scope_covers_memoized_fit_paths():
+    assert set(check_rng.SCOPE) == {"repro/ml", "repro/repair", "repro/tuning"}
+
+
+def test_rng_lint_flags_legacy_numpy_samplers(tmp_path):
+    _scoped_file(
+        tmp_path, "repro/ml/bad.py",
+        "import numpy as np\n"
+        "import numpy.random as npr\n"
+        "from numpy import random as nr\n"
+        "from numpy.random import shuffle\n"
+        "def fit(x):\n"
+        "    np.random.seed(0)\n"
+        "    a = np.random.rand(3)\n"
+        "    b = npr.choice(x)\n"
+        "    c = nr.permutation(x)\n"
+        "    return numpy_free(a, b, c)\n",
+    )
+    violations = check_rng.check_tree(tmp_path)
+    lines = sorted(int(v.split(":")[1]) for v in violations)
+    assert lines == [4, 6, 7, 8, 9], "\n".join(violations)
+
+
+def test_rng_lint_flags_stdlib_random_and_unseeded_generators(tmp_path):
+    _scoped_file(
+        tmp_path, "repro/repair/bad.py",
+        "import random\n"
+        "from random import choice\n"
+        "import numpy as np\n"
+        "from numpy.random import default_rng as make\n"
+        "def repair(values):\n"
+        "    random.shuffle(values)\n"
+        "    a = np.random.default_rng()\n"
+        "    b = make(None)\n"
+        "    return a, b\n",
+    )
+    violations = check_rng.check_tree(tmp_path)
+    lines = sorted(int(v.split(":")[1]) for v in violations)
+    assert lines == [2, 6, 7, 8], "\n".join(violations)
+
+
+def test_rng_lint_allows_seeded_generators_and_out_of_scope_code(tmp_path):
+    _scoped_file(
+        tmp_path, "repro/tuning/good.py",
+        "import random\n"
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "def sample(seed, generator: np.random.Generator):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    other = default_rng(seed=seed)\n"
+        "    local = random.Random(seed)\n"
+        "    return rng.random(), other.random(), local.random()\n",
+    )
+    _scoped_file(
+        tmp_path, "repro/datagen/elsewhere.py",
+        "import numpy as np\nnp.random.seed(0)\n",
+    )
+    assert check_rng.check_tree(tmp_path) == []
+
+
+def test_rng_lint_cli_exit_codes(tmp_path, capsys):
+    assert check_rng.main(["prog", str(tmp_path)]) == 0
+    _scoped_file(
+        tmp_path, "repro/ml/bad.py",
+        "import numpy as np\nnp.random.shuffle([1, 2])\n",
+    )
+    assert check_rng.main(["prog", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "bad.py:2" in out
+    assert check_rng.main(["prog", str(tmp_path / "nope")]) == 2
