@@ -10,6 +10,7 @@ report behind.
 from __future__ import annotations
 
 import os
+import sys
 from typing import Dict, Tuple
 
 import pytest
@@ -18,6 +19,10 @@ from repro.datagen import generate
 from repro.datagen.benchmark_dataset import BenchmarkDataset
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+# The kernel benchmarks time the frozen scalar oracles, which are test
+# code: ``tests/oracles`` imports as ``oracles``.
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 
 #: Reduced row counts per dataset: large enough for the paper's shape
 #: findings, small enough for a laptop-scale run.

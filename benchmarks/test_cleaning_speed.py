@@ -1,8 +1,8 @@
 """Cleaning-kernel speedups: vectorized hot paths vs frozen references.
 
 Every cleaning-stage kernel rewritten in the vectorization pass is
-timed here against the scalar implementation frozen in the
-``_reference`` modules, on honest workloads (generated benchmark
+timed here against the scalar implementation frozen in
+``tests/oracles/``, on honest workloads (generated benchmark
 tables with injected errors, at 10k rows for the stages the paper
 scales).  The property suite in ``tests/test_cleaning_kernels.py``
 proves each pair produces *bit-identical* outputs, so these are pure
@@ -25,19 +25,8 @@ import time
 import numpy as np
 from conftest import bench_dataset, emit
 
-from repro.constraints._reference import (
-    reference_fd_majority_repairs,
-    reference_fd_violations,
-)
 from repro.context import CleaningContext
 from repro.datagen import generate
-from repro.detectors._reference import (
-    reference_build_blocks,
-    reference_enumerate_block_pairs,
-    reference_histogram_outliers,
-    reference_katara_violations,
-    reference_pair_feature_matrix,
-)
 from repro.detectors.dboost import _histogram_outliers
 from repro.detectors.duplicates import (
     _enumerate_block_pairs,
@@ -46,10 +35,22 @@ from repro.detectors.duplicates import (
     pair_feature_matrix,
 )
 from repro.detectors.katara import KnowledgeBase, katara_violations
-from repro.kernels import reference_kernels
 from repro.observability import write_bench_snapshot
 from repro.repair import BaranRepair, HoloCleanRepair
 from repro.reporting import render_table
+
+from oracles import reference_kernels
+from oracles.constraints import (
+    reference_fd_majority_repairs,
+    reference_fd_violations,
+)
+from oracles.detectors import (
+    reference_build_blocks,
+    reference_enumerate_block_pairs,
+    reference_histogram_outliers,
+    reference_katara_violations,
+    reference_pair_feature_matrix,
+)
 
 #: Machine-readable perf snapshot, committed at the repo root.
 BENCH_SNAPSHOT = os.path.join(

@@ -32,14 +32,15 @@ from repro.benchmark import run_detection_suite
 from repro.cache import ArtifactCache, cache_scope
 from repro.dataset.encoding import TableEncoder
 from repro.detectors.ml_detectors import ED2Detector
-from repro.ml._reference import (
-    ReferenceDecisionTreeClassifier,
-    reference_pairwise_sq_distances,
-)
 from repro.ml.neighbors import _pairwise_sq_distances
 from repro.ml.tree import DecisionTreeClassifier
 from repro.observability import write_bench_snapshot
 from repro.reporting import render_table
+
+from oracles.ml import (
+    ReferenceDecisionTreeClassifier,
+    reference_pairwise_sq_distances,
+)
 
 #: Machine-readable perf snapshot, committed at the repo root.
 BENCH_SNAPSHOT = os.path.join(

@@ -58,7 +58,7 @@ def _run_batch(tmp_path, n_workers):
         str(root / "queue.sqlite"),
         n_workers=n_workers,
         policy=SchedulerPolicy(max_depth=N_JOBS * 2),
-        execute_ref="repro.service.testing:sleepy_execute",
+        execute_ref="service_doubles:sleepy_execute",
         poll_seconds=0.005,
     )
     with service:

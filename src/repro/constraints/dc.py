@@ -22,7 +22,7 @@ from repro.dataset.columnar import (
     normalized_column,
 )
 from repro.dataset.table import Cell, Table, coerce_float, is_missing
-from repro.kernels import kernel_stage, use_reference_kernels
+from repro.kernels import kernel_stage
 
 _OPERATORS: Dict[str, Callable[[Any, Any], bool]] = {
     "==": operator.eq,
@@ -284,10 +284,6 @@ class DenialConstraint:
         then flag the attributes of both rows in each violating pair.
         ``max_pairs`` caps the pairwise work for pathological blocks.
         """
-        if use_reference_kernels():
-            if not self.binary:
-                return self._unary_violations(table)
-            return self._binary_violations(table, max_pairs)
         cache = current_cache()
         key = None
         if cache is not None:
@@ -327,10 +323,6 @@ class DenialConstraint:
         ]
 
     def _unary_violations(self, table: Table) -> Set[Cell]:
-        if use_reference_kernels():
-            from repro.constraints._reference import reference_unary_violations
-
-            return reference_unary_violations(self, table)
         with kernel_stage("dc.unary"):
             arrays = _ConstraintArrays(self, table)
             flagged = arrays.conjunction(np.arange(table.n_rows), None)
@@ -341,12 +333,6 @@ class DenialConstraint:
             }
 
     def _binary_violations(self, table: Table, max_pairs: int) -> Set[Cell]:
-        if use_reference_kernels():
-            from repro.constraints._reference import (
-                reference_binary_violations,
-            )
-
-            return reference_binary_violations(self, table, max_pairs)
         with kernel_stage("dc.binary"):
             return self._binary_violations_vectorized(table, max_pairs)
 
@@ -397,12 +383,6 @@ class DenialConstraint:
         """Row-index pairs (i < j) that jointly violate a binary constraint."""
         if not self.binary:
             raise ValueError("row pairs only defined for binary constraints")
-        if use_reference_kernels():
-            from repro.constraints._reference import (
-                reference_violating_row_pairs,
-            )
-
-            return reference_violating_row_pairs(self, table, max_pairs)
         with kernel_stage("dc.pairs"):
             arrays = _ConstraintArrays(self, table)
             n = table.n_rows

@@ -14,10 +14,6 @@ import numpy as np
 
 from repro.cache.keys import artifact_key, table_fingerprint
 from repro.cache.store import current_cache
-from repro.constraints._reference import (
-    reference_fd_majority_repairs,
-    reference_fd_violations,
-)
 from repro.constraints.dc import DenialConstraint, Predicate
 from repro.dataset.columnar import (
     combine_codes,
@@ -25,7 +21,7 @@ from repro.dataset.columnar import (
     normalized_column,
 )
 from repro.dataset.table import Cell, Table, is_missing
-from repro.kernels import kernel_stage, use_reference_kernels
+from repro.kernels import kernel_stage
 
 
 def _strip_or_none(value: object) -> Optional[str]:
@@ -133,8 +129,6 @@ class FunctionalDependency:
         likely-correct value, standard practice in rule-based cleaning).
         When there is no majority, every rhs cell in the group is flagged.
         """
-        if use_reference_kernels():
-            return reference_fd_violations(self, table)
         cache = current_cache()
         key = None
         if cache is not None:
@@ -160,8 +154,6 @@ class FunctionalDependency:
 
     def majority_repairs(self, table: Table) -> Dict[Cell, object]:
         """Proposed repairs: violating rhs cells -> group-majority value."""
-        if use_reference_kernels():
-            return reference_fd_majority_repairs(self, table)
         with kernel_stage("fd.repairs"):
             stats = _GroupStats(self, table)
             if not stats.n_groups:

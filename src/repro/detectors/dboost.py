@@ -16,10 +16,9 @@ import numpy as np
 
 from repro.context import CleaningContext
 from repro.dataset.table import Cell, Table
-from repro.detectors._reference import reference_histogram_outliers
 from repro.detectors.base import NON_LEARNING, Detector
 from repro.errors import profile
-from repro.kernels import kernel_stage, use_reference_kernels
+from repro.kernels import kernel_stage
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,6 @@ def _gaussian_outliers(values: np.ndarray, threshold: float) -> np.ndarray:
 def _histogram_outliers(
     values: np.ndarray, threshold: float, n_bins: int
 ) -> np.ndarray:
-    if use_reference_kernels():
-        return reference_histogram_outliers(values, threshold, n_bins)
     finite = values[~np.isnan(values)]
     if len(finite) < n_bins:
         return np.zeros(len(values), dtype=bool)

@@ -8,8 +8,7 @@ match / unmatch populations; pairs assigned to the high-similarity
 component are duplicates.
 
 The candidate-pair pipeline runs on vectorized kernels proven
-bit-identical to the frozen scalars in
-:mod:`repro.detectors._reference`:
+bit-identical to the frozen scalars in ``tests/oracles/detectors.py``:
 
 - :func:`build_blocks` derives blocking keys once per *distinct* cell
   payload instead of once per cell;
@@ -41,14 +40,9 @@ from repro.dataset.columnar import (
     payload_key,
 )
 from repro.dataset.table import Cell, Table, coerce_float, is_missing
-from repro.detectors._reference import (
-    reference_build_blocks,
-    reference_enumerate_block_pairs,
-    reference_pair_feature_matrix,
-)
 from repro.detectors.base import NON_LEARNING, Detector
 from repro.errors import profile
-from repro.kernels import kernel_stage, use_reference_kernels
+from repro.kernels import kernel_stage
 from repro.ml.cluster import GaussianMixture
 
 
@@ -216,12 +210,10 @@ def build_blocks(table: Table) -> Dict[str, List[int]]:
     """Blocking-key index, keys derived once per distinct cell payload.
 
     Produces the same key -> row multiset mapping as the frozen scalar
-    :func:`reference_build_blocks`; only the within-block row order may
+    ``reference_build_blocks`` oracle; only the within-block row order may
     differ, which no consumer observes (pair enumeration deduplicates
     and sorts, the oversize-block cut uses the multiset length).
     """
-    if use_reference_kernels():
-        return reference_build_blocks(table)
     blocks: Dict[str, List[int]] = defaultdict(list)
     for column in table.column_names:
         column_values = table.column(column)
@@ -270,10 +262,6 @@ def _enumerate_block_pairs(
     ``max_pairs`` the surviving prefix is identical to the frozen
     reference's.  Away from the cap everything stays in numpy.
     """
-    if use_reference_kernels():
-        return reference_enumerate_block_pairs(
-            blocks, max_pairs, max_block_rows
-        )
     block_rows: List[np.ndarray] = []
     base = 1
     total = 0
@@ -387,8 +375,6 @@ def pair_feature_matrix(
     string branch computes the same trigram Jaccard per distinct string
     pair (see :func:`_string_similarity_batch`).
     """
-    if use_reference_kernels():
-        return reference_pair_feature_matrix(table, pairs, column_stds)
     n_pairs = len(pairs)
     left = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=n_pairs)
     right = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=n_pairs)
@@ -432,8 +418,6 @@ class ZeroERDetector(Detector):
         self.match_threshold = match_threshold
 
     def _blocking_pairs(self, table: Table) -> List[Tuple[int, int]]:
-        if use_reference_kernels():
-            return _enumerate_block_pairs(build_blocks(table), self.max_pairs)
         cache = current_cache()
         key = None
         if cache is not None:

@@ -14,7 +14,7 @@ normalized once per distinct payload, interned to integer ids, and
 domain/relation membership is decided once per distinct value (or value
 pair) then scattered back to rows.  ``tests/test_cleaning_kernels.py``
 proves the results identical to the frozen scalars in
-:mod:`repro.detectors._reference`.
+``tests/oracles/detectors.py``.
 """
 
 from __future__ import annotations
@@ -29,13 +29,9 @@ import numpy as np
 from repro.context import CleaningContext
 from repro.dataset.columnar import intern_values, normalized_column
 from repro.dataset.table import Cell, Table, is_missing
-from repro.detectors._reference import (
-    reference_katara_align_column,
-    reference_katara_violations,
-)
 from repro.detectors.base import NON_LEARNING, Detector
 from repro.errors import profile
-from repro.kernels import kernel_stage, use_reference_kernels
+from repro.kernels import kernel_stage
 
 
 @dataclass
@@ -81,10 +77,6 @@ class KnowledgeBase:
         distinct value; the score divides the same integers the scalar
         per-cell scan divides, so alignments are identical.
         """
-        if use_reference_kernels():
-            return reference_katara_align_column(
-                self, table, column, min_overlap
-            )
         normalized = normalized_column(table.column(column), self.normalize)
         counts = Counter(v for v in normalized if v is not None)
         total = sum(counts.values())
@@ -110,8 +102,6 @@ def katara_violations(
     relation membership once per distinct value *pair*, then scattered to
     rows through the interned id arrays.
     """
-    if use_reference_kernels():
-        return reference_katara_violations(kb, table, alignment)
     cells: Set[Cell] = set()
     interned: Dict[str, Tuple[np.ndarray, List[Optional[str]]]] = {
         column: intern_values(

@@ -1,33 +1,24 @@
-"""Cleaning-kernel dispatch and per-kernel telemetry.
+"""Per-kernel telemetry for the cleaning kernels.
 
 The cleaning-stage vectorization pass (detectors, constraints, repair)
-follows the ``repro.ml`` recipe: every scalar hot path is frozen in a
-``_reference`` module, and the live modules carry numpy rewrites proven
-bit-identical by ``tests/test_cleaning_kernels.py``.  Two cross-cutting
-concerns live here so the kernels themselves stay pure:
+follows the ``repro.ml`` recipe: every live module carries one numpy
+implementation per kernel, proven bit-identical by
+``tests/test_cleaning_kernels.py`` to the frozen scalar oracles in
+``tests/oracles/``.  Production code has no way to select the oracles;
+tests and benchmarks swap them in by patching the kernel entry points
+(``tests/oracles/__init__.py``).
 
-**Dispatch.**  :func:`reference_kernels` flips every instrumented call
-site back to its frozen scalar implementation for the duration of a
-block.  The benchmark suite uses it to time old-vs-new through the
-*public* API (same detectors, same suites), and the byte-identity tests
-use it to produce whole checkpoint stores under the scalar kernels
-without reaching into private modules.  The flag is process-local and
-read per call -- worker processes spawned inside the block do *not*
-inherit it, which is exactly what the byte-identity tests exploit:
-reference output from a serial run must match vectorized output from
-any pool.
-
-**Per-kernel stages.**  :func:`kernel_stage` brackets one kernel
-invocation in a ``kernel``-category span plus a
-``kernel.<name>.seconds`` duration histogram when telemetry is
-installed, so ``repro trace`` shows time per cleaning kernel and the
-run ledger records per-kernel durations (spans and metrics are flushed
-to the ledger at run end).  Kernel spans deliberately do *not* use
-``Telemetry.stage`` -- suite-stage accounting (one ``stage`` span and
-one started/finished event pair per suite stage) must stay untouched by
-however many kernels run inside a stage.  With no telemetry installed
-the cost is one global read and an ``is None`` branch, preserving the
-zero-cost contract of :mod:`repro.observability.telemetry`.
+:func:`kernel_stage` brackets one kernel invocation in a
+``kernel``-category span plus a ``kernel.<name>.seconds`` duration
+histogram when telemetry is installed, so ``repro trace`` shows time per
+cleaning kernel and the run ledger records per-kernel durations (spans
+and metrics are flushed to the ledger at run end).  Kernel spans
+deliberately do *not* use ``Telemetry.stage`` -- suite-stage accounting
+(one ``stage`` span and one started/finished event pair per suite stage)
+must stay untouched by however many kernels run inside a stage.  With no
+telemetry installed the cost is one global read and an ``is None``
+branch, preserving the zero-cost contract of
+:mod:`repro.observability.telemetry`.
 """
 
 from __future__ import annotations
@@ -38,39 +29,17 @@ from typing import Iterator
 from repro.observability.telemetry import current_telemetry
 from repro.observability.trace import KERNEL
 
-_USE_REFERENCE = False
-
-
-def use_reference_kernels() -> bool:
-    """True while a :func:`reference_kernels` block is active."""
-    return _USE_REFERENCE
-
-
-@contextmanager
-def reference_kernels() -> Iterator[None]:
-    """Route instrumented kernels to their frozen scalar references."""
-    global _USE_REFERENCE
-    saved = _USE_REFERENCE
-    _USE_REFERENCE = True
-    try:
-        yield
-    finally:
-        _USE_REFERENCE = saved
-
 
 @contextmanager
 def kernel_stage(name: str) -> Iterator[None]:
     """Kernel span + duration histogram around one kernel invocation.
 
-    No-op (one global read) when no telemetry is installed.  The kernel
-    mode is attached so traces distinguish reference from vectorized
-    timings when benchmarks run both under one telemetry scope.
+    No-op (one global read) when no telemetry is installed.
     """
     telemetry = current_telemetry()
     if telemetry is None:
         yield
         return
-    mode = "reference" if _USE_REFERENCE else "vectorized"
-    with telemetry.span(f"kernel:{name}", KERNEL, kernel_mode=mode) as span:
+    with telemetry.span(f"kernel:{name}", KERNEL) as span:
         yield
     telemetry.observe(f"kernel.{name}.seconds", span.duration_seconds)

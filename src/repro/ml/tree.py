@@ -5,7 +5,7 @@ reduction (regression), supporting depth/leaf-size limits and per-split
 feature subsampling so the forest and boosting ensembles can reuse them.
 
 Hot-path layout (see ``benchmarks/test_kernel_speed.py`` for measured
-speedups against the frozen scalar kernels in :mod:`repro.ml._reference`):
+speedups against the frozen scalar kernels in ``tests/oracles/ml.py``):
 
 - **Fit** presorts every feature column *once* at the root
   (``np.argsort(features, axis=0)``) and threads the per-feature sorted

@@ -13,8 +13,8 @@ Layers:
   / :class:`ExecutionPlan`: the declarative, picklable description of one
   suite stage's unit grid;
 - :mod:`repro.parallel.engine` -- :class:`SerialExecutor` (reference and
-  default), :class:`ShuffledExecutor` (order-chaos testing aid),
-  :class:`ProcessPoolExecutor` (N workers over a result queue), and
+  default), :class:`ProcessPoolExecutor` (N workers over a result
+  queue), and
   :func:`execute_plan`, the single-writer driver that expands blocked
   units into row-span sub-units and folds them back, replays
   circuit-breaker bookkeeping in canonical order and batches checkpoint
@@ -28,7 +28,6 @@ functions or ``--workers N`` on the CLI.
 from repro.parallel.engine import (
     ProcessPoolExecutor,
     SerialExecutor,
-    ShuffledExecutor,
     WorkerCrashError,
     adaptive_chunk_size,
     block_spans,
@@ -43,7 +42,6 @@ __all__ = [
     "ExecutionPlan",
     "ProcessPoolExecutor",
     "SerialExecutor",
-    "ShuffledExecutor",
     "StageAdapter",
     "UnitSpec",
     "WorkerCrashError",

@@ -7,13 +7,10 @@ plan's canonical order, replaying circuit-breaker bookkeeping unit by
 unit -- so the merged output is identical to a serial run regardless of
 worker count or completion order.
 
-Three executors:
+Two executors:
 
 - :class:`SerialExecutor` -- in-process, canonical order; the reference
   implementation and the default everywhere.
-- :class:`ShuffledExecutor` -- in-process but completes units in a
-  seeded scrambled order; a testing aid that exercises the merge logic's
-  order-independence without paying for real processes.
 - :class:`ProcessPoolExecutor` -- shards units across N worker
   processes via :mod:`multiprocessing`; unit payloads (the same JSON
   payloads the checkpoint layer stores) travel back over the pool's
@@ -208,37 +205,6 @@ class SerialExecutor:
             # like the historical inline loop did.
             if not should_execute(spec):
                 continue
-            yield spec.index, plan.adapter.execute(plan.shared, spec)
-
-
-class ShuffledExecutor:
-    """In-process execution in a seeded scrambled completion order.
-
-    Mimics parallel dispatch semantics (the execute/skip decision for
-    every unit is snapshotted up front, results complete out of order)
-    without the cost of real processes -- property tests drive it with
-    many seeds to prove the merge layer is order-independent.
-    """
-
-    name = "shuffled"
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-
-    def run(
-        self,
-        plan: ExecutionPlan,
-        pending: List[UnitSpec],
-        should_execute: Callable[[UnitSpec], bool],
-    ) -> Iterator[Tuple[int, Any]]:
-        import random
-
-        order = list(pending)
-        random.Random(self.seed).shuffle(order)
-        # Dispatch-time snapshot, like a pool handing out every unit
-        # before any result has been merged.
-        dispatched = [spec for spec in order if should_execute(spec)]
-        for spec in dispatched:
             yield spec.index, plan.adapter.execute(plan.shared, spec)
 
 

@@ -23,7 +23,7 @@ scan, vicinity per context column, domain top-5 -- so ``np.add.at``
 reproduces each cell's float accumulation sequence and ``np.minimum.at``
 over stream positions reproduces dict-insertion first-touch order, the
 tie-breaker of ``max(proposals, key=proposals.get)``.  The frozen scalar
-pipeline lives in :func:`repro.repair._reference.reference_baran_repair`
+pipeline is ``reference_baran_repair`` in ``tests/oracles/repair.py``,
 and ``tests/test_cleaning_kernels.py`` proves the two produce identical
 repaired tables.
 """
@@ -43,8 +43,7 @@ from repro.dataset.columnar import (
     normalized_column,
 )
 from repro.dataset.table import Cell, Table, is_missing
-from repro.kernels import kernel_stage, use_reference_kernels
-from repro.repair._reference import reference_baran_repair
+from repro.kernels import kernel_stage
 from repro.repair.base import GENERIC, RepairMethod
 
 Transformation = Callable[[str], Optional[str]]
@@ -535,8 +534,6 @@ class BaranRepair(RepairMethod):
         self.revision_corpus = list(revision_corpus or [])
 
     def _repair(self, context: CleaningContext, detections: Set[Cell]) -> Table:
-        if use_reference_kernels():
-            return reference_baran_repair(self, context, detections)
         if context.clean is None:
             raise RuntimeError("BARAN needs labeled tuples (oracle/clean data)")
         table = context.dirty

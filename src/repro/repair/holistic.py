@@ -17,9 +17,8 @@ from repro.dataset.columnar import (
 from repro.dataset.encoding import LabelEncoder, TableEncoder
 from repro.dataset.table import Cell, Table, is_missing
 from repro.detectors.openrefine import cluster_column, fingerprint
-from repro.kernels import kernel_stage, use_reference_kernels
+from repro.kernels import kernel_stage
 from repro.ml.linear import LogisticRegression
-from repro.repair._reference import reference_holoclean_repair
 from repro.repair.base import GENERIC, RepairMethod, blank_detected_cells
 from repro.repair.simple import MeanModeImputeRepair
 
@@ -188,8 +187,6 @@ class HoloCleanRepair(RepairMethod):
         self.learned_weights_: Optional[np.ndarray] = None
 
     def _repair(self, context: CleaningContext, detections: Set[Cell]) -> Table:
-        if use_reference_kernels():
-            return reference_holoclean_repair(self, context, detections)
         table = context.dirty
         blanked = blank_detected_cells(table, detections)
         repaired = blanked.copy()

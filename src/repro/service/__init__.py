@@ -17,9 +17,11 @@ multi-tenant service:
 - :mod:`repro.service.api` -- the JSON HTTP API;
 - :mod:`repro.service.daemon` -- :class:`BenchService`, the assembled
   deployment with graceful drain;
-- :mod:`repro.service.client` -- a urllib client with typed errors;
-- :mod:`repro.service.testing` -- execution doubles for tests and
-  benchmarks.
+- :mod:`repro.service.client` -- a urllib client with typed errors.
+
+Execution doubles for tests and benchmarks live outside the package,
+in ``tests/service_doubles.py``; workers resolve them by their
+``execute_ref`` (``"service_doubles:sleepy_execute"``).
 """
 
 from repro.service.client import (

@@ -391,8 +391,8 @@ def execute_job_payload(
 ) -> Dict[str, Any]:
     """Worker-facing entry: spec payload in, result payload out.
 
-    This is the default ``execute_ref`` a worker process resolves; test
-    and benchmark doubles in :mod:`repro.service.testing` share its
-    signature.
+    This is the default ``execute_ref`` a worker process resolves; the
+    test and benchmark doubles in ``tests/service_doubles.py`` accept
+    the same arguments.
     """
     return execute_job(JobSpec.from_payload(spec_payload), **context)

@@ -33,6 +33,7 @@ import multiprocessing
 
 from repro.observability import RunLedger, Telemetry
 from repro.observability.telemetry import telemetry_scope
+from repro.parallel import make_executor
 from repro.repository.store import is_busy_error
 from repro.resilience.failures import TRANSIENT, FailureRecord
 from repro.service.queue import JobQueue, LeasedJob
@@ -181,18 +182,14 @@ class ServiceWorker:
             )
 
     def _execute(self, job: LeasedJob) -> Dict[str, Any]:
-        kwargs: Dict[str, Any] = {
-            "store_path": self.store_path,
-            "telemetry": self.telemetry,
-        }
-        if self.job_workers > 1:
-            # Shard the job's own unit grid across a nested process
-            # pool (shared-memory data plane).  Passed only when
-            # configured so test doubles keep their narrower signature.
-            from repro.parallel import make_executor
-
-            kwargs["executor"] = make_executor(self.job_workers)
-        return self.execute(job.spec.to_payload(), **kwargs)
+        # ``job_workers > 1`` shards the job's own unit grid across a
+        # nested process pool (shared-memory data plane); 1 is serial.
+        return self.execute(
+            job.spec.to_payload(),
+            store_path=self.store_path,
+            telemetry=self.telemetry,
+            executor=make_executor(self.job_workers),
+        )
 
     def run_forever(
         self,

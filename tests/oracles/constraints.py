@@ -2,7 +2,7 @@
 
 This module preserves the *original* scalar implementations of the
 constraint hot paths exactly as they were before the cleaning-stage
-vectorization pass (mirroring :mod:`repro.ml._reference`):
+vectorization pass (mirroring :mod:`oracles.ml`):
 
 - FD group construction by a per-row Python loop over determinant
   attributes, and minority/majority voting by per-group dict scans;
@@ -22,8 +22,8 @@ They exist for two reasons and must not be "improved":
    measure speedups against them, so the committed
    ``BENCH_cleaning.json`` numbers stay comparable PR over PR.
 
-``tools/check_hot_loops.py`` forbids these patterns elsewhere under
-``src/repro/constraints/``; this file is the documented allowlist entry.
+``tools/check_hot_loops.py`` forbids these patterns under
+``src/repro/constraints/``, which this module no longer ships in.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def reference_binary_violations(dc, table: Table, max_pairs: int) -> Set[Cell]:
 
 
 def reference_violating_row_pairs(
-    dc, table: Table, max_pairs: int
+    dc, table: Table, max_pairs: int = 200_000
 ) -> List[Tuple[int, int]]:
     """Original full-quadratic ordered scan over ``i < j`` row pairs."""
     rows = [_row_dict(dc, table, i) for i in range(table.n_rows)]

@@ -2,7 +2,7 @@
 
 This module preserves the *original* scalar implementations of the
 detector hot paths exactly as they were before the cleaning-stage
-vectorization pass (mirroring :mod:`repro.ml._reference`):
+vectorization pass (mirroring :mod:`oracles.ml`):
 
 - dBoost histogram scoring by a per-value Python bin-assignment loop;
 - ZeroER candidate-pair enumeration by nested Python loops inside each
@@ -25,8 +25,8 @@ These functions must not be "improved": the property suite
 bit-identical to them, and ``benchmarks/test_cleaning_speed.py``
 measures speedups against them for the committed
 ``BENCH_cleaning.json``.  ``tools/check_hot_loops.py`` forbids these
-patterns elsewhere under ``src/repro/detectors/``; this file is the
-documented allowlist entry.
+patterns under ``src/repro/detectors/``, which this module no longer
+ships in.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def reference_pair_feature_matrix(
 
 
 def reference_katara_align_column(
-    kb, table: Table, column: str, min_overlap: float
+    kb, table: Table, column: str, min_overlap: float = 0.5
 ) -> object:
     """Original per-value domain-overlap scoring loop."""
     values = [

@@ -17,8 +17,8 @@ They exist for two reasons and must not be "improved":
    measure speedups against them, so the committed ``BENCH_kernels.json``
    numbers stay comparable PR over PR.
 
-``tools/check_hot_loops.py`` forbids these patterns elsewhere under
-``src/repro/ml/``; this file is the documented allowlist entry.
+``tools/check_hot_loops.py`` forbids these patterns under
+``src/repro/ml/``, which this module no longer ships in.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 This module preserves the *original* scalar implementations of the
 repair hot paths exactly as they were before the cleaning-stage
-vectorization pass (mirroring :mod:`repro.ml._reference`):
+vectorization pass (mirroring :mod:`oracles.ml`):
 
 - BARAN's per-row vicinity-statistics build (an O(rows x columns^2)
   Python loop of Counter updates), its per-candidate edit-distance scan,
@@ -19,8 +19,8 @@ tables -- including score tie-breaking, which the originals resolve by
 dict insertion order.  ``benchmarks/test_cleaning_speed.py`` measures
 speedups against them for the committed ``BENCH_cleaning.json``.
 
-``tools/check_hot_loops.py`` forbids these patterns elsewhere under
-``src/repro/repair/``; this file is the documented allowlist entry.
+``tools/check_hot_loops.py`` forbids these patterns under
+``src/repro/repair/``, which this module no longer ships in.
 """
 
 from __future__ import annotations

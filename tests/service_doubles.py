@@ -1,19 +1,20 @@
 """Execution doubles for service tests and benchmarks.
 
 Worker processes resolve their execution function from a
-``module:attribute`` reference, so doubles must live in an importable
-module -- this one.  Configuration crosses the fork boundary through
-environment variables (set them before ``WorkerPool.start``; forked
-children inherit them):
+``module:attribute`` reference (``"service_doubles:sleepy_execute"``),
+so doubles must live in an importable module -- this one.  Forked and
+spawned workers both inherit ``sys.path``, which puts ``tests/`` within
+reach.  Configuration crosses the process boundary through environment
+variables (set them before ``WorkerPool.start``; children inherit them):
 
 - ``REPRO_SERVICE_TEST_DIR``: directory for attempt markers and
   kill-coordination files;
 - ``REPRO_SERVICE_SLEEP_SECONDS``: how long :func:`sleepy_execute`
   pretends to work (default 0.05).
 
-Every double shares :func:`repro.service.jobs.execute_job_payload`'s
-signature: ``(spec_payload, *, store_path=None, telemetry=None) ->
-result payload``.
+Every double accepts what a service worker passes
+:func:`repro.service.jobs.execute_job_payload`: ``(spec_payload, *,
+store_path=None, telemetry=None, executor=None) -> result payload``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ def deterministic_execute(
     spec_payload: Mapping[str, Any],
     store_path: Optional[str] = None,
     telemetry: Any = None,
+    executor: Any = None,
 ) -> Dict[str, Any]:
     """The real execution path on a :class:`StepClock`.
 
@@ -91,6 +93,7 @@ def deterministic_execute(
         JobSpec.from_payload(spec_payload),
         store_path=store_path,
         telemetry=telemetry,
+        executor=executor,
         clock=StepClock(),
         sleep=_no_sleep,
     )
@@ -100,6 +103,7 @@ def chaos_execute(
     spec_payload: Mapping[str, Any],
     store_path: Optional[str] = None,
     telemetry: Any = None,
+    executor: Any = None,
 ) -> Dict[str, Any]:
     """Deterministic execution that parks after its *first* attempt.
 
@@ -117,7 +121,10 @@ def chaos_execute(
         else 2
     )
     result = deterministic_execute(
-        spec_payload, store_path=store_path, telemetry=telemetry
+        spec_payload,
+        store_path=store_path,
+        telemetry=telemetry,
+        executor=executor,
     )
     if attempt == 1:
         (directory / f"{spec.job_id}.ready").touch()
@@ -129,6 +136,7 @@ def sleepy_execute(
     spec_payload: Mapping[str, Any],
     store_path: Optional[str] = None,
     telemetry: Any = None,
+    executor: Any = None,
 ) -> Dict[str, Any]:
     """Fixed-cost fake work; the throughput benchmark's payload."""
     spec = JobSpec.from_payload(spec_payload)
@@ -145,6 +153,7 @@ def hanging_execute(
     spec_payload: Mapping[str, Any],
     store_path: Optional[str] = None,
     telemetry: Any = None,
+    executor: Any = None,
 ) -> Dict[str, Any]:
     """Never returns; pure SIGKILL fodder for lease-expiry tests."""
     spec = JobSpec.from_payload(spec_payload)
@@ -160,6 +169,7 @@ def failing_execute(
     spec_payload: Mapping[str, Any],
     store_path: Optional[str] = None,
     telemetry: Any = None,
+    executor: Any = None,
 ) -> Dict[str, Any]:
     """Deterministic non-retryable (data-category) failure."""
     raise ValueError("this job always fails (testing double)")
@@ -169,6 +179,7 @@ def flaky_execute(
     spec_payload: Mapping[str, Any],
     store_path: Optional[str] = None,
     telemetry: Any = None,
+    executor: Any = None,
 ) -> Dict[str, Any]:
     """Transient failure on each job's first attempt, success after --
     exercises the queue's retry-on-transient path end to end."""

@@ -12,7 +12,7 @@ Two families, both hypothesis-driven:
 - **kernel equivalence**: the vectorized CART builder and batched
   predictors in :mod:`repro.ml.tree` produce *exactly* the trees and
   predictions of the frozen scalar reference implementations in
-  :mod:`repro.ml._reference`, and the blocked distance kernel matches
+  :mod:`oracles.ml`, and the blocked distance kernel matches
   the naive broadcast within 1e-12.
 """
 
@@ -24,13 +24,14 @@ from hypothesis.extra import numpy as hnp
 from repro.cache import ArtifactCache, array_fingerprint, cache_scope
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.encoding import TableEncoder, encode_supervised
-from repro.ml._reference import (
+from repro.ml.neighbors import _pairwise_sq_distances
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+
+from oracles.ml import (
     ReferenceDecisionTreeClassifier,
     ReferenceDecisionTreeRegressor,
     reference_pairwise_sq_distances,
 )
-from repro.ml.neighbors import _pairwise_sq_distances
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 # ----------------------------------------------------------------------
 # Strategies

@@ -21,7 +21,8 @@ from repro.service import (
     ServiceClient,
     canonical_result_text,
 )
-from repro.service.testing import attempt_count, deterministic_execute
+
+from service_doubles import attempt_count, deterministic_execute
 
 pytestmark = pytest.mark.chaos
 
@@ -62,7 +63,7 @@ class TestWorkerKill:
             queue_path,
             n_workers=2,
             policy=SchedulerPolicy(lease_seconds=2.0),
-            execute_ref="repro.service.testing:chaos_execute",
+            execute_ref="service_doubles:chaos_execute",
             store_path=store_path,
             events_path=str(tmp_path / "events.jsonl"),
         )
@@ -125,7 +126,7 @@ class TestWorkerKill:
             str(tmp_path / "queue.sqlite"),
             n_workers=1,
             policy=SchedulerPolicy(lease_seconds=1.0, max_attempts=2),
-            execute_ref="repro.service.testing:hanging_execute",
+            execute_ref="service_doubles:hanging_execute",
         )
         with service:
             client = ServiceClient(service.address, timeout=30.0)

@@ -4,7 +4,7 @@ The cleaning-stage hot paths (dBoost histogram scoring, duplicate
 blocking + pair features, KATARA alignment, FD/DC checking, Baran and
 HoloClean candidate scoring) were rewritten on numpy with a hard
 contract: **bit-identical outputs** to the scalar implementations
-frozen in the ``_reference`` modules.  Hypothesis drives that contract
+frozen in :mod:`oracles`.  Hypothesis drives that contract
 with adversarial tables -- mixed types, NaN/None holes, unicode,
 empty columns -- and the comparisons are strict: byte equality for
 masks and feature matrices, set equality for violation sets, and
@@ -20,22 +20,19 @@ Also covered here:
   block/group discovery order.
 """
 
+import inspect
 import json
 import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.benchmark.runner import run_detection_suite, run_repair_suite
+from repro.cache import ArtifactCache, cache_scope
 from repro.constraints import DenialConstraint, FunctionalDependency, Predicate
-from repro.constraints._reference import (
-    reference_binary_violations,
-    reference_fd_majority_repairs,
-    reference_fd_violations,
-    reference_unary_violations,
-)
 from repro.context import CleaningContext
 from repro.datagen import generate
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
@@ -47,12 +44,6 @@ from repro.detectors import (
     NadeefDetector,
     ZeroERDetector,
 )
-from repro.detectors._reference import (
-    reference_build_blocks,
-    reference_enumerate_block_pairs,
-    reference_histogram_outliers,
-    reference_pair_feature_matrix,
-)
 from repro.detectors.dboost import _histogram_outliers
 from repro.detectors.duplicates import (
     _duplicate_cells,
@@ -63,10 +54,26 @@ from repro.detectors.duplicates import (
 )
 from repro.dataset.columnar import normalized_column
 from repro.detectors.katara import katara_violations
-from repro.kernels import reference_kernels
 from repro.parallel import ProcessPoolExecutor
 from repro.repair import BaranRepair, HoloCleanRepair
 from repro.resilience import SuiteCheckpoint
+
+import oracles.constraints
+import oracles.detectors
+import oracles.repair
+from oracles import KERNELS, reference_kernels
+from oracles.constraints import (
+    reference_binary_violations,
+    reference_fd_majority_repairs,
+    reference_fd_violations,
+    reference_unary_violations,
+)
+from oracles.detectors import (
+    reference_build_blocks,
+    reference_enumerate_block_pairs,
+    reference_histogram_outliers,
+    reference_pair_feature_matrix,
+)
 
 # ----------------------------------------------------------------------
 # Strategies: adversarial small tables
@@ -586,3 +593,64 @@ class TestCheckpointByteIdentity:
             str(tmp_path / "pool.sqlite"), executor=ProcessPoolExecutor(2)
         )
         assert pooled == reference
+
+
+# ----------------------------------------------------------------------
+# The swap table: oracles reach the public API only through KERNELS
+# ----------------------------------------------------------------------
+def _live_kernels():
+    return [getattr(owner, attribute) for owner, attribute, _ in KERNELS]
+
+
+def _assert_live(before):
+    assert all(a is b for a, b in zip(_live_kernels(), before))
+    assert not any(
+        getattr(owner, attribute) is reference
+        for owner, attribute, reference in KERNELS
+    )
+
+
+class TestReferenceSwapTable:
+    def test_every_row_swapped_inside_and_restored_after(self):
+        live = _live_kernels()
+        with reference_kernels():
+            for owner, attribute, reference in KERNELS:
+                assert getattr(owner, attribute) is reference, attribute
+        _assert_live(live)
+
+    def test_live_kernels_restored_after_an_exception(self):
+        live = _live_kernels()
+        with pytest.raises(ZeroDivisionError):
+            with reference_kernels():
+                1 / 0
+        _assert_live(live)
+
+    def test_refuses_to_run_under_an_artifact_cache(self, tmp_path):
+        live = _live_kernels()
+        with cache_scope(ArtifactCache(str(tmp_path / "art"))):
+            with pytest.raises(RuntimeError, match="uncached"):
+                with reference_kernels():
+                    pass
+        _assert_live(live)
+
+    def test_every_cleaning_oracle_has_a_row(self):
+        swapped = {reference for _, _, reference in KERNELS}
+        # Called only by other oracles, never in place of a live kernel.
+        helpers = {"reference_fd_groups", "reference_pair_features"}
+        for module in (oracles.constraints, oracles.detectors, oracles.repair):
+            for name, value in vars(module).items():
+                if name.startswith("reference_") and name not in helpers:
+                    assert value in swapped, f"{module.__name__}.{name}"
+
+    def test_every_reference_takes_the_live_signature(self):
+        for owner, attribute, reference in KERNELS:
+            live = list(
+                inspect.signature(getattr(owner, attribute)).parameters.values()
+            )
+            frozen = list(inspect.signature(reference).parameters.values())
+            if isinstance(owner, type):
+                # Methods: the oracle names the instance after its role.
+                live, frozen = live[1:], frozen[1:]
+            assert [(p.name, p.kind, p.default) for p in frozen] == [
+                (p.name, p.kind, p.default) for p in live
+            ], attribute

@@ -1,5 +1,6 @@
 """Repo hygiene checks enforced as part of tier-1."""
 
+import ast
 import sys
 from pathlib import Path
 
@@ -207,11 +208,8 @@ def test_hot_loop_lint_flags_pair_enumeration_outside_blocking(tmp_path):
 
 def test_hot_loop_lint_honours_allowlist_and_scope(tmp_path):
     loop = "def predict(features):\n    for row in features:\n        pass\n"
-    # Frozen scalar references stay scalar by design, in every scoped dir.
-    _ml_file(tmp_path, "_reference.py", loop)
-    _scoped_file(tmp_path, "repro/detectors/_reference.py", loop)
-    _scoped_file(tmp_path, "repro/constraints/_reference.py", loop)
-    _scoped_file(tmp_path, "repro/repair/_reference.py", loop)
+    # Birch's sequential CF-tree pass is allowlisted.
+    _ml_file(tmp_path, "cluster.py", loop)
     # Outside the scoped kernel trees the same pattern is not the
     # lint's business.
     _scoped_file(tmp_path, "repro/service/loopy.py", loop)
@@ -620,3 +618,29 @@ def test_rng_lint_cli_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "bad.py:2" in out
     assert check_rng.main(["prog", str(tmp_path / "nope")]) == 2
+
+
+#: Test-only modules under ``tests/``: the frozen kernel oracles and the
+#: executor doubles.  Production code has one path and never reaches them.
+TEST_ONLY_MODULES = {"oracles", "parallel_doubles", "service_doubles"}
+
+
+def test_src_ships_no_oracles_or_test_doubles():
+    src = REPO_ROOT / "src" / "repro"
+    offenders = [
+        str(path.relative_to(src)) for path in src.rglob("_reference.py")
+    ]
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders.extend(
+                f"{path.relative_to(src)}:{node.lineno}: imports {name}"
+                for name in names
+                if name.partition(".")[0] in TEST_ONLY_MODULES
+            )
+    assert offenders == [], "\n".join(offenders)

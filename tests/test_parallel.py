@@ -24,7 +24,6 @@ from repro.parallel import (
     ExecutionPlan,
     ProcessPoolExecutor,
     SerialExecutor,
-    ShuffledExecutor,
     StageAdapter,
     UnitSpec,
     execute_plan,
@@ -39,6 +38,8 @@ from repro.resilience import (
     FailureRecord,
     SuiteCheckpoint,
 )
+
+from parallel_doubles import ShuffledExecutor
 
 
 class StepClock:

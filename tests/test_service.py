@@ -389,7 +389,7 @@ def sleepy_service(tmp_path, monkeypatch):
         str(tmp_path / "q.sqlite"),
         n_workers=2,
         policy=SchedulerPolicy(lease_seconds=10.0),
-        execute_ref="repro.service.testing:sleepy_execute",
+        execute_ref="service_doubles:sleepy_execute",
         events_path=str(tmp_path / "events.jsonl"),
     )
     with service:
@@ -447,7 +447,7 @@ class TestHttpApi:
     ):
         service = BenchService(
             str(tmp_path / "qf.sqlite"), n_workers=1,
-            execute_ref="repro.service.testing:failing_execute",
+            execute_ref="service_doubles:failing_execute",
         )
         with service:
             client = ServiceClient(service.address, timeout=10.0)
@@ -468,7 +468,7 @@ class TestHttpApi:
         monkeypatch.setenv("REPRO_SERVICE_SLEEP_SECONDS", "0.01")
         service = BenchService(
             str(tmp_path / "qr.sqlite"), n_workers=1,
-            execute_ref="repro.service.testing:flaky_execute",
+            execute_ref="service_doubles:flaky_execute",
         )
         with service:
             client = ServiceClient(service.address, timeout=10.0)
@@ -566,7 +566,7 @@ class TestDrain:
         service = BenchService(
             str(tmp_path / "q.sqlite"), n_workers=1,
             policy=SchedulerPolicy(lease_seconds=10.0),
-            execute_ref="repro.service.testing:sleepy_execute",
+            execute_ref="service_doubles:sleepy_execute",
         )
         specs = [_spec(seed=s) for s in range(4)]
         with service:
@@ -595,7 +595,7 @@ class TestDrain:
         monkeypatch.setenv("REPRO_SERVICE_SLEEP_SECONDS", "0.01")
         revived = BenchService(
             str(tmp_path / "q.sqlite"), n_workers=2,
-            execute_ref="repro.service.testing:sleepy_execute",
+            execute_ref="service_doubles:sleepy_execute",
         )
         with revived:
             client = ServiceClient(revived.address, timeout=10.0)

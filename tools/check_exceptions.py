@@ -36,9 +36,6 @@ ALLOWLIST = {
     # Applies user-derived transformation lambdas speculatively; a raise
     # means the candidate transformation does not apply.
     "repro/repair/baran.py",
-    # Frozen scalar copy of the BARAN pipeline (equivalence oracle);
-    # carries the same speculative-lambda handler verbatim.
-    "repro/repair/_reference.py",
     # The service worker's designated failure boundary: every job
     # execution failure becomes a categorized FailureRecord on the queue.
     "repro/service/workers.py",

@@ -51,12 +51,6 @@ from typing import Iterator, List, Tuple
 # Files allowed to contain the forbidden patterns, relative to the src
 # root.  Each entry must document why.
 ALLOWLIST = {
-    # Frozen pre-vectorization kernels kept verbatim as equivalence
-    # oracles and benchmark baselines; they *must* stay scalar.
-    "repro/ml/_reference.py",
-    "repro/detectors/_reference.py",
-    "repro/constraints/_reference.py",
-    "repro/repair/_reference.py",
     # Birch's CF-tree insertion is an inherently sequential streaming
     # pass: each row's placement depends on the tree built so far.
     "repro/ml/cluster.py",
