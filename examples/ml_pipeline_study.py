@@ -2,55 +2,69 @@
 
 Reproduces REIN's full pipeline on one dataset:
 
-1. store ground truth + dirty versions in the SQLite data repository;
-2. run a detector x repair grid, storing each repaired version;
+1. generate the ground truth + dirty versions (deterministic in the seed,
+   so they are rebuilt rather than stored);
+2. run a detector x repair grid; the checkpoint store keeps every repaired
+   version in its repair unit, and the study reads them back from there;
 3. train a model on every version under scenarios S1 and S4, repeated over
-   seeds, logging results to the results store;
+   seeds; each score is logged to the same store as one unit;
 4. report mean +- std per version with the Wilcoxon S1-vs-S4 decision.
 
 Run:  python examples/ml_pipeline_study.py
 """
 
-from repro.benchmark import evaluate_scenarios, run_detection_suite
+from repro.benchmark import (
+    evaluate_scenarios,
+    run_detection_suite,
+    run_repair_suite,
+)
+from repro.benchmark.runner import RepairRun
 from repro.datagen import generate
 from repro.detectors import MaxEntropyDetector, MVDetector
 from repro.repair import GroundTruthRepair, MeanModeImputeRepair, MissForestMixRepair
-from repro.repository import DataRepository, ResultsStore
-from repro.repository.store import DIRTY, GROUND_TRUTH, REPAIRED, ResultRecord
+from repro.repository import CheckpointStore
 from repro.reporting import render_table
+from repro.resilience import SuiteCheckpoint, run_id_for
 
 
 def main() -> None:
     dataset = generate("SmartFactory", n_rows=400, seed=11)
-    context = dataset.context(seed=0)
-
-    repository = DataRepository()  # in-memory; pass a path to persist
-    results = ResultsStore()
-    repository.save_version(dataset.name, GROUND_TRUTH, dataset.clean)
-    repository.save_version(dataset.name, DIRTY, dataset.dirty)
+    # In-memory; pass a path to CheckpointStore to persist (and resume).
+    checkpoint = SuiteCheckpoint(
+        CheckpointStore(), run_id_for("ml_pipeline_study", dataset.name, 11)
+    )
 
     # Detection.
     detection_runs = run_detection_suite(
-        dataset, [MVDetector(), MaxEntropyDetector()], seed=0
+        dataset, [MVDetector(), MaxEntropyDetector()], seed=0,
+        checkpoint=checkpoint,
     )
+    detections = {
+        run.detector: set(run.result.cells)
+        for run in detection_runs
+        if not run.failed and run.result.n_detected
+    }
 
-    # Repair grid -> repaired versions stored under their strategy names.
+    # Repair grid -> repaired versions, stored under their unit keys.
+    run_repair_suite(
+        dataset, detections,
+        [GroundTruthRepair(), MeanModeImputeRepair(), MissForestMixRepair()],
+        seed=0, checkpoint=checkpoint,
+    )
     variants = [("dirty", dataset.dirty, None)]
-    for run in detection_runs:
-        if run.failed or not run.result.n_detected:
+    repair_units = [
+        unit for unit in checkpoint.completed_units()
+        if unit.startswith("repair/")
+    ]
+    for unit in repair_units:
+        run = RepairRun.from_payload(checkpoint.get(unit))
+        if run.failed:
             continue
-        for method in (
-            GroundTruthRepair(), MeanModeImputeRepair(), MissForestMixRepair(),
-        ):
-            result = method.repair(context, run.result.cells)
-            strategy = f"{run.detector}+{method.name}"
-            repository.save_version(
-                dataset.name, REPAIRED, result.repaired, variant=strategy
-            )
-            variants.append(
-                (strategy, result.repaired, result.metadata.get("kept_rows"))
-            )
-    print(f"stored versions: {repository.list_versions(dataset.name)}\n")
+        variants.append((
+            run.strategy, run.result.repaired,
+            run.result.metadata.get("kept_rows"),
+        ))
+    print(f"stored versions: {[name for name, _, _ in variants[1:]]}\n")
 
     # Scenario evaluation with repeats + A/B test.
     rows = []
@@ -58,13 +72,8 @@ def main() -> None:
         evaluation = evaluate_scenarios(
             dataset, table, variant_name, "RF",
             scenario_names=("S1", "S4"), n_seeds=5, kept_rows=kept,
+            checkpoint=checkpoint,
         )
-        for scenario_name, scores in evaluation.scores.items():
-            for seed, value in enumerate(scores):
-                results.add(ResultRecord(
-                    dataset.name, "model", variant_name, "f1", value,
-                    seed=seed, scenario=scenario_name,
-                ))
         ab = evaluation.ab_test("S1", "S4")
         rows.append([
             variant_name,
@@ -79,7 +88,12 @@ def main() -> None:
         rows,
         title="Random forest F1 across data versions (5 seeds)",
     ))
-    print(f"\nresult records logged: {results.count()}")
+    logged = [
+        unit for unit in checkpoint.completed_units()
+        if unit.startswith("model/")
+    ]
+    print(f"\nscore units logged: {len(logged)}")
+    checkpoint.close()
 
 
 if __name__ == "__main__":

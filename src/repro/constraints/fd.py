@@ -8,7 +8,7 @@ to_denial_constraint` performs that conversion programmatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -104,22 +104,6 @@ class FunctionalDependency:
 
     def __str__(self) -> str:
         return f"{','.join(self.lhs)} -> {self.rhs}"
-
-    def _groups(self, table: Table) -> Dict[Tuple, List[int]]:
-        """Rows grouped by their (non-missing) lhs values."""
-        groups: Dict[Tuple, List[int]] = {}
-        for i in range(table.n_rows):
-            key_parts = []
-            valid = True
-            for attr in self.lhs:
-                value = table.get_cell(i, attr)
-                if is_missing(value):
-                    valid = False
-                    break
-                key_parts.append(str(value).strip())
-            if valid:
-                groups.setdefault(tuple(key_parts), []).append(i)
-        return groups
 
     def violations(self, table: Table) -> Set[Cell]:
         """Cells involved in FD violations.

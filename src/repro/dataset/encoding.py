@@ -30,19 +30,7 @@ import numpy as np
 
 from repro.cache.keys import artifact_key, table_fingerprint
 from repro.cache.store import current_cache
-from repro.dataset.table import Table, coerce_float, is_missing
-
-
-def standardize(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z-score a matrix column-wise, returning ``(scaled, mean, std)``.
-
-    Zero-variance columns are left centred (divided by 1) to avoid NaNs.
-    """
-    mean = np.nanmean(matrix, axis=0) if matrix.size else np.zeros(matrix.shape[1])
-    mean = np.where(np.isnan(mean), 0.0, mean)
-    std = np.nanstd(matrix, axis=0) if matrix.size else np.ones(matrix.shape[1])
-    std = np.where((std == 0) | np.isnan(std), 1.0, std)
-    return (matrix - mean) / std, mean, std
+from repro.dataset.table import Table, is_missing
 
 
 class LabelEncoder:

@@ -1,11 +1,14 @@
 """Duplicate detectors: key collision and ZeroER.
 
 Key collision flags rows sharing the user-provided key attributes.  ZeroER
-(Wu et al.) needs *zero* labeled examples: it derives Magellan-style
-similarity features for candidate row pairs (found via cheap blocking) and
-fits a two-component Gaussian mixture whose components correspond to the
-match / unmatch populations; pairs assigned to the high-similarity
-component are duplicates.
+(Wu et al.) needs *zero* labeled examples: it derives one similarity
+feature per column for candidate row pairs (found via cheap blocking) --
+trigram Jaccard for text cells, closeness scaled by the column's standard
+deviation for numeric cells -- and fits a two-component Gaussian mixture
+whose components correspond to the match / unmatch populations; pairs
+assigned to the high-similarity component are duplicates.  The paper's
+ZeroER uses Magellan's full feature library; this narrower feature set is
+a known deviation (EXPERIMENTS.md).
 
 The candidate-pair pipeline runs on vectorized kernels proven
 bit-identical to the frozen scalars in ``tests/oracles/detectors.py``:
@@ -89,43 +92,6 @@ class KeyCollisionDetector(Detector):
                 groups[tuple(parts)].append(i)
         duplicate_groups = [rows for rows in groups.values() if len(rows) > 1]
         return _duplicate_cells(table, duplicate_groups)
-
-
-def _string_similarity(a: str, b: str) -> float:
-    """Jaccard similarity over character trigrams (Magellan-style)."""
-    def grams(s: str) -> Set[str]:
-        padded = f"  {s.lower()} "
-        return {padded[i : i + 3] for i in range(len(padded) - 2)}
-
-    ga, gb = grams(a), grams(b)
-    union = ga | gb
-    if not union:
-        return 1.0
-    return len(ga & gb) / len(union)
-
-
-def pair_features(
-    table: Table, i: int, j: int, column_stds: Dict[str, float]
-) -> np.ndarray:
-    """Per-column similarity feature vector for a row pair.
-
-    Numeric similarity is scaled by the column's standard deviation so only
-    near-identical values score highly -- two ordinary rows of the same
-    distribution should not look like a match.
-    """
-    features = []
-    for column in table.column_names:
-        a, b = table.get_cell(i, column), table.get_cell(j, column)
-        if is_missing(a) or is_missing(b):
-            features.append(0.5)
-            continue
-        fa, fb = coerce_float(a), coerce_float(b)
-        if not np.isnan(fa) and not np.isnan(fb):
-            scale = column_stds.get(column, 1.0) or 1.0
-            features.append(max(0.0, 1.0 - abs(fa - fb) / scale))
-        else:
-            features.append(_string_similarity(str(a), str(b)))
-    return np.array(features)
 
 
 def column_standard_deviations(table: Table) -> Dict[str, float]:
@@ -370,10 +336,14 @@ def pair_feature_matrix(
 ) -> np.ndarray:
     """Similarity features for all candidate pairs, one column at a time.
 
-    Bit-identical to stacking :func:`pair_features` over ``pairs``: the
-    numeric branch applies the same IEEE operations elementwise, and the
-    string branch computes the same trigram Jaccard per distinct string
-    pair (see :func:`_string_similarity_batch`).
+    Per column, a pair scores 0.5 when either cell is missing,
+    ``max(0, 1 - |a - b| / std)`` when both cells are numeric, and the
+    Jaccard similarity of the padded character trigram sets otherwise.
+    Bit-identical to the frozen per-pair scalar loop in
+    ``tests/oracles/detectors.py``: the numeric branch applies the same
+    IEEE operations elementwise, and the string branch computes the same
+    trigram Jaccard per distinct string pair (see
+    :func:`_string_similarity_batch`).
     """
     n_pairs = len(pairs)
     left = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=n_pairs)
@@ -407,6 +377,8 @@ class ZeroERDetector(Detector):
 
     Blocking: candidate pairs share a token in any categorical attribute
     (or a rounded numeric value), keeping the pair set tractable.
+    Features: :func:`pair_feature_matrix` -- per-column trigram Jaccard
+    and std-scaled numeric closeness, not Magellan's full library.
     """
 
     name = "ZeroER"

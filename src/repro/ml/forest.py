@@ -208,14 +208,6 @@ def _build_iso_tree(
     return node
 
 
-def _iso_path_length(node: _IsoNode, row: np.ndarray) -> float:
-    depth = 0.0
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-        depth += 1.0
-    return depth + _average_path_length(node.size)
-
-
 def _flatten_iso_tree(root: _IsoNode):
     """Linearize an isolation tree for batched routing.
 

@@ -257,14 +257,6 @@ class _TreeBuilder:
         return node
 
 
-def _predict_node(node: _Node, row: np.ndarray) -> np.ndarray:
-    """Single-row descent (kept for spot checks; batch paths use
-    :func:`_predict_batch`)."""
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.prediction
-
-
 def _tree_depth(node: _Node) -> int:
     if node.is_leaf:
         return 0

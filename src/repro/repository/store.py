@@ -1,4 +1,5 @@
-"""SQLite-backed stores for dataset versions and experiment results."""
+"""The SQLite checkpoint store plus the connection and JSON helpers
+that the service queue and the event ledger share with it."""
 
 from __future__ import annotations
 
@@ -6,19 +7,11 @@ import json
 import math
 import sqlite3
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 import numpy as np
 
-from repro.dataset.schema import Schema
-from repro.dataset.table import Table, is_missing
-
-GROUND_TRUTH = "ground_truth"
-DIRTY = "dirty"
-REPAIRED = "repaired"
-
-_VERSION_KINDS = (GROUND_TRUTH, DIRTY, REPAIRED)
+from repro.dataset.table import is_missing
 
 #: Default time one connection waits for another's write lock before
 #: surfacing SQLITE_BUSY.  Service workers hammer one queue/checkpoint
@@ -118,9 +111,6 @@ def encode_cell_value(value: Any) -> Any:
     return str(value)
 
 
-_encode_cell = encode_cell_value
-
-
 def sanitize_payload(value: Any) -> Any:
     """Replace NaN floats with None so payload JSON stays standard.
 
@@ -143,235 +133,27 @@ def nan_guard(value: Optional[float]) -> float:
     return math.nan if value is None else value
 
 
-class DataRepository:
-    """Stores ground-truth / dirty / repaired versions of benchmark tables.
-
-    Versions are addressed by ``(dataset, kind, variant)``; the variant
-    distinguishes repaired versions produced by different cleaning
-    strategies (e.g. ``"RAHA+MISS-Mix"``).
-    """
-
-    def __init__(self, path: str = ":memory:") -> None:
-        self._connection = connect(path)
-        self._connection.execute(
-            """
-            CREATE TABLE IF NOT EXISTS versions (
-                dataset TEXT NOT NULL,
-                kind TEXT NOT NULL,
-                variant TEXT NOT NULL DEFAULT '',
-                schema_json TEXT NOT NULL,
-                rows_json TEXT NOT NULL,
-                metadata_json TEXT NOT NULL DEFAULT '{}',
-                PRIMARY KEY (dataset, kind, variant)
-            )
-            """
-        )
-        self._connection.commit()
-
-    def close(self) -> None:
-        self._connection.close()
-
-    def __enter__(self) -> "DataRepository":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def save_version(
-        self,
-        dataset: str,
-        kind: str,
-        table: Table,
-        variant: str = "",
-        metadata: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Insert or replace one stored table version.
-
-        ``metadata`` persists provenance alongside the data (e.g. a Delete
-        repair's ``kept_rows``, or the detector/repair names that produced
-        a repaired variant).  It must be JSON-serializable.
-        """
-        if kind not in _VERSION_KINDS:
-            raise ValueError(f"kind must be one of {_VERSION_KINDS}")
-        schema_json = json.dumps(
-            [(c.name, c.kind) for c in table.schema.columns]
-        )
-        rows = [
-            [_encode_cell(v) for v in table.row(i)]
-            for i in range(table.n_rows)
-        ]
-        self._connection.execute(
-            "INSERT OR REPLACE INTO versions VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                dataset,
-                kind,
-                variant,
-                schema_json,
-                json.dumps(rows),
-                json.dumps(metadata or {}),
-            ),
-        )
-        self._connection.commit()
-
-    def load_version(
-        self, dataset: str, kind: str, variant: str = ""
-    ) -> Table:
-        """Load one stored table version; KeyError when absent."""
-        row = self._connection.execute(
-            "SELECT schema_json, rows_json FROM versions "
-            "WHERE dataset = ? AND kind = ? AND variant = ?",
-            (dataset, kind, variant),
-        ).fetchone()
-        if row is None:
-            raise KeyError(
-                f"no stored version ({dataset!r}, {kind!r}, {variant!r})"
-            )
-        schema = Schema.from_pairs(json.loads(row[0]))
-        return Table.from_rows(schema, json.loads(row[1]))
-
-    def load_metadata(
-        self, dataset: str, kind: str, variant: str = ""
-    ) -> Dict[str, Any]:
-        """Provenance metadata stored with a version; KeyError when absent."""
-        row = self._connection.execute(
-            "SELECT metadata_json FROM versions "
-            "WHERE dataset = ? AND kind = ? AND variant = ?",
-            (dataset, kind, variant),
-        ).fetchone()
-        if row is None:
-            raise KeyError(
-                f"no stored version ({dataset!r}, {kind!r}, {variant!r})"
-            )
-        return json.loads(row[0])
-
-    def list_versions(self, dataset: Optional[str] = None) -> List[Tuple[str, str, str]]:
-        """All stored ``(dataset, kind, variant)`` keys."""
-        if dataset is None:
-            cursor = self._connection.execute(
-                "SELECT dataset, kind, variant FROM versions ORDER BY 1, 2, 3"
-            )
-        else:
-            cursor = self._connection.execute(
-                "SELECT dataset, kind, variant FROM versions "
-                "WHERE dataset = ? ORDER BY 1, 2, 3",
-                (dataset,),
-            )
-        return [tuple(r) for r in cursor.fetchall()]
-
-    def delete_version(self, dataset: str, kind: str, variant: str = "") -> None:
-        self._connection.execute(
-            "DELETE FROM versions WHERE dataset = ? AND kind = ? AND variant = ?",
-            (dataset, kind, variant),
-        )
-        self._connection.commit()
+#: Key of the one-entry JSON object that stands in for ``±inf`` in a
+#: checkpoint payload; standard JSON has no infinity token.
+_INFINITY_KEY = "$float"
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One experiment measurement."""
-
-    dataset: str
-    stage: str       # 'detection' | 'repair' | 'model'
-    method: str      # detector / repair / model name (or combo)
-    metric: str      # 'f1', 'rmse', 'runtime', ...
-    value: float
-    seed: int = 0
-    scenario: str = ""
+def _tag_infinities(value: Any) -> Any:
+    """Replace ``±inf`` floats by ``{"$float": "inf"}`` / ``"-inf"``."""
+    if isinstance(value, float) and math.isinf(value):
+        return {_INFINITY_KEY: repr(float(value))}
+    if isinstance(value, dict):
+        return {key: _tag_infinities(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_tag_infinities(item) for item in value]
+    return value
 
 
-class ResultsStore:
-    """Experiment-result log with simple aggregation queries."""
-
-    def __init__(self, path: str = ":memory:") -> None:
-        self._connection = connect(path)
-        self._connection.execute(
-            """
-            CREATE TABLE IF NOT EXISTS results (
-                dataset TEXT NOT NULL,
-                stage TEXT NOT NULL,
-                method TEXT NOT NULL,
-                metric TEXT NOT NULL,
-                value REAL,
-                seed INTEGER NOT NULL DEFAULT 0,
-                scenario TEXT NOT NULL DEFAULT ''
-            )
-            """
-        )
-        self._connection.commit()
-
-    def close(self) -> None:
-        self._connection.close()
-
-    def __enter__(self) -> "ResultsStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def add(self, record: ResultRecord) -> None:
-        value = record.value
-        if value is not None and math.isnan(value):
-            value = None
-        self._connection.execute(
-            "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                record.dataset,
-                record.stage,
-                record.method,
-                record.metric,
-                value,
-                record.seed,
-                record.scenario,
-            ),
-        )
-        self._connection.commit()
-
-    def add_many(self, records: Iterable[ResultRecord]) -> None:
-        for record in records:
-            self.add(record)
-
-    def values(
-        self,
-        dataset: Optional[str] = None,
-        stage: Optional[str] = None,
-        method: Optional[str] = None,
-        metric: Optional[str] = None,
-        scenario: Optional[str] = None,
-    ) -> List[float]:
-        """All values matching the given filters (None = any)."""
-        clauses, params = [], []
-        for field, value in (
-            ("dataset", dataset),
-            ("stage", stage),
-            ("method", method),
-            ("metric", metric),
-            ("scenario", scenario),
-        ):
-            if value is not None:
-                clauses.append(f"{field} = ?")
-                params.append(value)
-        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-        cursor = self._connection.execute(
-            f"SELECT value FROM results{where}", params
-        )
-        return [r[0] for r in cursor.fetchall() if r[0] is not None]
-
-    def mean_by_method(
-        self, dataset: str, stage: str, metric: str, scenario: str = ""
-    ) -> Dict[str, float]:
-        """Mean value per method for one (dataset, stage, metric)."""
-        cursor = self._connection.execute(
-            "SELECT method, AVG(value) FROM results "
-            "WHERE dataset = ? AND stage = ? AND metric = ? AND scenario = ? "
-            "AND value IS NOT NULL GROUP BY method",
-            (dataset, stage, metric, scenario),
-        )
-        return {method: value for method, value in cursor.fetchall()}
-
-    def count(self) -> int:
-        return int(
-            self._connection.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-        )
+def _untag_infinity(obj: Dict[str, Any]) -> Any:
+    """``json.loads`` object hook reversing :func:`_tag_infinities`."""
+    if len(obj) == 1 and _INFINITY_KEY in obj:
+        return float(obj[_INFINITY_KEY])
+    return obj
 
 
 class CheckpointStore:
@@ -454,17 +236,27 @@ class CheckpointStore:
     def put(self, run_id: str, unit: str, payload: Dict[str, Any]) -> None:
         """Insert or replace one completed unit's payload.
 
-        NaN scores are encoded as ``null`` (:func:`sanitize_payload`) so
-        the stored text is standard JSON; ``allow_nan=False`` guarantees
-        no non-standard token ever reaches disk, and a bad payload fails
-        here rather than at commit.  The text joins the in-memory batch
-        (a later put of the same unit replaces it) and becomes durable
-        at the next :meth:`commit` (automatic every ``commit_interval``
-        pending units).
+        NaN scores are encoded as ``null`` (:func:`sanitize_payload`) and
+        ``±inf`` values -- an infinite dirty cell a repair left alone, or
+        the score computed from it -- as ``{"$float": "inf"}`` objects
+        that :meth:`get` turns back into floats, so the stored text is
+        standard JSON; ``allow_nan=False`` guarantees no non-standard
+        token ever reaches disk, and a bad payload fails here rather
+        than at commit.  A payload without an infinity encodes on the
+        first attempt, untagged, so its stored bytes do not depend on
+        this fallback.
+        The text joins the in-memory batch (a later put of the same unit
+        replaces it) and becomes durable at the next :meth:`commit`
+        (automatic every ``commit_interval`` pending units).
         """
-        self._batch[(run_id, unit)] = json.dumps(
-            sanitize_payload(payload), sort_keys=True, allow_nan=False
-        )
+        clean = sanitize_payload(payload)
+        try:
+            text = json.dumps(clean, sort_keys=True, allow_nan=False)
+        except ValueError:  # an infinity: tag it and encode again
+            text = json.dumps(
+                _tag_infinities(clean), sort_keys=True, allow_nan=False
+            )
+        self._batch[(run_id, unit)] = text
         if len(self._batch) >= self.commit_interval:
             self.commit()
 
@@ -480,7 +272,7 @@ class CheckpointStore:
             if row is None:
                 return None
             text = row[0]
-        return json.loads(text)
+        return json.loads(text, object_hook=_untag_infinity)
 
     def _keys(self, run_id: Optional[str]) -> Set[Tuple[str, str]]:
         """Committed and pending ``(run_id, unit)`` keys of one or all runs."""

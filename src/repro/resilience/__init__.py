@@ -19,20 +19,8 @@ outcome.  This package supplies the three pillars:
   (:mod:`repro.resilience.checkpoint`): per-unit results persisted to
   the SQLite repository so an interrupted suite resumes by skipping
   completed combinations.
-
-The **chaos harness** (:mod:`repro.resilience.chaos`) injects seeded
-faults through wrapper detectors/repairs so the tier-2 chaos test suite
-can prove all of the above.
 """
 
-from repro.resilience.chaos import (
-    CorruptingRepair,
-    CrashingDetector,
-    FlakyDetector,
-    FlakyRepair,
-    HangingDetector,
-    chaos_wrap_detectors,
-)
 from repro.resilience.checkpoint import (
     SuiteCheckpoint,
     run_id_for,
@@ -69,20 +57,14 @@ __all__ = [
     "TRANSIENT",
     "CircuitBreaker",
     "CorruptOutputError",
-    "CorruptingRepair",
-    "CrashingDetector",
     "Deadline",
     "DeadlineExceeded",
     "FailureRecord",
-    "FlakyDetector",
-    "FlakyRepair",
     "GuardedResult",
-    "HangingDetector",
     "ResiliencePolicy",
     "RetryPolicy",
     "SuiteCheckpoint",
     "TransientError",
-    "chaos_wrap_detectors",
     "classify_exception",
     "guarded_call",
     "run_id_for",

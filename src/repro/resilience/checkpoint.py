@@ -84,16 +84,11 @@ def run_id_for(*parts: Any) -> str:
 # ----------------------------------------------------------------------
 # Table / scores payload helpers (shared by the runner's serializers)
 # ----------------------------------------------------------------------
-#: One canonical cell encoder, shared with the repository store so table
-#: payloads and stored versions can never drift apart.
-_encode_cell_value = encode_cell_value
-
-
 def table_to_payload(table: Table) -> Dict[str, Any]:
     return {
         "schema": [[c.name, c.kind] for c in table.schema.columns],
         "rows": [
-            [_encode_cell_value(v) for v in table.row(i)]
+            [encode_cell_value(v) for v in table.row(i)]
             for i in range(table.n_rows)
         ],
     }

@@ -7,6 +7,10 @@ tables) and assert that the suite still completes with correct
 bookkeeping -- every injected fault surfaces as a categorized
 :class:`~repro.resilience.failures.FailureRecord`, never as a crash or an
 unexplained NaN.
+
+Test code, importable as ``chaos_doubles`` once ``tests/`` is on
+``sys.path`` (pytest puts it there).  Forked and spawned pool workers
+inherit ``sys.path``, so they unpickle these wrappers by the same name.
 """
 
 from __future__ import annotations

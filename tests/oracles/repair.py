@@ -8,7 +8,9 @@ vectorization pass (mirroring :mod:`oracles.ml`):
   Python loop of Counter updates), its per-candidate edit-distance scan,
   and its per-detected-cell candidate scoring dict loop;
 - HoloClean's per-row co-occurrence build and its per-candidate feature
-  construction calls.
+  construction calls;
+- :func:`levenshtein`, the plain edit distance that BARAN's early-exit
+  ``edit_distance`` must match below its cutoff.
 
 The frozen functions take the repair *method instance* plus the context
 and detections, and run the complete original repair pipeline, so the
@@ -184,6 +186,20 @@ def reference_baran_repair(
                 )
             repaired.set_cell(row, column, numeric_means[column])
     return repaired
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Levenshtein edit distance, full dynamic program, no cutoff."""
+    previous = list(range(len(b) + 1))
+    for i, ch_a in enumerate(a, start=1):
+        current = [i]
+        for j, ch_b in enumerate(b, start=1):
+            cost = 0 if ch_a == ch_b else 1
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+            )
+        previous = current
+    return previous[-1]
 
 
 # ----------------------------------------------------------------------

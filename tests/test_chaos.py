@@ -26,14 +26,17 @@ from repro.resilience import (
     CAPABILITY,
     DATA,
     CircuitBreaker,
+    RetryPolicy,
+    SuiteCheckpoint,
+    TransientError,
+)
+
+from chaos_doubles import (
     CorruptingRepair,
     CrashingDetector,
     FlakyDetector,
     FlakyRepair,
     HangingDetector,
-    RetryPolicy,
-    SuiteCheckpoint,
-    TransientError,
 )
 
 pytestmark = pytest.mark.chaos

@@ -28,11 +28,10 @@ from repro.repair import GroundTruthRepair, MeanModeImputeRepair
 from repro.repository import CheckpointStore
 from repro.resilience import (
     CircuitBreaker,
-    CorruptingRepair,
-    CrashingDetector,
-    HangingDetector,
     SuiteCheckpoint,
 )
+
+from chaos_doubles import CorruptingRepair, CrashingDetector, HangingDetector
 
 pytestmark = pytest.mark.chaos
 

@@ -1,11 +1,21 @@
 """Tests for the dataset generators and the SQLite repository."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.benchmark import evaluate_scenarios
 from repro.datagen import DATASET_NAMES, dataset_spec, generate, table4_rows
-from repro.repository import DataRepository, ResultsStore
-from repro.repository.store import DIRTY, GROUND_TRUTH, REPAIRED, ResultRecord
+from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
+from repro.repository import CheckpointStore
+from repro.repository.store import encode_cell_value
+from repro.resilience import (
+    SuiteCheckpoint,
+    table_from_payload,
+    table_to_payload,
+    unit_key,
+)
 
 
 class TestGenerators:
@@ -94,55 +104,78 @@ class TestGenerators:
             generate("Beers", n_rows=5)
 
 
+RUN = "run"
+
+
+def _put_table(store, unit, table):
+    store.put(RUN, unit, table_to_payload(table))
+
+
+def _get_table(store, unit):
+    return table_from_payload(store.get(RUN, unit))
+
+
+def _repair_unit(repair, detector="X"):
+    return unit_key("repair", "Nasa", detector=detector, repair=repair)
+
+
 class TestDataRepository:
+    """Figure 1's data repository: repaired versions travel as table
+    payloads through the checkpoint store, and ``generate`` rebuilds the
+    ground truth and the dirty data instead of storing them."""
+
     def test_round_trip(self):
         dataset = generate("Nasa", n_rows=60, seed=0)
-        with DataRepository() as repo:
-            repo.save_version("Nasa", GROUND_TRUTH, dataset.clean)
-            repo.save_version("Nasa", DIRTY, dataset.dirty)
-            loaded_clean = repo.load_version("Nasa", GROUND_TRUTH)
-            loaded_dirty = repo.load_version("Nasa", DIRTY)
+        with CheckpointStore() as store:
+            _put_table(store, "clean", dataset.clean)
+            _put_table(store, "dirty", dataset.dirty)
+            loaded_clean = _get_table(store, "clean")
+            loaded_dirty = _get_table(store, "dirty")
         assert loaded_clean.diff_cells(dataset.clean) == set()
         assert loaded_dirty.diff_cells(dataset.dirty) == set()
+        rebuilt = generate("Nasa", n_rows=60, seed=0)
+        assert rebuilt.clean.diff_cells(dataset.clean) == set()
+        assert rebuilt.dirty.diff_cells(dataset.dirty) == set()
 
     def test_variants(self):
         dataset = generate("Nasa", n_rows=40, seed=1)
-        with DataRepository() as repo:
-            repo.save_version("Nasa", REPAIRED, dataset.clean, variant="GT")
-            repo.save_version("Nasa", REPAIRED, dataset.dirty, variant="none")
-            versions = repo.list_versions("Nasa")
-            assert ("Nasa", REPAIRED, "GT") in versions
-            assert ("Nasa", REPAIRED, "none") in versions
-            repo.delete_version("Nasa", REPAIRED, "none")
-            assert len(repo.list_versions("Nasa")) == 1
+        with CheckpointStore() as store:
+            _put_table(store, _repair_unit("GT"), dataset.clean)
+            _put_table(store, _repair_unit("none"), dataset.dirty)
+            store.put(
+                "other", _repair_unit("GT"), table_to_payload(dataset.dirty)
+            )
+            assert store.units(RUN) == sorted(
+                [_repair_unit("GT"), _repair_unit("none")]
+            )
+            loaded = _get_table(store, _repair_unit("GT"))
+            assert loaded.diff_cells(dataset.clean) == set()
+            store.clear_run("other")
+            assert store.count() == 2
 
     def test_missing_version_raises(self):
-        with DataRepository() as repo:
-            with pytest.raises(KeyError):
-                repo.load_version("ghost", DIRTY)
+        with CheckpointStore() as store:
+            assert store.get(RUN, _repair_unit("ghost")) is None
+            with pytest.raises(TypeError):
+                _get_table(store, _repair_unit("ghost"))
 
-    def test_invalid_kind(self):
-        dataset = generate("Nasa", n_rows=40, seed=2)
-        with DataRepository() as repo:
-            with pytest.raises(ValueError):
-                repo.save_version("Nasa", "draft", dataset.clean)
-
-    def test_overwrite(self):
+    def test_overwrite(self, tmp_path):
         dataset = generate("Nasa", n_rows=40, seed=3)
-        with DataRepository() as repo:
-            repo.save_version("Nasa", DIRTY, dataset.dirty)
-            repo.save_version("Nasa", DIRTY, dataset.clean)  # replace
-            loaded = repo.load_version("Nasa", DIRTY)
-            assert loaded.diff_cells(dataset.clean) == set()
+        with CheckpointStore(str(tmp_path / "store.sqlite")) as store:
+            _put_table(store, "v", dataset.dirty)
+            _put_table(store, "v", dataset.clean)  # replace, pending
+            assert _get_table(store, "v").diff_cells(dataset.clean) == set()
+            store.commit()
+            _put_table(store, "v", dataset.dirty)
+            _put_table(store, "v", dataset.clean)  # replace, committed
+            store.commit()
+            assert store.count(RUN) == 1
+        with CheckpointStore(str(tmp_path / "store.sqlite")) as store:
+            assert _get_table(store, "v").diff_cells(dataset.clean) == set()
 
-    def test_numpy_scalar_cells_round_trip_as_numbers(self):
+    def test_numpy_scalar_cells_round_trip_as_numbers(self, tmp_path):
         # np.int64 used to fall through to str(), so integer cells came
         # back as strings after a save/load cycle.
-        import numpy as np
-
-        from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
-        from repro.repository.store import encode_cell_value
-
         assert encode_cell_value(np.int64(7)) == 7
         assert isinstance(encode_cell_value(np.int64(7)), int)
         assert encode_cell_value(np.float32(1.5)) == 1.5
@@ -154,43 +187,63 @@ class TestDataRepository:
         table = Table(
             schema,
             {
-                "n": [np.int64(1), np.float64(2.5), np.int32(3)],
+                "n": [np.int64(1), np.float32(2.5), np.int32(3)],
                 "c": ["a", "b", "c"],
             },
         )
-        with DataRepository() as repo:
-            repo.save_version("np", GROUND_TRUTH, table)
-            loaded = repo.load_version("np", GROUND_TRUTH)
+        path = str(tmp_path / "store.sqlite")
+        with CheckpointStore(path) as store:
+            _put_table(store, "np", table)
+        with CheckpointStore(path) as store:
+            loaded = _get_table(store, "np")
         values = list(loaded.column("n"))
         assert values == [1, 2.5, 3]
         assert not any(isinstance(v, str) for v in values)
 
 
 class TestResultsStore:
+    """The results half of Figure 1's repository: each (scenario, seed)
+    score a suite computes is logged as one checkpoint-store unit."""
+
+    @staticmethod
+    def _evaluate(store, **kwargs):
+        dataset = generate("SmartFactory", n_rows=60, seed=0)
+        return evaluate_scenarios(
+            dataset, dataset.dirty, "dirty", "DT",
+            scenario_names=("S1", "S4"), n_seeds=2,
+            checkpoint=SuiteCheckpoint(store, RUN), **kwargs,
+        )
+
+    @staticmethod
+    def _logged(store, scenario=None):
+        """Stored score payloads of the model units, in unit-key order."""
+        return [
+            store.get(RUN, unit)["value"]
+            for unit in store.units(RUN)
+            if unit.startswith("model/")
+            and scenario in (None, unit.split("/")[5])
+        ]
+
     def test_add_and_query(self):
-        with ResultsStore() as store:
-            store.add_many(
-                [
-                    ResultRecord("Beers", "detection", "RAHA", "f1", 0.9, seed=0),
-                    ResultRecord("Beers", "detection", "RAHA", "f1", 0.8, seed=1),
-                    ResultRecord("Beers", "detection", "SD", "f1", 0.4, seed=0),
-                ]
+        with CheckpointStore() as store:
+            evaluation = self._evaluate(store)
+            assert store.count(RUN) == 4
+            logged = self._logged(store)
+            assert sorted(logged) == sorted(
+                evaluation.scores["S1"] + evaluation.scores["S4"]
             )
-            assert store.count() == 3
-            values = store.values(dataset="Beers", method="RAHA", metric="f1")
-            assert sorted(values) == [0.8, 0.9]
-            means = store.mean_by_method("Beers", "detection", "f1")
-            assert means["RAHA"] == pytest.approx(0.85)
-            assert means["SD"] == pytest.approx(0.4)
+            assert np.mean(self._logged(store, "S1")) == pytest.approx(
+                evaluation.mean("S1")
+            )
 
     def test_nan_stored_as_null(self):
-        with ResultsStore() as store:
-            store.add(ResultRecord("X", "repair", "GT", "rmse", float("nan")))
-            assert store.values(dataset="X") == []
+        with CheckpointStore() as store:
+            evaluation = self._evaluate(store, deadline_seconds=1e-9)
+            assert all(math.isnan(v) for v in evaluation.scores["S1"])
+            assert self._logged(store) == [None] * 4
 
     def test_scenario_filter(self):
-        with ResultsStore() as store:
-            store.add(ResultRecord("X", "model", "MLP", "f1", 0.7, scenario="S1"))
-            store.add(ResultRecord("X", "model", "MLP", "f1", 0.9, scenario="S4"))
-            assert store.values(scenario="S1") == [0.7]
-            assert store.values(scenario="S4") == [0.9]
+        with CheckpointStore() as store:
+            evaluation = self._evaluate(store)
+            assert self._logged(store, "S1") == evaluation.scores["S1"]
+            assert self._logged(store, "S4") == evaluation.scores["S4"]

@@ -13,7 +13,6 @@ from repro.dataset import (
     Table,
     TableEncoder,
     kfold_indices,
-    standardize,
     train_test_split,
 )
 from repro.dataset.encoding import encode_supervised
@@ -35,16 +34,23 @@ def table():
 
 
 class TestStandardize:
+    """Numerical columns are z-scored by :class:`TableEncoder`."""
+
+    @staticmethod
+    def _numeric(a, b):
+        schema = Schema.from_pairs([("a", NUMERICAL), ("b", NUMERICAL)])
+        return Table(schema, {"a": a, "b": b})
+
     def test_zero_mean_unit_std(self):
-        m = np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]])
-        scaled, mean, std = standardize(m)
+        table = self._numeric([1.0, 3.0, 5.0], [5.0, 5.0, 5.0])
+        scaled = TableEncoder().fit_transform(table)
         assert np.allclose(scaled.mean(axis=0), [0.0, 0.0])
-        assert np.allclose(mean, [3.0, 5.0])
+        assert np.allclose(scaled[:, 0] * np.std([1.0, 3.0, 5.0]), [-2, 0, 2])
         # Constant column: std forced to 1, values centred to 0.
         assert np.allclose(scaled[:, 1], 0.0)
 
     def test_empty(self):
-        scaled, _, _ = standardize(np.zeros((0, 2)))
+        scaled = TableEncoder().fit_transform(self._numeric([], []))
         assert scaled.shape == (0, 2)
 
 

@@ -12,9 +12,10 @@ from repro.datagen import generate
 from repro.datagen.io import _kb_from_dict, _kb_to_dict, load_dataset, save_dataset
 from repro.detectors import KnowledgeBase, MVDetector, NadeefDetector
 from repro.detectors.base import Detector
-from repro.repair import GroundTruthRepair, RepairMethod
-from repro.repository import DataRepository
-from repro.repository.store import REPAIRED
+from repro.benchmark.runner import RepairRun
+from repro.repair import DeleteRepair, GroundTruthRepair, RepairMethod
+from repro.repository import CheckpointStore
+from repro.resilience import SuiteCheckpoint, unit_key
 
 
 class TestDatasetRoundTrip:
@@ -89,27 +90,42 @@ class TestKnowledgeBaseSerialization:
 
 
 class TestRepositoryMetadata:
-    def test_metadata_round_trip(self):
-        dataset = generate("Nasa", n_rows=60, seed=6)
-        with DataRepository() as repo:
-            repo.save_version(
-                "Nasa", REPAIRED, dataset.clean, variant="MVD+Delete",
-                metadata={"kept_rows": [0, 2, 4], "detector": "MVD"},
+    """Repair provenance (e.g. a Delete repair's ``kept_rows``) is stored
+    with the repaired version in its checkpoint-store unit."""
+
+    @staticmethod
+    def _stored_run(repair, seed):
+        dataset = generate("Nasa", n_rows=60, seed=seed)
+        cells = MVDetector().detect(dataset.context(seed=0)).cells
+        with CheckpointStore() as store:
+            checkpoint = SuiteCheckpoint(store, "run")
+            (run,) = run_repair_suite(
+                dataset, {"MVD": cells}, [repair], checkpoint=checkpoint
             )
-            metadata = repo.load_metadata("Nasa", REPAIRED, "MVD+Delete")
-            assert metadata["kept_rows"] == [0, 2, 4]
-            assert metadata["detector"] == "MVD"
+            payload = checkpoint.get(
+                unit_key("repair", "Nasa", detector="MVD", repair=repair.name)
+            )
+        return run, payload
+
+    def test_metadata_round_trip(self):
+        run, payload = self._stored_run(DeleteRepair(), seed=6)
+        kept_rows = run.result.metadata["kept_rows"]
+        assert len(kept_rows) == run.result.repaired.n_rows < 60
+        assert payload["result"]["metadata"]["kept_rows"] == kept_rows
+        assert payload["detector"] == "MVD"
+        loaded = RepairRun.from_payload(payload)
+        assert loaded.result.metadata == run.result.metadata
 
     def test_default_metadata_empty(self):
-        dataset = generate("Nasa", n_rows=60, seed=7)
-        with DataRepository() as repo:
-            repo.save_version("Nasa", REPAIRED, dataset.clean, variant="x")
-            assert repo.load_metadata("Nasa", REPAIRED, "x") == {}
+        _, payload = self._stored_run(GroundTruthRepair(), seed=7)
+        assert payload["result"]["metadata"] == {}
 
     def test_missing_metadata_raises(self):
-        with DataRepository() as repo:
-            with pytest.raises(KeyError):
-                repo.load_metadata("ghost", REPAIRED)
+        with CheckpointStore() as store:
+            ghost = unit_key("repair", "ghost", repair="Delete")
+            assert store.get("run", ghost) is None
+            with pytest.raises(TypeError):
+                RepairRun.from_payload(store.get("run", ghost))
 
 
 class _ExplodingDetector(Detector):

@@ -12,9 +12,8 @@ from repro.detectors.dboost import (
     _mixture_outliers,
 )
 from repro.detectors.duplicates import (
-    _string_similarity,
     column_standard_deviations,
-    pair_features,
+    pair_feature_matrix,
 )
 from repro.detectors.features import metadata_features, strategy_features
 from repro.detectors.openrefine import cluster_column, fingerprint
@@ -87,6 +86,17 @@ class TestDBoostModels:
             assert not flags[-2]
 
 
+def _pair_features(table, i, j, stds):
+    """ZeroER's feature vector for the one pair ``(i, j)``."""
+    return pair_feature_matrix(table, [(i, j)], stds)[0]
+
+
+def _string_similarity(a, b):
+    """ZeroER's trigram Jaccard of two text cells."""
+    table = Table(Schema.from_pairs([("c", CATEGORICAL)]), {"c": [a, b]})
+    return _pair_features(table, 0, 1, {})[0]
+
+
 class TestZeroERFeatures:
     def test_string_similarity_bounds(self):
         assert _string_similarity("abc", "abc") == 1.0
@@ -100,15 +110,15 @@ class TestZeroERFeatures:
             {"x": [1.0, 1.0, 50.0], "c": ["alpha", "alpha", "omega"]},
         )
         stds = column_standard_deviations(table)
-        same = pair_features(table, 0, 1, stds)
-        different = pair_features(table, 0, 2, stds)
+        same = _pair_features(table, 0, 1, stds)
+        different = _pair_features(table, 0, 2, stds)
         assert same.mean() > 0.95
         assert different.mean() < same.mean()
 
     def test_missing_values_neutral(self):
         schema = Schema.from_pairs([("x", NUMERICAL)])
         table = Table(schema, {"x": [1.0, None]})
-        features = pair_features(table, 0, 1, {"x": 1.0})
+        features = _pair_features(table, 0, 1, {"x": 1.0})
         assert features[0] == 0.5
 
 

@@ -1,7 +1,8 @@
 """Cross-module integration tests: the full REIN pipeline end to end.
 
 Dataset generation -> controller pruning -> detection -> repair ->
-scenario evaluation -> repository persistence, on multiple task types.
+scenario evaluation -> checkpoint-store persistence, on multiple task
+types.
 """
 
 import math
@@ -25,8 +26,8 @@ from repro.repair import (
     MissForestMixRepair,
     RepairMethod,
 )
-from repro.repository import DataRepository, ResultsStore
-from repro.repository.store import DIRTY, GROUND_TRUTH, REPAIRED, ResultRecord
+from repro.repository import CheckpointStore
+from repro.resilience import SuiteCheckpoint, unit_key
 
 
 class TestClassificationPipeline:
@@ -67,26 +68,39 @@ class TestClassificationPipeline:
         )
         assert evaluation.mean("S1") > evaluation.mean("S4") - 0.25
 
-    def test_versions_round_trip_through_repository(self):
+    def test_versions_round_trip_through_repository(self, tmp_path):
         dataset = generate("Beers", n_rows=120, seed=1)
         context = dataset.context(seed=0)
         detected = MVDetector().detect(context)
-        repaired = MeanModeImputeRepair().repair(
-            context, detected.cells
-        ).repaired
-        with DataRepository() as repo:
-            repo.save_version(dataset.name, GROUND_TRUTH, dataset.clean)
-            repo.save_version(dataset.name, DIRTY, dataset.dirty)
-            repo.save_version(
-                dataset.name, REPAIRED, repaired, variant="MVD+Impute-Mean"
+        path = str(tmp_path / "store.sqlite")
+        with SuiteCheckpoint.open(path, "run") as checkpoint:
+            (run,) = run_repair_suite(
+                dataset, {"MVD": set(detected.cells)},
+                [MeanModeImputeRepair()], checkpoint=checkpoint,
             )
-            loaded = repo.load_version(
-                dataset.name, REPAIRED, variant="MVD+Impute-Mean"
+        repaired = run.result.repaired
+        with SuiteCheckpoint.open(path, "run") as checkpoint:
+            # A resumed run reloads the stored version instead of repairing.
+            (resumed,) = run_repair_suite(
+                dataset, {"MVD": set(detected.cells)},
+                [_Unrunnable("Impute-Mean")], checkpoint=checkpoint,
             )
-            # The loaded version trains a model identically to the original.
-            direct = run_scenario("S1", repaired, dataset, "DT", seed=0)
-            via_repo = run_scenario("S1", loaded, dataset, "DT", seed=0)
-            assert direct == pytest.approx(via_repo, abs=0.05)
+        loaded = resumed.result.repaired
+        assert loaded.diff_cells(repaired) == set()
+        # The loaded version trains a model identically to the original.
+        direct = run_scenario("S1", repaired, dataset, "DT", seed=0)
+        via_repo = run_scenario("S1", loaded, dataset, "DT", seed=0)
+        assert direct == pytest.approx(via_repo, abs=0.05)
+
+
+class _Unrunnable(RepairMethod):
+    """Stands in for a repair whose every unit is already stored."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def _repair(self, context, detections):
+        raise AssertionError("a stored unit was recomputed")
 
 
 class TestRegressionPipeline:
@@ -117,20 +131,20 @@ class TestClusteringPipeline:
 class TestResultsLogging:
     def test_experiment_records_accumulate(self):
         dataset = generate("Nasa", n_rows=150, seed=4)
-        with ResultsStore() as store:
-            runs = run_detection_suite(dataset, [MVDetector()], seed=0)
-            for run in runs:
-                store.add(ResultRecord(
-                    dataset.name, "detection", run.detector, "f1",
-                    run.scores.f1,
-                ))
-                store.add(ResultRecord(
-                    dataset.name, "detection", run.detector, "runtime",
-                    run.result.runtime_seconds,
-                ))
-            assert store.count() == 2
-            means = store.mean_by_method(dataset.name, "detection", "f1")
-            assert "MVD" in means
+        with CheckpointStore() as store:
+            checkpoint = SuiteCheckpoint(store, "run")
+            (run,) = run_detection_suite(
+                dataset, [MVDetector()], seed=0, checkpoint=checkpoint
+            )
+            assert store.count("run") == 1
+            payload = checkpoint.get(unit_key("detection", "Nasa", "MVD"))
+            assert payload["scores"]["f1"] == run.scores.f1
+            assert payload["runtime_seconds"] == run.result.runtime_seconds
+            evaluate_scenarios(
+                dataset, dataset.dirty, "dirty", "Ridge",
+                scenario_names=("S1",), n_seeds=2, checkpoint=checkpoint,
+            )
+            assert store.count("run") == 3
 
 
 class TestRobustnessToSeeds:

@@ -14,6 +14,7 @@ import check_clocks  # noqa: E402
 import check_dataplane  # noqa: E402
 import check_exceptions  # noqa: E402
 import check_hot_loops  # noqa: E402
+import check_reachable  # noqa: E402
 import check_rng  # noqa: E402
 import check_service_endpoints  # noqa: E402
 
@@ -620,9 +621,12 @@ def test_rng_lint_cli_exit_codes(tmp_path, capsys):
     assert check_rng.main(["prog", str(tmp_path / "nope")]) == 2
 
 
-#: Test-only modules under ``tests/``: the frozen kernel oracles and the
-#: executor doubles.  Production code has one path and never reaches them.
-TEST_ONLY_MODULES = {"oracles", "parallel_doubles", "service_doubles"}
+#: Test-only modules under ``tests/``: the frozen kernel oracles, the
+#: executor doubles and the chaos fault wrappers.  Production code has
+#: one path and never reaches them.
+TEST_ONLY_MODULES = {
+    "chaos_doubles", "oracles", "parallel_doubles", "service_doubles",
+}
 
 
 def test_src_ships_no_oracles_or_test_doubles():
@@ -644,3 +648,72 @@ def test_src_ships_no_oracles_or_test_doubles():
                 if name.partition(".")[0] in TEST_ONLY_MODULES
             )
     assert offenders == [], "\n".join(offenders)
+
+
+def _package(root, files):
+    """Write a fixture ``repro`` tree: {relative path: source}."""
+    for relative, source in files.items():
+        path = root / "repro" / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+
+
+def test_every_src_module_reachable_from_the_cli():
+    violations = check_reachable.check_tree(REPO_ROOT / "src")
+    assert violations == [], "\n".join(violations)
+
+
+def test_reachable_allowlist_has_a_reason_per_entry():
+    assert set(check_reachable.ALLOWLIST) == {
+        "repro.ml.automl", "repro.profiling", "repro.profiling.profiler",
+    }
+    assert all(reason.strip() for reason in check_reachable.ALLOWLIST.values())
+
+
+def test_reachable_lint_flags_orphan_module(tmp_path):
+    _package(tmp_path, {
+        "__init__.py": "",
+        "cli.py": "from repro.core import run\n",
+        "core.py": "def run():\n    pass\n",
+        "orphan.py": "import repro.core\n",
+    })
+    violations = check_reachable.check_tree(tmp_path)
+    assert len(violations) == 1
+    assert "orphan.py:1: module repro.orphan" in violations[0]
+
+
+def test_reachable_lint_follows_function_local_and_package_imports(
+    tmp_path,
+):
+    _package(tmp_path, {
+        "__init__.py": "",
+        "__main__.py": "from repro import cli\n",
+        "cli.py": "def main():\n    from repro.stages import detect\n",
+        "stages/__init__.py": "",
+        "stages/detect.py": "from . import helpers\n",
+        "stages/helpers.py": "",
+    })
+    assert check_reachable.check_tree(tmp_path) == []
+
+
+def test_reachable_lint_skips_allowlisted_modules(tmp_path):
+    _package(tmp_path, {
+        "__init__.py": "",
+        "cli.py": "",
+        "ml/__init__.py": "",
+        "ml/automl.py": "from repro.ml import search\n",
+        "ml/search.py": "",
+        "profiling/__init__.py": "from repro.profiling.profiler import x\n",
+        "profiling/profiler.py": "x = 1\n",
+    })
+    # Allowlisted modules, and what they import, are not flagged.
+    assert check_reachable.check_tree(tmp_path) == []
+
+
+def test_reachable_lint_cli_exit_codes(tmp_path, capsys):
+    _package(tmp_path, {"__init__.py": "", "cli.py": ""})
+    assert check_reachable.main(["prog", str(tmp_path)]) == 0
+    _package(tmp_path, {"dead.py": ""})
+    assert check_reachable.main(["prog", str(tmp_path)]) == 1
+    assert "dead.py:1" in capsys.readouterr().out
+    assert check_reachable.main(["prog", str(tmp_path / "nope")]) == 2

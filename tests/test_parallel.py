@@ -33,12 +33,11 @@ from repro.parallel import (
 from repro.repair import GroundTruthRepair, MeanModeImputeRepair
 from repro.resilience import (
     CircuitBreaker,
-    CorruptingRepair,
-    CrashingDetector,
     FailureRecord,
     SuiteCheckpoint,
 )
 
+from chaos_doubles import CorruptingRepair, CrashingDetector
 from parallel_doubles import ShuffledExecutor
 
 

@@ -71,7 +71,7 @@ class TestBaranTransformProperties:
     @given(plain_text, plain_text)
     @settings(max_examples=100, deadline=None)
     def test_edit_distance_agrees_with_similarity_module(self, a, b):
-        from repro.detectors.similarity import levenshtein
+        from oracles.repair import levenshtein
 
         assert edit_distance(a, b, cutoff=100) == levenshtein(a, b)
 

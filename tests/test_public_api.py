@@ -1,7 +1,9 @@
 """Public-API quality gate: exports resolve and everything is documented."""
 
 import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +69,18 @@ def test_repair_registry_names_are_stable():
         "Bayes-MISS", "KNN-MISS", "HoloClean", "OpenRefine", "BARAN",
         "CleanLab", "ActiveClean", "BoostClean", "CPClean",
     }
+
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parent.parent / "examples").glob("*.py")
+)
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+def test_example_imports(path):
+    # Importing (without running main) resolves every public name the
+    # example uses, so deleting one it still needs fails here.
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

@@ -8,9 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.benchmark import evaluate_scenarios, run_detection_suite
+from repro.benchmark import (
+    evaluate_scenarios,
+    run_detection_suite,
+    run_repair_suite,
+)
 from repro.datagen import generate
 from repro.detectors import MVDetector
+from repro.parallel import ProcessPoolExecutor
+from repro.repair import MeanModeImputeRepair, RepairMethod
 from repro.resilience import (
     BUG,
     CAPABILITY,
@@ -18,7 +24,6 @@ from repro.resilience import (
     TRANSIENT,
     CircuitBreaker,
     CorruptOutputError,
-    CrashingDetector,
     Deadline,
     DeadlineExceeded,
     FailureRecord,
@@ -32,6 +37,8 @@ from repro.resilience import (
 from repro.repository import CheckpointStore
 from repro.repository.store import nan_guard
 from repro.resilience.checkpoint import SuiteCheckpoint
+
+from chaos_doubles import CrashingDetector
 
 
 class FakeClock:
@@ -312,6 +319,26 @@ class TestCheckpointStore:
             assert math.isnan(loaded["value"])
             assert math.isnan(nan_guard(loaded["value"]))
 
+    def test_infinite_payloads_stored_as_standard_json(self, tmp_path):
+        # json.dumps(allow_nan=False) used to reject ±inf outright; they
+        # are now tagged objects that get() turns back into floats.
+        path = str(tmp_path / "ckpt.sqlite")
+        payload = {"value": math.inf, "rows": [[-math.inf, 1.5, "inf"]]}
+        with CheckpointStore(path) as store:
+            store.put("r", "u", payload)
+            store.put("r", "finite", {"value": 1.5, "rows": [["inf"]]})
+            store.commit()
+            raw = dict(store._connection.execute(
+                "SELECT unit, payload_json FROM checkpoints"
+            ).fetchall())
+            assert "Infinity" not in raw["u"]
+            json.loads(raw["u"], parse_constant=pytest.fail)  # strict JSON
+            assert raw["finite"] == json.dumps(
+                {"value": 1.5, "rows": [["inf"]]}, sort_keys=True
+            )
+        with CheckpointStore(path) as store:
+            assert store.get("r", "u") == payload
+
     def test_suite_checkpoint_open_resume_semantics(self, tmp_path):
         path = str(tmp_path / "ckpt.sqlite")
         with SuiteCheckpoint.open(path, "r1") as ckpt:
@@ -352,6 +379,60 @@ class TestCheckpointStore:
 
         # Equal reprs of different types stay distinct.
         assert run_id_for(Config()) != run_id_for("cfg")
+
+
+class _StoredRepair(RepairMethod):
+    """Stands in for a repair whose every unit is already stored."""
+
+    name = "Impute-Mean"
+
+    def _repair(self, context, detections):
+        raise AssertionError("a stored unit was recomputed")
+
+
+class TestInfiniteCells:
+    """A numerical dirty cell holding ±inf that no detector flags stays
+    in the repaired table; checkpointing that table used to kill the run
+    with "Out of range float values are not JSON compliant"."""
+
+    @staticmethod
+    def _dataset():
+        dataset = generate("SmartFactory", n_rows=60, seed=0)
+        column = dataset.dirty.schema.numerical_names[0]
+        dataset.dirty.set_cell(6, column, math.inf)
+        dataset.dirty.set_cell(7, column, -math.inf)
+        return dataset, {"X": {(5, column)}}
+
+    def test_stored_serial_pooled_and_unstored_runs_agree(self, tmp_path):
+        dataset, detections = self._dataset()
+        column = dataset.dirty.schema.numerical_names[0]
+        (plain,) = run_repair_suite(
+            dataset, detections, [MeanModeImputeRepair()], seed=0
+        )
+        assert plain.result.repaired.get_cell(6, column) == math.inf
+        stored = {}
+        for name, executor in (
+            ("serial", None),
+            ("pooled", ProcessPoolExecutor(2, start_method="fork")),
+        ):
+            path = str(tmp_path / f"{name}.sqlite")
+            with SuiteCheckpoint.open(path, "r") as checkpoint:
+                (stored[name],) = run_repair_suite(
+                    dataset, detections, [MeanModeImputeRepair()], seed=0,
+                    checkpoint=checkpoint, executor=executor,
+                )
+            with SuiteCheckpoint.open(path, "r") as checkpoint:
+                (stored[f"{name} resumed"],) = run_repair_suite(
+                    dataset, detections, [_StoredRepair()], seed=0,
+                    checkpoint=checkpoint,
+                )
+        for name, run in stored.items():
+            assert not run.failed, name
+            assert run.result.repaired.diff_cells(
+                plain.result.repaired
+            ) == set(), name
+            assert run.result.repaired.get_cell(7, column) == -math.inf
+            assert run.numerical_rmse == plain.numerical_rmse, name
 
 
 class TestRunnerFailureBookkeeping:

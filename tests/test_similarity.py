@@ -1,4 +1,12 @@
-"""Tests for the Magellan-style similarity feature library."""
+"""Tests for the similarity measures the pipeline computes.
+
+ZeroER featurizes a candidate row pair with one value per column
+(:func:`repro.detectors.duplicates.pair_feature_matrix`): padded
+character-trigram Jaccard for text cells, closeness scaled by the
+column's standard deviation for numeric cells, 0.5 when a cell is
+missing.  BARAN ranks repair candidates by Levenshtein distance
+(:func:`repro.repair.baran.edit_distance`).
+"""
 
 import numpy as np
 import pytest
@@ -6,20 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
-from repro.detectors.similarity import (
-    character_ngrams,
-    jaccard_ngram,
-    jaccard_tokens,
-    levenshtein,
-    levenshtein_ratio,
-    monge_elkan,
-    numeric_similarity,
-    overlap_coefficient,
-    pair_feature_names,
-    record_pair_features,
-)
+from repro.detectors.duplicates import pair_feature_matrix
+from repro.repair.baran import edit_distance
 
 short_text = st.text(alphabet="abcxyz ", max_size=12)
+
+
+def jaccard_ngram(a: str, b: str) -> float:
+    """ZeroER's trigram Jaccard of two text cells."""
+    table = Table(Schema.from_pairs([("c", CATEGORICAL)]), {"c": [a, b]})
+    return float(pair_feature_matrix(table, [(0, 1)], {})[0, 0])
+
+
+def numeric_similarity(a: float, b: float, scale: float) -> float:
+    """ZeroER's closeness of two numeric cells in a column of std ``scale``."""
+    table = Table(Schema.from_pairs([("x", NUMERICAL)]), {"x": [a, b]})
+    return float(pair_feature_matrix(table, [(0, 1)], {"x": scale})[0, 0])
 
 
 class TestLevenshtein:
@@ -36,54 +46,41 @@ class TestLevenshtein:
         ],
     )
     def test_known_distances(self, a, b, expected):
-        assert levenshtein(a, b) == expected
+        assert edit_distance(a, b, cutoff=100) == expected
 
     def test_cutoff(self):
-        assert levenshtein("aaaaaaaa", "bbbbbbbb", cutoff=2) == 3
+        assert edit_distance("aaaaaaaa", "bbbbbbbb", cutoff=2) == 3
 
     @given(short_text, short_text)
     @settings(max_examples=100, deadline=None)
     def test_symmetry(self, a, b):
-        assert levenshtein(a, b) == levenshtein(b, a)
+        assert edit_distance(a, b, cutoff=100) == edit_distance(
+            b, a, cutoff=100
+        )
 
     @given(short_text, short_text, short_text)
     @settings(max_examples=60, deadline=None)
     def test_triangle_inequality(self, a, b, c):
-        assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+        assert edit_distance(a, c, cutoff=100) <= edit_distance(
+            a, b, cutoff=100
+        ) + edit_distance(b, c, cutoff=100)
 
 
 class TestStringSimilarities:
-    @pytest.mark.parametrize(
-        "fn",
-        [jaccard_ngram, jaccard_tokens, overlap_coefficient,
-         levenshtein_ratio, monge_elkan],
-        ids=lambda f: f.__name__,
-    )
+    @pytest.mark.parametrize("fn", [jaccard_ngram], ids=lambda f: f.__name__)
     def test_identity_is_one(self, fn):
         assert fn("hello world", "hello world") == pytest.approx(1.0)
 
-    @pytest.mark.parametrize(
-        "fn",
-        [jaccard_ngram, jaccard_tokens, overlap_coefficient,
-         levenshtein_ratio, monge_elkan],
-        ids=lambda f: f.__name__,
-    )
+    @pytest.mark.parametrize("fn", [jaccard_ngram], ids=lambda f: f.__name__)
     @given(a=short_text, b=short_text)
     @settings(max_examples=60, deadline=None)
     def test_bounds(self, fn, a, b):
         assert 0.0 <= fn(a, b) <= 1.0
 
     def test_ngrams(self):
-        grams = character_ngrams("ab", 3)
-        assert "  a" in grams
-
-    def test_token_reorder_invariance(self):
-        assert jaccard_tokens("new york", "york new") == 1.0
-        assert overlap_coefficient("new york city", "new york") == 1.0
-
-    def test_monge_elkan_partial(self):
-        assert monge_elkan("john smith", "jon smith") > 0.8
-        assert monge_elkan("john smith", "zzz qqq") < 0.3
+        # Padding gives "ab" and "ax" the shared leading gram "  a":
+        # {"  a", " ab", "ab "} vs {"  a", " ax", "ax "}.
+        assert jaccard_ngram("ab", "ax") == pytest.approx(1 / 5)
 
 
 class TestNumericSimilarity:
@@ -94,6 +91,7 @@ class TestNumericSimilarity:
         assert numeric_similarity(0.0, 2.0, 2.0) == 0.0
 
     def test_zero_scale(self):
+        # A zero std falls back to a unit scale.
         assert numeric_similarity(1.0, 1.0, 0.0) == 1.0
         assert numeric_similarity(1.0, 2.0, 0.0) == 0.0
 
@@ -107,21 +105,23 @@ class TestRecordPairFeatures:
         )
 
     def test_feature_names_align_with_vector(self):
+        # One feature per column, in column order: x first.
         table = self._table()
-        names = pair_feature_names(table)
-        features = record_pair_features(table, 0, 1, {"x": 1.0})
-        assert len(names) == len(features)
-        assert names[0] == "x:numeric"
+        features = pair_feature_matrix(table, [(0, 2)], {"x": 1.0})
+        assert features.shape == (1, len(table.column_names))
+        assert features[0, 0] == numeric_similarity(1.0, 9.0, 1.0)
+        assert features[0, 1] == jaccard_ngram("acme corp", "zzz")
 
     def test_duplicates_score_high(self):
         table = self._table()
-        same = record_pair_features(table, 0, 1, {"x": 1.0})
-        different = record_pair_features(table, 0, 2, {"x": 1.0})
+        same, different = pair_feature_matrix(
+            table, [(0, 1), (0, 2)], {"x": 1.0}
+        )
         assert same.mean() > 0.99
         assert different.mean() < 0.5
 
     def test_missing_is_neutral(self):
         schema = Schema.from_pairs([("c", CATEGORICAL)])
         table = Table(schema, {"c": ["a", None]})
-        features = record_pair_features(table, 0, 1, {})
+        features = pair_feature_matrix(table, [(0, 1)], {})
         assert np.allclose(features, 0.5)

@@ -37,11 +37,11 @@ from repro.parallel import ProcessPoolExecutor, null_sleep
 from repro.repair import GroundTruthRepair, MeanModeImputeRepair
 from repro.resilience import (
     CircuitBreaker,
-    CorruptingRepair,
-    CrashingDetector,
     SuiteCheckpoint,
 )
 from repro.service.jobs import strip_timing
+
+from chaos_doubles import CorruptingRepair, CrashingDetector
 
 #: Digests recorded from the canonical stores; see the module docstring.
 GOLDEN = {
