@@ -200,6 +200,8 @@ def run_experiment(
     finally:
         if checkpoint is not None:
             checkpoint.close()
+        if guard_kwargs["executor"] is not None:
+            guard_kwargs["executor"].close()
 
 
 def _run_experiment_stages(

@@ -249,9 +249,13 @@ def current_cache() -> Optional[ArtifactCache]:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-def install_cache(cache: ArtifactCache) -> None:
-    """Install permanently (pool workers; the process owns its stack)."""
-    _ACTIVE.append(cache)
+def install_cache(cache: Optional[ArtifactCache]) -> None:
+    """Make ``cache`` (None: nothing) the whole process stack.
+
+    For pool workers, which own their stack and reconcile it with every
+    plan they serve; a forked worker's inherited stack is replaced.
+    """
+    _ACTIVE[:] = [] if cache is None else [cache]
 
 
 @contextmanager

@@ -343,6 +343,14 @@ def _guard_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
+def _close_guards(guards: dict) -> None:
+    """Release what ``_guard_kwargs`` opened: the store and the pool."""
+    if guards["checkpoint"] is not None:
+        guards["checkpoint"].close()
+    if guards["executor"] is not None:
+        guards["executor"].close()
+
+
 def _make_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
     """Telemetry for this invocation, or None (the zero-cost default)."""
     if args.events is None and not args.verbose:
@@ -493,7 +501,6 @@ def _detection_runtimes(runs):
 def _cmd_detect(args: argparse.Namespace) -> int:
     dataset = generate(args.dataset, n_rows=args.rows, seed=args.seed)
     guards = _guard_kwargs(args)
-    checkpoint = guards["checkpoint"]
     controller = BenchmarkController(breaker=guards["breaker"])
     applicable = controller.applicable_detectors(dataset)
     with _telemetry_session(args) as telemetry, \
@@ -504,8 +511,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 block_rows=args.block_rows, **guards
             )
         finally:
-            if checkpoint is not None:
-                checkpoint.close()
+            _close_guards(guards)
     if args.quiet:
         return 0
     active = [r for r in runs if not r.failed and r.result.n_detected > 0]
@@ -541,7 +547,6 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
     dataset = generate(args.dataset, n_rows=args.rows, seed=args.seed)
     guards = _guard_kwargs(args)
-    checkpoint = guards["checkpoint"]
     with _telemetry_session(args) as telemetry, \
             _cache_session(args, telemetry):
         try:
@@ -563,8 +568,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
                 **guards,
             )
         finally:
-            if checkpoint is not None:
-                checkpoint.close()
+            _close_guards(guards)
     if args.quiet:
         return 0
     rows = []
@@ -594,7 +598,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
         print(f"{dataset.name} has no associated ML task", file=sys.stderr)
         return 2
     guards = _guard_kwargs(args)
-    checkpoint = guards["checkpoint"]
     with _telemetry_session(args) as telemetry, \
             _cache_session(args, telemetry):
         try:
@@ -602,12 +605,11 @@ def _cmd_model(args: argparse.Namespace) -> int:
                 dataset, dataset.dirty, "dirty", args.model,
                 scenario_names=("S1", "S4"), n_seeds=args.seeds,
                 deadline_seconds=guards["deadline_seconds"],
-                retry=guards["retry"], checkpoint=checkpoint,
+                retry=guards["retry"], checkpoint=guards["checkpoint"],
                 executor=guards["executor"],
             )
         finally:
-            if checkpoint is not None:
-                checkpoint.close()
+            _close_guards(guards)
     if args.quiet:
         return 0
     ab = evaluation.ab_test("S1", "S4")

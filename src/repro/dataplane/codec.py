@@ -138,18 +138,20 @@ class _BufferRegistry:
 def encode_table(table: Table) -> EncodedTable:
     """Pack ``table`` into flat buffers (see the module docstring)."""
     registry = _BufferRegistry()
+    # Text -> pool code, in first-occurrence order (dicts keep it).
     intern: Dict[str, int] = {}
-    uniques: List[str] = []
     columns_meta: List[Dict[str, Any]] = []
     n = table.n_rows
     for name in table.schema.names:
         col = table.column(name)
-        kinds = np.empty(n, dtype=np.uint8)
-        for i, value in enumerate(col):
-            tag = _TAG_BY_TYPE.get(type(value), KIND_OTHER)
-            if tag == KIND_INT and not _INT64_MIN <= value <= _INT64_MAX:
-                tag = KIND_BIGINT
-            kinds[i] = tag
+        kinds = np.fromiter(
+            (_TAG_BY_TYPE.get(type(value), KIND_OTHER) for value in col),
+            dtype=np.uint8,
+            count=n,
+        )
+        for i in np.flatnonzero(kinds == KIND_INT):
+            if not _INT64_MIN <= col[i] <= _INT64_MAX:
+                kinds[i] = KIND_BIGINT
         meta_col: Dict[str, Any] = {
             "name": name,
             "kinds": registry.add(kinds),
@@ -172,17 +174,17 @@ def encode_table(table: Table) -> EncodedTable:
             meta_col["lane"] = registry.add(lane)
         m_text = (kinds == KIND_TEXT) | (kinds == KIND_BIGINT)
         if m_text.any():
-            codes = np.empty(int(m_text.sum()), dtype=np.int64)
-            position = 0
-            for i in np.flatnonzero(m_text):
-                text = col[i] if kinds[i] == KIND_TEXT else str(col[i])
-                code = intern.get(text)
-                if code is None:
-                    code = len(uniques)
-                    intern[text] = code
-                    uniques.append(text)
-                codes[position] = code
-                position += 1
+            texts = col[m_text]
+            codes = np.fromiter(
+                (
+                    intern.setdefault(
+                        text if type(text) is str else str(text), len(intern)
+                    )
+                    for text in texts
+                ),
+                dtype=np.int64,
+                count=len(texts),
+            )
             meta_col["codes"] = registry.add(codes)
         m_other = kinds == KIND_OTHER
         if m_other.any():
@@ -194,6 +196,7 @@ def encode_table(table: Table) -> EncodedTable:
                 np.frombuffer(blob, dtype=np.uint8)
             )
         columns_meta.append(meta_col)
+    uniques = list(intern)
     encoded_uniques = [text.encode("utf-8") for text in uniques]
     pool_offsets = np.zeros(len(uniques) + 1, dtype=np.int64)
     if uniques:

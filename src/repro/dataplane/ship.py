@@ -16,7 +16,13 @@ data plane splits the two concerns:
   each reference by attaching the named segment read-only and decoding
   it lazily (``persistent_load``).  Attaches are memoized per process,
   so every unit a worker runs -- and every *column* access inside a
-  unit -- reads the same mapped bytes.
+  unit -- reads the same mapped bytes.  A long-lived worker moving on
+  to the next plan calls :func:`release_attached`, so the previous
+  plan's (already unlinked) mappings can be reclaimed.
+
+The context must pickle: a :class:`SharedShipment` is bytes, and it
+crosses into pool workers that already exist, for every start method.
+An unpicklable context raises :class:`TypeError` at pack time.
 
 ``pack_shared(..., share_tables=False)`` keeps tables inline in the
 shell (the legacy whole-pickle behavior); the speed benchmark uses it
@@ -61,23 +67,14 @@ class SharedShipment:
     ``pickle.dumps(shipment)`` is the per-worker shipping cost, which is
     why the shipment carries bytes accounting for the telemetry
     counters.
-
-    ``inline_object`` (with ``shell=None``) is the fallback for
-    contexts that cannot pickle at all -- e.g. test harnesses whose
-    clocks are lambdas: the object rides the shipment by reference,
-    which only ever crosses a ``fork`` boundary (exactly the historical
-    semantics; ``spawn`` has always required a picklable context).
     """
 
-    shell: Optional[bytes]
+    shell: bytes
     handles: Tuple[TableHandle, ...] = field(default_factory=tuple)
-    inline_object: Any = None
 
     @property
     def shipped_bytes(self) -> int:
         """Bytes pickled per worker (the shell + tiny handle metas)."""
-        if self.shell is None:
-            return 0  # rides the fork by reference; nothing serialized
         return len(self.shell) + sum(
             len(pickle.dumps(handle, protocol=pickle.HIGHEST_PROTOCOL))
             for handle in self.handles
@@ -123,8 +120,11 @@ def pack_shared(
 ) -> SharedShipment:
     """Pack a stage context for dispatch; segments go on ``manager``.
 
-    The caller owns ``manager`` cleanup (``destroy()`` in a
-    ``finally``), including when packing itself raises partway through.
+    Raises :class:`TypeError` (its message names what does not pickle)
+    when the context cannot pickle; segments spilled before the failure
+    are released first.  The caller
+    still owns ``manager`` cleanup (``destroy()`` in a ``finally``; it
+    is idempotent).
     """
     try:
         if not share_tables:
@@ -134,16 +134,11 @@ def pack_shared(
         buffer = io.BytesIO()
         pickler = _TableSwappingPickler(buffer, manager)
         pickler.dump(shared)
-    except (pickle.PicklingError, TypeError, AttributeError):
-        # The context itself refuses to pickle (e.g. a chaos harness
-        # whose injected clock is a lambda).  Historically such contexts
-        # still worked under ``fork`` because Pool initargs cross by
-        # inheritance, not serialization -- preserve that: ship the
-        # object by reference.  Segments spilled before the failure are
-        # released now; the caller's ``finally`` destroy stays a no-op
-        # for them (destroy is idempotent).
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
         manager.destroy()
-        return SharedShipment(shell=None, inline_object=shared)
+        raise TypeError(
+            f"stage context cannot be shipped to pool workers: {exc}"
+        ) from exc
     return SharedShipment(
         shell=buffer.getvalue(), handles=tuple(pickler.handles)
     )
@@ -171,6 +166,15 @@ class _TableAttachingUnpickler(pickle.Unpickler):
 _ATTACHED: Dict[str, Table] = {}
 
 
+def release_attached() -> None:
+    """Forget every attached table (a worker moving to the next plan).
+
+    The names are already unlinked by their driver; dropping the memo
+    lets the mappings go once the old context's views are gone.
+    """
+    _ATTACHED.clear()
+
+
 def attach_table(handle: TableHandle) -> Table:
     """Attach one packed table read-only (memoized per process)."""
     table = _ATTACHED.get(handle.segment)
@@ -183,8 +187,6 @@ def attach_table(handle: TableHandle) -> Table:
 
 def attach_shipment(shipment: SharedShipment) -> Any:
     """Rebuild a stage context from its shipment (worker side)."""
-    if shipment.shell is None:
-        return shipment.inline_object  # crossed the fork by reference
     tables = tuple(attach_table(handle) for handle in shipment.handles)
     return _TableAttachingUnpickler(
         io.BytesIO(shipment.shell), tables

@@ -15,9 +15,10 @@ payloads or the checkpoint store, so suite outputs are byte-identical
 with telemetry enabled or disabled (tier-1 proves this).
 
 Worker processes install their own ledger-less telemetry
-(:func:`install_telemetry` at pool initialization); after each unit the
-engine ships :meth:`Telemetry.drain_transport` back with the result and
-the driver absorbs it at finalization, in canonical unit order.
+(:func:`install_telemetry` when a traced plan reaches them); after each
+unit the engine ships :meth:`Telemetry.drain_transport` back with the
+result and the driver absorbs it at finalization, in canonical unit
+order.
 """
 
 from __future__ import annotations
@@ -159,9 +160,13 @@ def current_telemetry() -> Optional[Telemetry]:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-def install_telemetry(telemetry: Telemetry) -> None:
-    """Install permanently (pool workers; the process owns its stack)."""
-    _ACTIVE.append(telemetry)
+def install_telemetry(telemetry: Optional[Telemetry]) -> None:
+    """Make ``telemetry`` (None: nothing) the whole process stack.
+
+    For pool workers, which own their stack and reconcile it with every
+    plan they serve; a forked worker's inherited stack is replaced.
+    """
+    _ACTIVE[:] = [] if telemetry is None else [telemetry]
 
 
 @contextmanager

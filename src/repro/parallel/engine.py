@@ -17,42 +17,51 @@ Two executors:
   result queue and the parent -- the single writer -- drains it,
   finalizing units in canonical order and batching checkpoint commits.
 
+A :class:`ProcessPoolExecutor` keeps one pool from its first plan until
+``close()``, so a run of many stage calls pays one pool start; each
+plan reaches the workers in a small task header.
+
 The pool dispatches through the shared-memory data plane
 (:mod:`repro.dataplane`): the stage's ``shared`` context is packed once
-into named segments plus a small pickled shell (tables are *not*
-pickled per worker), workers attach the segments read-only, and results
-come back as canonical-JSON payload frames -- byte-for-byte the text
-the checkpoint layer would store -- batched in chunks sized by
-:func:`adaptive_chunk_size`.  Segment lifetime is owned by the driver: a
-``finally`` around dispatch closes and unlinks every segment on normal
-teardown, interrupts, and worker crashes alike (a SIGKILLed worker is
-detected mid-run and surfaces as :class:`WorkerCrashError`; resume from
-the checkpoint store re-runs only what was lost).
+per plan into named segments plus a small pickled shell (tables are
+*not* pickled per worker), workers attach the segments read-only, and
+results come back as canonical-JSON payload frames -- byte-for-byte the
+text the checkpoint layer would store -- batched in chunks sized by
+:func:`adaptive_chunk_size`.  Segments belong to the plan, not the
+pool: a ``finally`` around dispatch closes and unlinks every segment on
+normal teardown, interrupts, and worker crashes alike (a SIGKILLed
+worker is detected mid-plan and surfaces as :class:`WorkerCrashError`;
+resume from the checkpoint store re-runs only what was lost).
 
 Determinism notes for ``ProcessPoolExecutor``: unit *results* are
 deterministic because every unit re-derives its randomness from explicit
 seeds; wall-clock runtimes inside payloads are only reproducible when an
 injectable clock (e.g. the chaos suite's step clock) is threaded through
-the suite, exactly as in serial runs.  The plan's ``shared`` context and
-every ``clock`` / ``sleep`` callable must be picklable; the default
-``fork`` start method additionally preserves the parent's string-hash
-seed so set iteration order inside tools matches the parent process
-(suite payloads canonicalize their collections, so ``spawn`` runs are
+the suite, exactly as in serial runs.  The plan's adapter, its
+``shared`` context and every ``clock`` / ``sleep`` callable must be
+picklable, for every start method (an unpicklable context raises
+:class:`TypeError` before any worker is used); the default ``fork``
+start method additionally preserves the parent's string-hash seed so
+set iteration order inside tools matches the parent process (suite
+payloads canonicalize their collections, so ``spawn`` runs are
 byte-identical too -- tier-1 asserts it across both start methods).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
+import pickle
 import signal
 from dataclasses import replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.cache.store import current_cache, install_cache
+from repro.cache.store import ArtifactCache, current_cache, install_cache
 from repro.dataplane.segments import SegmentManager
-from repro.dataplane.ship import SharedShipment, attach_shipment, pack_shared
+from repro.dataplane.ship import attach_shipment, pack_shared, release_attached
 from repro.observability.telemetry import (
     Telemetry,
     current_telemetry,
@@ -83,64 +92,58 @@ class WorkerCrashError(RuntimeError):
 _WORKER_STATE: Dict[str, Any] = {}
 
 
-def _init_worker(
-    adapter: Any,
-    shipment: SharedShipment,
-    telemetry: bool = False,
-    cache_spec: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Pool initializer: attach the stage context once per worker.
+def _init_worker() -> None:
+    """Pool initializer: per-process set-up only.
 
-    The shared context arrives as a :class:`SharedShipment` -- a small
-    pickled shell plus segment names -- and is rebuilt here by attaching
-    every named segment read-only (zero-copy buffer views; see
-    :mod:`repro.dataplane.ship`).  Workers never unlink: segment names
-    belong to the driver.
-
-    With ``telemetry`` on, the worker gets its own ledger-less
-    :class:`Telemetry` (spans + metrics only): instrumented code inside
-    the unit records into this worker-local buffer, and
-    :func:`_run_unit_in_worker` drains it after every unit so the driver
-    can merge it deterministically.  The ledger and the checkpoint store
-    remain single-writer, driver-only surfaces.
-
-    SIGTERM is reset to the default action: ``fork`` children inherit
-    whatever handler the dispatching process installed (the service
-    worker's graceful-drain handler swallows SIGTERM), and
-    ``Pool.terminate()`` relies on SIGTERM actually terminating the
-    children -- it holds the task-queue lock while joining them, so a
-    child that shrugs the signal off deadlocks the teardown.
-
-    With ``cache_spec`` set, the driver's artifact cache is rebuilt in
-    the worker and installed process-wide.  The cache's atomic
-    same-content write discipline makes this safe without coordination:
-    workers may race on the same key but never publish a torn or
-    divergent entry (see :mod:`repro.cache.store`).
+    Everything plan-scoped arrives later, in the task header
+    (:func:`_enter_plan`).  Here the worker resets SIGTERM to the
+    default action: ``fork`` children inherit whatever handler the
+    dispatching process installed (the service worker's graceful-drain
+    handler swallows SIGTERM), and ``Pool.terminate()`` relies on
+    SIGTERM actually terminating the children -- it holds the
+    task-queue lock while joining them, so a child that shrugs the
+    signal off deadlocks the teardown.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _WORKER_STATE["adapter"] = adapter
-    worker_telemetry: Optional[Telemetry] = None
-    if telemetry:
-        worker_telemetry = Telemetry(
-            tracer=Tracer(worker=f"worker-{os.getpid()}")
-        )
-        _WORKER_STATE["telemetry"] = worker_telemetry
-        install_telemetry(worker_telemetry)
-    if worker_telemetry is not None:
-        with worker_telemetry.span(
+
+
+def _enter_plan(token: int, header: bytes) -> None:
+    """Switch this worker to the plan ``header`` describes.
+
+    Runs on the first task of each plan a worker serves.  The header is
+    ``(adapter, shipment, traced, cache_spec)``, pickled once by the
+    driver.  The previous plan's attach memo is dropped (its segments
+    are already unlinked) and the new context is rebuilt by attaching
+    its segments read-only (see :mod:`repro.dataplane.ship`); workers
+    never unlink.  Telemetry and the artifact cache are reset to match
+    the driver's, so one pool serves any mix of plans exactly like fresh
+    pools would: a traced plan gets a ledger-less :class:`Telemetry`
+    that :func:`_run_unit_in_worker` drains after every unit, and a
+    ``cache_spec`` rebuilds the driver's cache (its atomic same-content
+    writes make sharing it safe; see :mod:`repro.cache.store`).
+    """
+    adapter, shipment, traced, cache_spec = pickle.loads(header)
+    _WORKER_STATE.clear()
+    release_attached()
+    telemetry = (
+        Telemetry(tracer=Tracer(worker=f"worker-{os.getpid()}"))
+        if traced else None
+    )
+    install_telemetry(telemetry)
+    install_cache(
+        ArtifactCache.from_spec(cache_spec) if cache_spec is not None else None
+    )
+    if telemetry is not None:
+        with telemetry.span(
             "dataplane:attach", DATAPLANE, segments=len(shipment.handles)
         ):
             shared = attach_shipment(shipment)
-        worker_telemetry.count(
-            "dataplane_segments_attached", len(shipment.handles)
-        )
+        telemetry.count("dataplane_segments_attached", len(shipment.handles))
     else:
         shared = attach_shipment(shipment)
-    _WORKER_STATE["shared"] = shared
-    if cache_spec is not None:
-        from repro.cache.store import ArtifactCache
-
-        install_cache(ArtifactCache.from_spec(cache_spec))
+    _WORKER_STATE.update(
+        token=token, adapter=adapter, shared=shared, telemetry=telemetry
+    )
 
 
 def _encode_frame(payload: Dict[str, Any]) -> bytes:
@@ -171,9 +174,13 @@ def _run_unit_in_worker(
 
 
 def _run_chunk_in_worker(
-    specs: List[UnitSpec],
+    task: Tuple[int, bytes, List[UnitSpec]],
 ) -> List[Tuple[int, bytes, Optional[Dict[str, Any]]]]:
     """Execute one dispatch chunk; frames come back batched per chunk.
+
+    A task is ``(plan token, plan header, specs)``; the header is only
+    unpickled when the token differs from the plan this worker served
+    last, so later chunks of a plan cost one integer comparison.
 
     The chunking lives here, not in ``imap_unordered``'s ``chunksize``,
     because with ``chunksize > 1`` the stdlib returns a flattening
@@ -182,6 +189,9 @@ def _run_chunk_in_worker(
     telemetry drain (``None`` when empty) so span adoption stays
     per-unit deterministic; only the IPC round trips are batched.
     """
+    token, header, specs = task
+    if _WORKER_STATE.get("token") != token:
+        _enter_plan(token, header)
     return [_run_unit_in_worker(spec) for spec in specs]
 
 
@@ -228,18 +238,30 @@ class ProcessPoolExecutor:
 
     Units are dispatched unordered (``imap_unordered``) so fast units
     never wait behind slow ones; the driver re-establishes canonical
-    order at merge time.  The pool is torn down if the consumer stops
-    iterating early (e.g. the run is interrupted), terminating workers.
+    order at merge time.
 
-    Dispatch goes through the shared-memory data plane: ``plan.shared``
-    is packed once (tables into segments, the rest into a small shell)
-    and every worker attaches the same bytes, for ``fork`` and ``spawn``
-    start methods alike.  Dispatch chunks are sized by
-    :func:`adaptive_chunk_size`; ``share_tables=False`` keeps tables
+    The executor owns **one** ``multiprocessing.Pool`` for its lifetime:
+    it starts on the first plan that reaches :meth:`run` and is released
+    by :meth:`close` / ``__exit__`` (idempotent; a later plan would start
+    a new pool).  Each plan travels in a task header -- a plan token,
+    the adapter, the packed shipment, whether the driver traces and the
+    installed cache's spec -- that workers unpickle once per plan
+    (:func:`_enter_plan`).  ``fork`` workers fork at the first plan, so
+    monkeypatches made after that do not reach them; owners (the CLI,
+    ``run_experiment``, each service worker) close their executors.
+
+    ``plan.shared`` is packed once per plan through the data plane, into
+    segments owned by that plan; ``share_tables=False`` keeps tables
     inline in the pickled shell (the legacy behavior the speed benchmark
-    measures against).  The driver polls the result stream
-    (``poll_seconds``) so a worker killed mid-unit raises
-    :class:`WorkerCrashError` instead of hanging the run.
+    measures against).  Dispatch chunks are sized by
+    :func:`adaptive_chunk_size`.
+
+    The driver polls the result stream (``poll_seconds``) so a worker
+    killed mid-plan raises :class:`WorkerCrashError` instead of hanging
+    the run; that, an interrupt, or a consumer that stops iterating
+    early discards the pool, terminating its workers.  A worker that
+    died *between* plans lost no unit: the next plan just gets a fresh
+    pool.
     """
 
     name = "process-pool"
@@ -257,6 +279,9 @@ class ProcessPoolExecutor:
         self.start_method = start_method
         self.share_tables = share_tables
         self.poll_seconds = poll_seconds
+        self._pool: Any = None
+        self._pids: Set[Optional[int]] = set()
+        self._plans = itertools.count()
 
     def _context(self):
         if self.start_method is not None:
@@ -266,23 +291,62 @@ class ProcessPoolExecutor:
             "fork" if "fork" in methods else "spawn"
         )
 
-    @staticmethod
-    def _check_workers(pool, initial_pids: Set[Optional[int]]) -> None:
-        """Raise when any pool worker died since dispatch began.
+    def _workers_lost(self) -> bool:
+        """True when any worker of the pool died since it started.
 
         ``Pool`` replaces dead workers without re-queuing their tasks,
         so a changed pid set (or a not-yet-reaped corpse) means results
         we are waiting for will never arrive.
         """
-        workers = list(pool._pool)
-        if {process.pid for process in workers} != initial_pids or any(
+        workers = list(self._pool._pool)
+        return {process.pid for process in workers} != self._pids or any(
             not process.is_alive() for process in workers
-        ):
-            raise WorkerCrashError(
-                "a pool worker died mid-dispatch; its pending units were "
-                "lost (checkpointed units are safe -- resume to re-run "
-                "the rest)"
+        )
+
+    @staticmethod
+    def _free_task_lock(pool) -> None:
+        """Make a pool that lost a worker terminable.
+
+        An idle worker waits for its next task holding the task queue's
+        read lock, so a worker killed between tasks dies holding it and
+        ``Pool.terminate()`` would wait for that lock forever.  Stop the
+        pool replacing workers, kill the rest, then free the lock (a
+        semaphore, which any process may release).
+        """
+        pool._worker_handler._state = multiprocessing.pool.TERMINATE
+        for process in list(pool._pool):
+            process.kill()
+            process.join(timeout=5.0)
+        lock = pool._inqueue._rlock
+        lock.acquire(False)
+        lock.release()
+
+    def _ensure_pool(self, context) -> Any:
+        if self._pool is not None and self._workers_lost():
+            self.close()
+        if self._pool is None:
+            self._pool = context.Pool(
+                processes=self.workers, initializer=_init_worker
             )
+            self._pids = {process.pid for process in self._pool._pool}
+        return self._pool
+
+    def close(self) -> None:
+        """Terminate and reap the pool's workers (no-op without a pool)."""
+        if self._pool is None:
+            return
+        pool = self._pool
+        if self._workers_lost():
+            self._free_task_lock(pool)
+        self._pool = None
+        pool.terminate()
+        pool.join()
+
+    def __enter__(self) -> "ProcessPoolExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run(
         self,
@@ -303,6 +367,8 @@ class ProcessPoolExecutor:
         manager = SegmentManager()
         shipped_bytes = 0
         frame_bytes = 0
+        results = None
+        finished = False
         try:
             if telemetry is not None:
                 with telemetry.span(
@@ -316,43 +382,52 @@ class ProcessPoolExecutor:
                     )
             else:
                 shipment = pack_shared(plan.shared, manager, self.share_tables)
-            # The shell is pickled once per worker; segments are shared.
-            shipped_bytes = shipment.shipped_bytes * n_workers
+            header = pickle.dumps(
+                (plan.adapter, shipment, telemetry is not None, cache_spec),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+            token = next(self._plans)
+            tasks = [
+                (token, header, dispatched[start:start + chunk])
+                for start in range(0, len(dispatched), chunk)
+            ]
+            # The header rides every task; segments are shared.
+            shipped_bytes = len(header) * len(tasks)
             if telemetry is not None:
                 telemetry.count("dataplane_bytes_shipped", shipped_bytes)
                 telemetry.count(
                     "dataplane_bytes_shared", shipment.shared_bytes
                 )
-            chunks = [
-                dispatched[start:start + chunk]
-                for start in range(0, len(dispatched), chunk)
-            ]
-            with context.Pool(
-                processes=n_workers,
-                initializer=_init_worker,
-                initargs=(plan.adapter, shipment, telemetry is not None,
-                          cache_spec),
-            ) as pool:
-                results = pool.imap_unordered(
-                    _run_chunk_in_worker, chunks, chunksize=1
-                )
-                initial_pids = {process.pid for process in pool._pool}
-                remaining = len(chunks)
-                while remaining:
-                    try:
-                        batch = results.next(timeout=self.poll_seconds)
-                    except multiprocessing.TimeoutError:
-                        self._check_workers(pool, initial_pids)
-                        continue
-                    remaining -= 1
-                    for index, frame, transport in batch:
-                        frame_bytes += len(frame)
-                        yield (
-                            index,
-                            plan.adapter.from_payload(json.loads(frame)),
-                            transport,
-                        )
+            pool = self._ensure_pool(context)
+            results = pool.imap_unordered(
+                _run_chunk_in_worker, tasks, chunksize=1
+            )
+            remaining = len(tasks)
+            while remaining:
+                try:
+                    batch = results.next(timeout=self.poll_seconds)
+                except multiprocessing.TimeoutError:
+                    if self._workers_lost():
+                        raise WorkerCrashError(
+                            "a pool worker died mid-dispatch; its pending "
+                            "units were lost (checkpointed units are safe "
+                            "-- resume to re-run the rest)"
+                        ) from None
+                    continue
+                remaining -= 1
+                for index, frame, transport in batch:
+                    frame_bytes += len(frame)
+                    yield (
+                        index,
+                        plan.adapter.from_payload(json.loads(frame)),
+                        transport,
+                    )
+            finished = True
         finally:
+            if results is not None and not finished:
+                # Workers may still hold this plan's tasks (a crash, an
+                # interrupt, an abandoned stream): never reuse them.
+                self.close()
             segments = len(manager.names)
             shared_bytes = manager.total_bytes
             manager.destroy()
@@ -374,7 +449,8 @@ def make_executor(workers: Optional[int], start_method: Optional[str] = None):
     """Executor for a worker count: None/1 -> serial (None), N -> pool.
 
     ``start_method`` passes straight through to
-    :class:`ProcessPoolExecutor` (``None`` = platform default).
+    :class:`ProcessPoolExecutor` (``None`` = platform default).  The
+    caller owns a returned pool executor and closes it when done.
     """
     if workers is None or workers == 1:
         return None

@@ -19,6 +19,7 @@ columns see each other's features:
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -250,7 +251,7 @@ class DTMissRepair(MLImputeRepair):
 
     def __init__(self, max_depth: int = 10) -> None:
         super().__init__(
-            lambda: DecisionTreeRegressor(max_depth=max_depth),
+            partial(DecisionTreeRegressor, max_depth=max_depth),
             _rf_classifier,
             mode=MIXED,
         )
@@ -272,7 +273,7 @@ class KNNMissRepair(MLImputeRepair):
 
     def __init__(self, n_neighbors: int = 5) -> None:
         super().__init__(
-            lambda: KNNRegressor(n_neighbors=n_neighbors),
+            partial(KNNRegressor, n_neighbors=n_neighbors),
             _rf_classifier,
             mode=MIXED,
         )

@@ -80,7 +80,10 @@ class ServiceWorker:
         self.execute = execute or resolve_execute(DEFAULT_EXECUTE_REF)
         self.store_path = store_path
         self.telemetry = telemetry
-        self.job_workers = job_workers
+        # ``job_workers > 1`` shards each job's own unit grid across a
+        # nested process pool (shared-memory data plane); 1 is serial.
+        # One executor, so one pool, serves every job this worker runs.
+        self.executor = make_executor(job_workers)
         lease = queue.policy.lease_seconds
         self.heartbeat_interval = (
             heartbeat_interval if heartbeat_interval is not None
@@ -182,14 +185,17 @@ class ServiceWorker:
             )
 
     def _execute(self, job: LeasedJob) -> Dict[str, Any]:
-        # ``job_workers > 1`` shards the job's own unit grid across a
-        # nested process pool (shared-memory data plane); 1 is serial.
         return self.execute(
             job.spec.to_payload(),
             store_path=self.store_path,
             telemetry=self.telemetry,
-            executor=make_executor(self.job_workers),
+            executor=self.executor,
         )
+
+    def close(self) -> None:
+        """Release the job pool, if any (idempotent)."""
+        if self.executor is not None:
+            self.executor.close()
 
     def run_forever(
         self,
@@ -265,6 +271,7 @@ def worker_main(
     try:
         worker.run_forever(stop, poll_seconds=poll_seconds)
     finally:
+        worker.close()
         if telemetry is not None:
             telemetry.flush_to_ledger()
         if ledger is not None:

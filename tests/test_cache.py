@@ -34,7 +34,7 @@ from repro.detectors.features import combined_features
 from repro.ml.base import BaseEstimator, ClassifierMixin, fit_predict
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.observability import Telemetry, telemetry_scope
-from repro.parallel import ProcessPoolExecutor
+from repro.parallel import ProcessPoolExecutor, null_sleep
 from repro.repair import MissForestMixRepair
 from repro.resilience import SuiteCheckpoint
 
@@ -560,7 +560,7 @@ class TestEndToEndEquivalence:
                 runs = run_detection_suite(
                     dataset, [MVDetector(), SDDetector(3.0)],
                     checkpoint=ckpt, clock=_StepClock(),
-                    sleep=lambda s: None, executor=executor,
+                    sleep=null_sleep, executor=executor,
                 )
         return json.dumps(
             [r.to_payload() for r in runs], sort_keys=True

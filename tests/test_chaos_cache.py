@@ -25,7 +25,7 @@ import pytest
 from repro.benchmark import evaluate_scenarios, run_repair_suite, run_scenario
 from repro.cache import ArtifactCache, cache_scope
 from repro.datagen import generate
-from repro.parallel import ProcessPoolExecutor
+from repro.parallel import ProcessPoolExecutor, null_sleep
 from repro.repair import MissForestMixRepair
 from repro.resilience import SuiteCheckpoint
 
@@ -43,8 +43,6 @@ class StepClock:
         self.ticks += 1
         return self.ticks * self.tick
 
-
-NO_SLEEP = lambda seconds: None  # noqa: E731
 
 
 class KillingCache(ArtifactCache):
@@ -76,7 +74,7 @@ def _evaluate(store_path, cache, executor=None, resume=False):
             evaluation = evaluate_scenarios(
                 dataset, dataset.dirty, "dirty", "DT",
                 scenario_names=("S1", "S4"), n_seeds=2, sample_rows=60,
-                checkpoint=ckpt, clock=StepClock(), sleep=NO_SLEEP,
+                checkpoint=ckpt, clock=StepClock(), sleep=null_sleep,
                 executor=executor,
             )
     return evaluation
@@ -90,14 +88,14 @@ def _pipeline(store_path, cache, executor=None):
         with cache_scope(cache):
             (repair,) = run_repair_suite(
                 dataset, {"GT": dataset.error_cells}, [MissForestMixRepair()],
-                checkpoint=ckpt, clock=StepClock(), sleep=NO_SLEEP,
+                checkpoint=ckpt, clock=StepClock(), sleep=null_sleep,
                 executor=executor,
             )
             variant = repair.result.repaired
             evaluate_scenarios(
                 dataset, variant, repair.strategy, "DT",
                 scenario_names=("S1", "S2", "S3", "S4", "S5"), n_seeds=2,
-                checkpoint=ckpt, clock=StepClock(), sleep=NO_SLEEP,
+                checkpoint=ckpt, clock=StepClock(), sleep=null_sleep,
                 executor=executor,
             )
             tuned = run_scenario(

@@ -54,7 +54,7 @@ from repro.detectors.duplicates import (
 )
 from repro.dataset.columnar import normalized_column
 from repro.detectors.katara import katara_violations
-from repro.parallel import ProcessPoolExecutor
+from repro.parallel import ProcessPoolExecutor, null_sleep
 from repro.repair import BaranRepair, HoloCleanRepair
 from repro.resilience import SuiteCheckpoint
 
@@ -463,8 +463,6 @@ class _StepClock:
         return self.ticks * self.tick
 
 
-NO_SLEEP = lambda seconds: None  # noqa: E731
-
 
 def _dataset():
     return generate("SmartFactory", n_rows=120, seed=3)
@@ -511,7 +509,7 @@ def _detection_store(
         kwargs = dict(
             checkpoint=ckpt,
             clock=_StepClock(),
-            sleep=NO_SLEEP,
+            sleep=null_sleep,
             executor=executor,
             block_rows=block_rows,
         )
@@ -570,7 +568,7 @@ class TestCheckpointByteIdentity:
                 kwargs = dict(
                     checkpoint=c,
                     clock=_StepClock(),
-                    sleep=NO_SLEEP,
+                    sleep=null_sleep,
                     executor=executor,
                 )
                 methods = [

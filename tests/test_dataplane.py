@@ -231,14 +231,20 @@ class TestShipment:
             # The per-worker pickle is a small shell, not the table.
             assert shipment.shipped_bytes < shipment.shared_bytes
 
-    def test_unpicklable_context_falls_back_to_by_reference(self):
-        shared = {"clock": lambda: 0.0}
-        with SegmentManager() as manager:
-            shipment = pack_shared(shared, manager)
-            assert shipment.shell is None
-            assert shipment.shipped_bytes == 0
-            assert manager.names == []
-        assert attach_shipment(shipment) is shared
+    def test_unpicklable_context_raises_and_leaves_no_segment(self):
+        # The table is spilled into a segment before the pickler reaches
+        # the lambda; that segment must be gone when the error surfaces.
+        table = Table(Schema.from_pairs([("x", NUMERICAL)]), {"x": [1.0]})
+        shared = {"table": table, "clock": lambda: 0.0}
+        before = set(live_segments())
+        manager = SegmentManager()
+        with pytest.raises(TypeError, match="cannot be shipped.*<lambda>"):
+            pack_shared(shared, manager)
+        assert manager.names == []
+        assert not [
+            name for name in set(live_segments()) - before
+            if name.startswith(SEGMENT_PREFIX)
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -428,9 +428,10 @@ _SEGMENTS_OK = (
 )
 
 _ENGINE_OK = (
-    "def run(pool, shipment, specs):\n"
-    "    pool.apply(init, initargs=(shipment,))\n"
-    "    return pool.imap_unordered(work, specs, chunksize=1)\n"
+    "def run(context, header, chunks):\n"
+    "    pool = context.Pool(2, initializer=init, initargs=(2,))\n"
+    "    tasks = [(header, chunk) for chunk in chunks]\n"
+    "    return pool.imap_unordered(work, tasks, chunksize=1)\n"
 )
 
 
@@ -505,6 +506,54 @@ def test_dataplane_lint_flags_shared_in_initargs(tmp_path):
     violations = check_dataplane.check_tree(tmp_path)
     assert len(violations) == 1, "\n".join(violations)
     assert "initargs references the shared context" in violations[0]
+
+
+@pytest.mark.parametrize("initargs", [
+    "(plan.adapter,)",
+    "(shipment, 2)",
+    "(self.adapter, True)",
+])
+def test_dataplane_lint_flags_plan_scoped_initargs(tmp_path, initargs):
+    _dataplane_tree(
+        tmp_path,
+        engine_src=(
+            "def run(context, plan, shipment, specs):\n"
+            f"    pool = context.Pool(2, initargs={initargs})\n"
+            "    return pool.imap_unordered(work, specs, chunksize=1)\n"
+        ),
+    )
+    violations = check_dataplane.check_tree(tmp_path)
+    assert len(violations) == 1, "\n".join(violations)
+    assert "engine.py:2" in violations[0]
+    assert "initargs references plan-scoped data" in violations[0]
+
+
+def test_dataplane_lint_follows_initargs_binding(tmp_path):
+    _dataplane_tree(
+        tmp_path,
+        engine_src=(
+            "def run(context, adapter, specs):\n"
+            "    args = (adapter, False)\n"
+            "    pool = context.Pool(2, initargs=args)\n"
+            "    return pool.imap_unordered(work, specs, chunksize=1)\n"
+        ),
+    )
+    violations = check_dataplane.check_tree(tmp_path)
+    assert len(violations) == 1, "\n".join(violations)
+    assert "initargs references plan-scoped data" in violations[0]
+
+
+def test_dataplane_lint_accepts_per_process_initargs(tmp_path):
+    _dataplane_tree(
+        tmp_path,
+        engine_src=(
+            "def run(context, plan, header, chunks):\n"
+            "    pool = context.Pool(2, initializer=init, initargs=(0.5,))\n"
+            "    tasks = [(header, chunk) for chunk in chunks]\n"
+            "    return pool.imap_unordered(work, tasks, chunksize=1)\n"
+        ),
+    )
+    assert check_dataplane.check_tree(tmp_path) == []
 
 
 def test_dataplane_lint_flags_shared_in_dispatch_iterable(tmp_path):

@@ -32,7 +32,9 @@ from repro.service import (
     execute_job,
     strip_timing,
 )
+from repro.service.jobs import execute_job_payload
 from repro.service.scheduler import fair_share_counts
+from repro.service.workers import ServiceWorker
 
 
 def _spec(seed=0, dataset="Nasa", rows=60, detectors=("MVD",)):
@@ -553,6 +555,55 @@ class TestHttpApi:
             e["span"].get("attrs", {}).get("job_id") == receipt["job_id"]
             for e in spans
         )
+
+
+# ----------------------------------------------------------------------
+# One job pool per service worker
+# ----------------------------------------------------------------------
+class TestJobPool:
+    def _serve_two_jobs(self, tmp_path, job_workers):
+        """Run two real detection jobs on one in-process worker; return
+        their result texts and the pool each job ran on."""
+        queue = JobQueue(
+            str(tmp_path / f"q{job_workers}.sqlite"),
+            policy=SchedulerPolicy(lease_seconds=60.0),
+        )
+        pools = []
+
+        def execute(spec_payload, **context):
+            result = execute_job_payload(spec_payload, **context)
+            executor = context["executor"]
+            if executor is not None:
+                pool = executor._pool
+                pools.append((pool, {p.pid for p in pool._pool}))
+            return result
+
+        worker = ServiceWorker(
+            queue, "w0", execute=execute, job_workers=job_workers
+        )
+        specs = [_spec(seed=s, detectors=("MVD", "SD")) for s in (1, 2)]
+        try:
+            for spec in specs:
+                queue.submit(spec)
+            assert worker.run_once() and worker.run_once()
+            texts = [queue.result_text(spec.job_id) for spec in specs]
+            workers = list(pools[0][0]._pool) if pools else []
+            worker.close()
+            worker.close()  # idempotent
+            assert all(process.exitcode is not None for process in workers)
+        finally:
+            worker.close()
+            queue.close()
+        return texts, pools
+
+    def test_two_jobs_share_one_pool(self, tmp_path):
+        serial, _ = self._serve_two_jobs(tmp_path, job_workers=1)
+        texts, pools = self._serve_two_jobs(tmp_path, job_workers=2)
+        assert len(pools) == 2
+        (first, first_pids), (second, second_pids) = pools
+        assert first is second
+        assert first_pids == second_pids
+        assert texts == serial and None not in texts
 
 
 # ----------------------------------------------------------------------

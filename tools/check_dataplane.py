@@ -11,13 +11,17 @@ Two invariants, both easy to break silently in review:
    else has no owner and leaks on the first crash.  A lifecycle module
    must itself contain an ``.unlink(`` call, or it is flagged too.
 
-2. **Zero-copy dispatch**: the whole point of the data plane is that
-   ``plan.shared`` (with its embedded tables) never rides the pickle
-   stream per worker or per task.  In the dispatch hot path
+2. **Zero-copy, plan-scoped dispatch**: the whole point of the data
+   plane is that ``plan.shared`` (with its embedded tables) never rides
+   the pickle stream per worker or per task.  In the dispatch hot path
    (``DISPATCH_MODULES``), the ``initargs=`` of a pool constructor and
    the iterable handed to ``imap``/``imap_unordered``/``map_async``
    must not reference ``shared`` or ``plan.shared`` -- only the packed
-   shipment (segment names + small shell) may cross.
+   shipment (segment names + small shell) may cross.  And since a pool
+   outlives the plan it started on, ``initargs=`` may not reference
+   anything plan-scoped either (``PLAN_SCOPED_NAMES``: the plan, its
+   adapter, its shipment) -- it would be stale for every later plan;
+   plan-scoped data rides the per-plan task header.
 
 Intentional exceptions live in ``ALLOWLIST`` as ``(module, lineno-name)``
 entries with the reason recorded next to each.  The tier-1 suite asserts
@@ -49,6 +53,9 @@ DISPATCH_MODULES = {
     "repro/parallel/engine.py",
 }
 
+#: Names of plan-scoped data, which must not ride a pool's initargs.
+PLAN_SCOPED_NAMES = {"plan", "adapter", "shipment"}
+
 #: Pool methods whose iterable is a per-task pickle stream.
 DISPATCH_METHODS = {"imap", "imap_unordered", "map", "map_async", "starmap"}
 
@@ -77,12 +84,13 @@ def _is_shared_memory_create(call: ast.Call) -> bool:
     return False
 
 
-def _references_shared(node: ast.AST) -> bool:
-    """True when an expression mentions ``shared`` / ``*.shared``."""
+def _references(node: ast.AST, names) -> bool:
+    """True when an expression mentions one of ``names`` as a name or
+    an attribute (``shared`` / ``*.shared``)."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id == "shared":
+        if isinstance(sub, ast.Name) and sub.id in names:
             return True
-        if isinstance(sub, ast.Attribute) and sub.attr == "shared":
+        if isinstance(sub, ast.Attribute) and sub.attr in names:
             return True
     return False
 
@@ -139,7 +147,8 @@ def _name_bindings(tree: ast.AST) -> dict:
 
 
 def check_dispatch(src_root: Path) -> List[str]:
-    """Rule 2: no ``shared`` context in initargs / dispatch iterables."""
+    """Rule 2: no ``shared`` context in initargs / dispatch iterables,
+    no plan-scoped data in initargs."""
     violations: List[str] = []
     for relative in sorted(DISPATCH_MODULES):
         path = src_root / relative
@@ -149,33 +158,40 @@ def check_dispatch(src_root: Path) -> List[str]:
         tree = ast.parse(path.read_text(), filename=str(path))
         bindings = _name_bindings(tree)
 
-        def _expression_ships_shared(node: ast.AST) -> bool:
-            if _references_shared(node):
+        def _expression_ships(node: ast.AST, names) -> bool:
+            if _references(node, names):
                 return True
             # One hop through a simple local binding: the iterable is
             # often built first (``units = [... shared ...]``) and
             # dispatched by name.
             if isinstance(node, ast.Name) and node.id in bindings:
-                return _references_shared(bindings[node.id])
+                return _references(bindings[node.id], names)
             return False
 
         for call in _calls(tree):
             for keyword in call.keywords:
-                if keyword.arg == "initargs" and _expression_ships_shared(
-                    keyword.value
-                ):
+                if keyword.arg != "initargs":
+                    continue
+                if _expression_ships(keyword.value, {"shared"}):
                     violations.append(
                         f"{path}:{keyword.value.lineno}: initargs "
-                        f"references the shared context; pass the packed "
-                        f"shipment instead (tables ride segments, not "
-                        f"the per-worker pickle stream)"
+                        f"references the shared context; send the packed "
+                        f"shipment in the per-plan task header instead "
+                        f"(tables ride segments, not the pickle stream)"
+                    )
+                elif _expression_ships(keyword.value, PLAN_SCOPED_NAMES):
+                    violations.append(
+                        f"{path}:{keyword.value.lineno}: initargs "
+                        f"references plan-scoped data; the pool outlives "
+                        f"the plan, so send it in the per-plan task "
+                        f"header instead"
                     )
             func = call.func
             if (
                 isinstance(func, ast.Attribute)
                 and func.attr in DISPATCH_METHODS
                 and len(call.args) >= 2
-                and _expression_ships_shared(call.args[1])
+                and _expression_ships(call.args[1], {"shared"})
             ):
                 violations.append(
                     f"{path}:{call.args[1].lineno}: {func.attr} iterable "
