@@ -19,7 +19,8 @@ Two executors:
 
 A :class:`ProcessPoolExecutor` keeps one pool from its first plan until
 ``close()``, so a run of many stage calls pays one pool start; each
-plan reaches the workers in a small task header.
+plan reaches the workers in a small task header.  ``fork`` workers fork
+at the first plan, so a monkeypatch made after that does not reach them.
 
 The pool dispatches through the shared-memory data plane
 (:mod:`repro.dataplane`): the stage's ``shared`` context is packed once
