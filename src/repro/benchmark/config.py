@@ -1,18 +1,32 @@
-"""Declarative experiment configurations.
+"""The stage table: one declaration drives every front end.
 
-The original REIN repository is driven by experiment declarations (which
-dataset, which cleaners, which models, how many repetitions).  This module
-provides the same interface: an :class:`ExperimentConfig` serializable to
-JSON, and :func:`run_experiment` which executes the full detection ->
-repair -> scenario pipeline it describes and returns a structured report.
+REIN's benchmark controller (Section 2, Figure 1) takes one declared
+experiment and wires detection -> repair -> modeling from it.  This
+module is that wiring, written once:
+
+- :data:`STAGE_TABLE` maps each kind of run to the stages it sequences
+  and the options it accepts, with their defaults;
+- :func:`validate_options` is the one validator for those options
+  (:class:`~repro.service.jobs.JobSpec`, :class:`ExperimentConfig` and
+  the CLI stage commands all call it);
+- :func:`run_stages` is the one driver: it resolves names through the
+  registries or the controller, turns detection runs into repair input,
+  builds the model variants and hands each suite the guards it accepts.
+
+The front ends only build ``(kind, options)``, own their guards and
+render or serialize what :func:`run_stages` returns.  The original REIN
+repository is driven by experiment declarations; :class:`ExperimentConfig`
+is that interface (JSON-serializable), and :func:`run_experiment`
+executes it and returns a structured :class:`ExperimentReport`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import (
+    Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.benchmark.controller import BenchmarkController
 from repro.benchmark.runner import (
@@ -23,13 +37,225 @@ from repro.benchmark.runner import (
     run_detection_suite,
     run_repair_suite,
 )
-from repro.datagen import DATASET_NAMES, generate
+from repro.benchmark.scenarios import ALL_SCENARIOS
+from repro.datagen import DATASET_NAMES, dataset_spec, generate
 from repro.detectors import detector_registry
 from repro.ml.model_zoo import get_spec
 from repro.repair import RepairMethod, repair_registry
 from repro.reporting import render_table
 from repro.resilience.failures import FailureRecord
-from repro.resilience.policy import ResiliencePolicy
+
+
+class StageKind(NamedTuple):
+    """The stages one kind of run sequences and the options it accepts.
+
+    ``defaults`` maps every accepted option to its default.  ``None``
+    means the controller decides (``detectors``, ``repairs``) or the
+    feature is off (``block_rows``, ``sample_rows``).
+    """
+
+    stages: Tuple[str, ...]
+    defaults: Mapping[str, Any]
+
+
+#: Kind -> stages and options.  ``model`` evaluates the dirty table;
+#: ``experiment`` also evaluates every repaired variant.
+STAGE_TABLE: Dict[str, StageKind] = {
+    "detect": StageKind(
+        ("detect",), {"detectors": None, "block_rows": None}
+    ),
+    "repair": StageKind(
+        ("detect", "repair"),
+        {"detectors": None, "repairs": ("GT", "Impute-Mean", "MISS-Mix")},
+    ),
+    "model": StageKind(
+        ("model",),
+        {"model": "DT", "scenarios": ("S1", "S4"), "n_seeds": 3,
+         "sample_rows": None},
+    ),
+    "experiment": StageKind(
+        ("detect", "repair", "model"),
+        {"detectors": None, "repairs": None, "models": ("DT",),
+         "scenarios": ("S1", "S4"), "n_seeds": 3},
+    ),
+}
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise ``ValueError(message)`` unless ``condition`` holds."""
+    if not condition:
+        raise ValueError(message)
+
+
+def is_int(value: Any) -> bool:
+    """An integer that is not a JSON boolean (``True`` is not ``1``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_int(value: Any, what: str) -> None:
+    require(is_int(value) and value >= 1, f"{what} must be a positive integer")
+
+
+def _name_list(value: Any, what: str, known: Sequence[str]) -> None:
+    require(
+        isinstance(value, (list, tuple)) and len(value) > 0,
+        f"{what} must be a non-empty list of names",
+    )
+    unknown = [n for n in value if n not in known]
+    require(not unknown, f"unknown {what} {unknown!r}")
+
+
+def _check_repairs(value: Any) -> None:
+    registry = repair_registry()
+    _name_list(value, "repairs", registry)
+    non_generic = [
+        n for n in value if not isinstance(registry[n], RepairMethod)
+    ]
+    require(
+        not non_generic,
+        f"ML-oriented repairs produce models, not tables: {non_generic!r}",
+    )
+
+
+def _check_models(value: Any) -> None:
+    require(
+        isinstance(value, (list, tuple))
+        and all(isinstance(n, str) for n in value),
+        "models must be a list of names",
+    )
+
+
+#: Option -> check of an explicitly given value.
+_OPTION_CHECKS = {
+    "detectors": lambda v: _name_list(v, "detectors", detector_registry()),
+    "repairs": _check_repairs,
+    "block_rows": lambda v: _positive_int(v, "block_rows"),
+    "model": lambda v: require(isinstance(v, str), "model must be a string"),
+    "models": _check_models,
+    "scenarios": lambda v: _name_list(
+        v, "scenarios", [s.name for s in ALL_SCENARIOS]
+    ),
+    "n_seeds": lambda v: _positive_int(v, "n_seeds"),
+    "sample_rows": lambda v: v is None or _positive_int(v, "sample_rows"),
+}
+
+
+def validate_options(
+    kind: str, dataset: str, options: Mapping[str, Any]
+) -> None:
+    """Raise ``ValueError`` unless ``options`` is a valid ``kind`` config.
+
+    Names are checked against the registries, integers must be positive
+    and not booleans, and every model a run would train must exist for
+    the dataset's task, so a bad config fails before any stage runs.
+    """
+    require(kind in STAGE_TABLE, f"kind must be one of {tuple(STAGE_TABLE)}")
+    require(dataset in DATASET_NAMES, f"unknown dataset {dataset!r}")
+    require(isinstance(options, Mapping), "options must be a mapping")
+    stages, defaults = STAGE_TABLE[kind]
+    extra = sorted(set(options) - set(defaults))
+    require(
+        not extra,
+        f"unknown option(s) {extra!r} for kind {kind!r} "
+        f"(allowed: {sorted(defaults)})",
+    )
+    for key in sorted(options):
+        _OPTION_CHECKS[key](options[key])
+    if "model" not in stages:
+        return
+    task = dataset_spec(dataset).task
+    if task is None:
+        # An experiment on a task-less dataset skips its model stage.
+        require(kind == "experiment", f"{dataset!r} has no associated ML task")
+        return
+    for model in _models({**defaults, **options}):
+        try:
+            get_spec(task, model)
+        except KeyError as exc:
+            raise ValueError(f"unknown {task} model {model!r}") from exc
+
+
+def _models(options: Mapping[str, Any]) -> Sequence[str]:
+    return options["models"] if "models" in options else [options["model"]]
+
+
+StageResults = Tuple[
+    List[DetectionRun], List[RepairRun], List[ScenarioEvaluation]
+]
+
+
+def run_stages(
+    dataset,
+    kind: str,
+    options: Mapping[str, Any],
+    seed: int = 0,
+    **guards: Any,
+) -> StageResults:
+    """Run the stages of ``kind`` on ``dataset``; the one stage driver.
+
+    ``options`` must pass :func:`validate_options`; missing options take
+    the table's defaults.  ``guards`` are the suite keywords
+    (``deadline_seconds``, ``retry``, ``breaker``, ``checkpoint``,
+    ``clock``, ``sleep``, ``executor``, ``telemetry``); the caller opens
+    and closes them.  The scenario stage takes every guard but the
+    breaker.  Returns ``(detection_runs, repair_runs, evaluations)``,
+    empty for the stages ``kind`` does not run.
+    """
+    stages, defaults = STAGE_TABLE[kind]
+    options = {**defaults, **options}
+    controller = BenchmarkController(breaker=guards.get("breaker"))
+    detection_runs: List[DetectionRun] = []
+    repair_runs: List[RepairRun] = []
+    evaluations: List[ScenarioEvaluation] = []
+    if "detect" in stages:
+        if options["detectors"] is None:
+            detectors = controller.applicable_detectors(dataset)
+        else:
+            registry = detector_registry()
+            detectors = [registry[name] for name in options["detectors"]]
+        detection_runs = run_detection_suite(
+            dataset, detectors, seed=seed,
+            block_rows=options.get("block_rows"), **guards,
+        )
+    if "repair" in stages:
+        if options["repairs"] is None:
+            repairs = [
+                m for m in controller.applicable_repairs(dataset)
+                if isinstance(m, RepairMethod)
+            ]
+        else:
+            registry = repair_registry()
+            repairs = [registry[name] for name in options["repairs"]]
+        detections = {
+            r.detector: set(r.result.cells)
+            for r in detection_runs
+            if not r.failed and r.result.n_detected
+        }
+        repair_runs = run_repair_suite(
+            dataset, detections, repairs, seed=seed, **guards
+        )
+    if "model" in stages and dataset.task is not None:
+        variants = [("dirty", dataset.dirty, None)] + [
+            (run.strategy, run.result.repaired,
+             run.result.metadata.get("kept_rows"))
+            for run in repair_runs
+            if not run.failed
+        ]
+        scenario_guards = {k: v for k, v in guards.items() if k != "breaker"}
+        for model in _models(options):
+            for variant, table, kept_rows in variants:
+                evaluations.append(evaluate_scenarios(
+                    dataset, table, variant, model,
+                    scenario_names=tuple(options["scenarios"]),
+                    n_seeds=options["n_seeds"],
+                    kept_rows=kept_rows,
+                    sample_rows=options.get("sample_rows"),
+                    **scenario_guards,
+                ))
+    return detection_runs, repair_runs, evaluations
+
+
+_EXPERIMENT_DEFAULTS = STAGE_TABLE["experiment"].defaults
 
 
 @dataclass
@@ -46,6 +272,9 @@ class ExperimentConfig:
         models: model names from the zoo for the dataset's task.
         scenarios: Table 3 scenario names to evaluate.
         n_seeds: repetitions per scenario (the paper uses 10).
+
+    The last five are the ``experiment`` options of :data:`STAGE_TABLE`,
+    validated by :func:`validate_options` at construction.
     """
 
     dataset: str
@@ -53,26 +282,30 @@ class ExperimentConfig:
     seed: int = 0
     detectors: Optional[List[str]] = None
     repairs: Optional[List[str]] = None
-    models: List[str] = field(default_factory=lambda: ["DT"])
-    scenarios: List[str] = field(default_factory=lambda: ["S1", "S4"])
-    n_seeds: int = 3
+    models: List[str] = field(
+        default_factory=lambda: list(_EXPERIMENT_DEFAULTS["models"])
+    )
+    scenarios: List[str] = field(
+        default_factory=lambda: list(_EXPERIMENT_DEFAULTS["scenarios"])
+    )
+    n_seeds: int = _EXPERIMENT_DEFAULTS["n_seeds"]
 
     def __post_init__(self) -> None:
-        if self.dataset not in DATASET_NAMES:
-            raise ValueError(
-                f"unknown dataset {self.dataset!r}; "
-                f"choose from {sorted(DATASET_NAMES)}"
-            )
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
-        known_detectors = set(detector_registry())
-        for name in self.detectors or []:
-            if name not in known_detectors:
-                raise ValueError(f"unknown detector {name!r}")
-        known_repairs = set(repair_registry())
-        for name in self.repairs or []:
-            if name not in known_repairs:
-                raise ValueError(f"unknown repair method {name!r}")
+        require(
+            self.n_rows is None or (is_int(self.n_rows) and self.n_rows >= 1),
+            "n_rows must be a positive integer or None",
+        )
+        require(is_int(self.seed), "seed must be an integer")
+        validate_options("experiment", self.dataset, self.options())
+
+    def options(self) -> Dict[str, Any]:
+        """The stage-table options this declaration sets."""
+        names = ("detectors", "repairs", "models", "scenarios", "n_seeds")
+        return {
+            name: getattr(self, name)
+            for name in names
+            if getattr(self, name) is not None
+        }
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -168,109 +401,23 @@ class ExperimentReport:
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    policy: Optional[ResiliencePolicy] = None,
+    config: ExperimentConfig, **guards: Any
 ) -> ExperimentReport:
     """Execute one declared experiment end to end.
 
-    ``policy`` activates the resilience layer: per-stage deadlines,
-    transient retries, circuit-breaker quarantine shared across the whole
-    experiment, and SQLite checkpoints keyed by a content-addressed run
-    id (same config -> same run) so an interrupted experiment resumes by
-    skipping completed units.
+    ``guards`` are the suite keywords :func:`run_stages` forwards
+    (``deadline_seconds``, ``retry``, ``breaker``, ``checkpoint``,
+    ``clock``, ``sleep``, ``executor``, ``telemetry``).  The caller opens
+    and closes them; one ``breaker`` is shared by the whole experiment.
+    A checkpoint opened under ``run_id_for("experiment",
+    config.to_json())`` gives the same run id to the same config, so an
+    interrupted experiment resumes by skipping completed units.
     """
-    policy = policy or ResiliencePolicy()
     dataset = generate(config.dataset, n_rows=config.n_rows, seed=config.seed)
-    breaker = policy.make_breaker()
-    checkpoint = policy.open_checkpoint("experiment", config.to_json())
-    controller = BenchmarkController(breaker=breaker)
-    guard_kwargs = dict(
-        deadline_seconds=policy.deadline_seconds,
-        retry=policy.retry,
-        breaker=breaker,
-        checkpoint=checkpoint,
-        clock=policy.clock,
-        sleep=policy.sleep,
-        executor=policy.make_executor(),
+    return ExperimentReport(
+        config,
+        *run_stages(
+            dataset, "experiment", config.options(), seed=config.seed,
+            **guards,
+        ),
     )
-    try:
-        return _run_experiment_stages(
-            config, dataset, controller, guard_kwargs, policy
-        )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-        if guard_kwargs["executor"] is not None:
-            guard_kwargs["executor"].close()
-
-
-def _run_experiment_stages(
-    config: ExperimentConfig,
-    dataset,
-    controller: BenchmarkController,
-    guard_kwargs: Dict,
-    policy: ResiliencePolicy,
-) -> ExperimentReport:
-    if config.detectors is None:
-        detectors = controller.applicable_detectors(dataset)
-    else:
-        registry = detector_registry()
-        detectors = [registry[name] for name in config.detectors]
-    detection_runs = run_detection_suite(
-        dataset, detectors, seed=config.seed, **guard_kwargs
-    )
-
-    if config.repairs is None:
-        repairs = [
-            m for m in controller.applicable_repairs(dataset)
-            if isinstance(m, RepairMethod)
-        ]
-    else:
-        registry = repair_registry()
-        repairs = [registry[name] for name in config.repairs]
-        non_generic = [m.name for m in repairs if not isinstance(m, RepairMethod)]
-        if non_generic:
-            raise ValueError(
-                "ML-oriented repairs produce models, not tables; "
-                f"remove {non_generic} or use the fig6 harness"
-            )
-    detections = {
-        r.detector: set(r.result.cells)
-        for r in detection_runs
-        if not r.failed and r.result.n_detected > 0
-    }
-    repair_runs = run_repair_suite(
-        dataset, detections, repairs, seed=config.seed, **guard_kwargs
-    )
-
-    evaluations: List[ScenarioEvaluation] = []
-    if dataset.task is not None and config.models:
-        variants = [("dirty", dataset.dirty, None)]
-        for run in repair_runs:
-            if run.failed:
-                continue
-            variants.append(
-                (
-                    run.strategy,
-                    run.result.repaired,
-                    run.result.metadata.get("kept_rows"),
-                )
-            )
-        for model_name in config.models:
-            get_spec(dataset.task, model_name)  # fail fast on bad names
-            for variant_name, table, kept in variants:
-                evaluations.append(
-                    evaluate_scenarios(
-                        dataset, table, variant_name, model_name,
-                        scenario_names=tuple(config.scenarios),
-                        n_seeds=config.n_seeds,
-                        kept_rows=kept,
-                        deadline_seconds=policy.deadline_seconds,
-                        retry=policy.retry,
-                        checkpoint=guard_kwargs.get("checkpoint"),
-                        clock=policy.clock,
-                        sleep=policy.sleep,
-                        executor=guard_kwargs.get("executor"),
-                    )
-                )
-    return ExperimentReport(config, detection_runs, repair_runs, evaluations)

@@ -66,16 +66,11 @@ import argparse
 import json
 import sqlite3
 import sys
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Any, Dict, Iterator, Optional, Sequence
 
-from repro.benchmark import (
-    BenchmarkController,
-    detection_iou,
-    evaluate_scenarios,
-    run_detection_suite,
-    run_repair_suite,
-)
+from repro.benchmark import detection_iou
+from repro.benchmark.config import run_stages, validate_options
 from repro.cache import ArtifactCache, cache_scope
 from repro.datagen import DATASET_NAMES, dataset_spec, generate
 from repro.observability import (
@@ -314,41 +309,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_checkpoint(args: argparse.Namespace) -> Optional[SuiteCheckpoint]:
-    """Build the checkpoint view the resilience flags describe."""
-    if args.store is None:
-        return None
-    run_id = run_id_for(args.command, args.dataset, args.rows, args.seed)
+def _open_checkpoint(
+    path: str, run_id: str, resume: bool
+) -> SuiteCheckpoint:
+    """Open a checkpoint view; an unopenable store is exit code 4."""
     try:
-        return SuiteCheckpoint.open(args.store, run_id, resume=args.resume)
+        return SuiteCheckpoint.open(path, run_id, resume=resume)
     except sqlite3.OperationalError as exc:
         raise CliError(
-            f"cannot open checkpoint store {args.store!r}: {exc}",
+            f"cannot open checkpoint store {path!r}: {exc}",
             EXIT_MISSING_PATH,
         ) from exc
-
-
-def _guard_kwargs(args: argparse.Namespace) -> dict:
-    retry = (
-        RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
-    )
-    return {
-        "deadline_seconds": args.budget,
-        "retry": retry,
-        "breaker": CircuitBreaker(threshold=3),
-        "checkpoint": _open_checkpoint(args),
-        "executor": make_executor(
-            args.workers, start_method=args.start_method
-        ),
-    }
-
-
-def _close_guards(guards: dict) -> None:
-    """Release what ``_guard_kwargs`` opened: the store and the pool."""
-    if guards["checkpoint"] is not None:
-        guards["checkpoint"].close()
-    if guards["executor"] is not None:
-        guards["executor"].close()
 
 
 def _make_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
@@ -498,20 +469,54 @@ def _detection_runtimes(runs):
     return runtimes, failures
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
+def _run_stage_command(args: argparse.Namespace, options: Dict[str, Any]):
+    """Run one stage command's ``(kind, options)`` through the stage table.
+
+    The guards and the telemetry/cache sessions share one exit stack, so
+    whichever of them fails to open, the ones already open are closed.
+    Returns ``(dataset, stage results, telemetry)``.
+    """
+    try:
+        validate_options(args.command, args.dataset, options)
+    except ValueError as exc:
+        raise CliError(
+            f"malformed benchmark config: {exc}", EXIT_BAD_CONFIG
+        ) from exc
     dataset = generate(args.dataset, n_rows=args.rows, seed=args.seed)
-    guards = _guard_kwargs(args)
-    controller = BenchmarkController(breaker=guards["breaker"])
-    applicable = controller.applicable_detectors(dataset)
-    with _telemetry_session(args) as telemetry, \
-            _cache_session(args, telemetry):
-        try:
-            runs = run_detection_suite(
-                dataset, applicable, seed=args.seed,
-                block_rows=args.block_rows, **guards
+    with ExitStack() as stack:
+        checkpoint = None
+        if args.store is not None:
+            run_id = run_id_for(
+                args.command, args.dataset, args.rows, args.seed
             )
-        finally:
-            _close_guards(guards)
+            checkpoint = stack.enter_context(
+                _open_checkpoint(args.store, run_id, args.resume)
+            )
+        executor = make_executor(args.workers, start_method=args.start_method)
+        if executor is not None:
+            stack.enter_context(executor)
+        telemetry = stack.enter_context(_telemetry_session(args))
+        stack.enter_context(_cache_session(args, telemetry))
+        results = run_stages(
+            dataset, args.command, options, seed=args.seed,
+            deadline_seconds=args.budget,
+            retry=(
+                RetryPolicy(max_attempts=args.retries)
+                if args.retries > 1
+                else None
+            ),
+            breaker=CircuitBreaker(threshold=3),
+            checkpoint=checkpoint,
+            executor=executor,
+        )
+    return dataset, results, telemetry
+
+
+def _cmd_detect(args: argparse.Namespace) -> int:
+    options = {}
+    if args.block_rows is not None:
+        options["block_rows"] = args.block_rows
+    dataset, (runs, _, _), telemetry = _run_stage_command(args, options)
     if args.quiet:
         return 0
     active = [r for r in runs if not r.failed and r.result.n_detected > 0]
@@ -538,37 +543,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    from repro.detectors import MaxEntropyDetector, MVDetector
-    from repro.repair import (
-        GroundTruthRepair,
-        MeanModeImputeRepair,
-        MissForestMixRepair,
+    options = {
+        "detectors": ["MVD", "MaxEntropy"],
+        "repairs": ["GT", "Impute-Mean", "MISS-Mix"],
+    }
+    dataset, (_, repair_runs, _), telemetry = _run_stage_command(
+        args, options
     )
-
-    dataset = generate(args.dataset, n_rows=args.rows, seed=args.seed)
-    guards = _guard_kwargs(args)
-    with _telemetry_session(args) as telemetry, \
-            _cache_session(args, telemetry):
-        try:
-            detection_runs = run_detection_suite(
-                dataset, [MVDetector(), MaxEntropyDetector()], seed=args.seed,
-                **guards,
-            )
-            detections = {
-                r.detector: set(r.result.cells)
-                for r in detection_runs
-                if not r.failed and r.result.n_detected
-            }
-            repair_runs = run_repair_suite(
-                dataset,
-                detections,
-                [GroundTruthRepair(), MeanModeImputeRepair(),
-                 MissForestMixRepair()],
-                seed=args.seed,
-                **guards,
-            )
-        finally:
-            _close_guards(guards)
     if args.quiet:
         return 0
     rows = []
@@ -593,23 +574,15 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
-    dataset = generate(args.dataset, n_rows=args.rows, seed=args.seed)
-    if dataset.task is None:
-        print(f"{dataset.name} has no associated ML task", file=sys.stderr)
+    if dataset_spec(args.dataset).task is None:
+        print(f"{args.dataset} has no associated ML task", file=sys.stderr)
         return 2
-    guards = _guard_kwargs(args)
-    with _telemetry_session(args) as telemetry, \
-            _cache_session(args, telemetry):
-        try:
-            evaluation = evaluate_scenarios(
-                dataset, dataset.dirty, "dirty", args.model,
-                scenario_names=("S1", "S4"), n_seeds=args.seeds,
-                deadline_seconds=guards["deadline_seconds"],
-                retry=guards["retry"], checkpoint=guards["checkpoint"],
-                executor=guards["executor"],
-            )
-        finally:
-            _close_guards(guards)
+    options = {
+        "model": args.model, "scenarios": ["S1", "S4"], "n_seeds": args.seeds,
+    }
+    dataset, (_, _, [evaluation]), telemetry = _run_stage_command(
+        args, options
+    )
     if args.quiet:
         return 0
     ab = evaluation.ab_test("S1", "S4")
@@ -720,14 +693,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     spec = _parse_job_spec(args)
     if args.inline:
-        checkpoint_args = argparse.Namespace(
-            store=args.store, command=args.kind, dataset=args.dataset,
-            rows=args.rows, seed=args.seed, resume=True,
-        )
         if args.store is not None:
             # Probe the store path now for the distinct exit code; the
             # job itself opens its own per-job-id checkpoint view.
-            _open_checkpoint(checkpoint_args).close()
+            _open_checkpoint(args.store, spec.job_id, resume=True).close()
         with _telemetry_session(args) as telemetry:
             result = execute_job(
                 spec, store_path=args.store, telemetry=telemetry

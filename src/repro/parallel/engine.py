@@ -249,7 +249,8 @@ class ProcessPoolExecutor:
     installed cache's spec -- that workers unpickle once per plan
     (:func:`_enter_plan`).  ``fork`` workers fork at the first plan, so
     monkeypatches made after that do not reach them; owners (the CLI,
-    ``run_experiment``, each service worker) close their executors.
+    ``run_experiment``'s caller, each service worker) close their
+    executors.
 
     ``plan.shared`` is packed once per plan through the data plane, into
     segments owned by that plan; ``share_tables=False`` keeps tables

@@ -19,6 +19,11 @@ outcome.  This package supplies the three pillars:
   (:mod:`repro.resilience.checkpoint`): per-unit results persisted to
   the SQLite repository so an interrupted suite resumes by skipping
   completed combinations.
+
+There is no policy object bundling these: each front end (CLI, service
+job, :func:`repro.benchmark.run_experiment`) builds the guards it wants,
+passes them by keyword to the one stage driver
+(:func:`repro.benchmark.config.run_stages`) and closes what it opened.
 """
 
 from repro.resilience.checkpoint import (
@@ -46,7 +51,6 @@ from repro.resilience.guards import (
     RetryPolicy,
     guarded_call,
 )
-from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.validation import validate_repair_result
 
 __all__ = [
@@ -61,7 +65,6 @@ __all__ = [
     "DeadlineExceeded",
     "FailureRecord",
     "GuardedResult",
-    "ResiliencePolicy",
     "RetryPolicy",
     "SuiteCheckpoint",
     "TransientError",

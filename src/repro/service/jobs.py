@@ -1,8 +1,9 @@
 """Benchmark jobs: the canonical, content-addressed unit of service work.
 
 A job is one declarative benchmark configuration -- the same vocabulary
-the CLI stage commands speak (``detect`` / ``repair`` / ``model`` on one
-dataset) -- reduced to a :class:`JobSpec` whose identity is the
+the CLI stage commands speak (the ``detect`` / ``repair`` / ``model``
+kinds of :data:`~repro.benchmark.config.STAGE_TABLE` on one dataset) --
+reduced to a :class:`JobSpec` whose identity is the
 content-addressed hash of its canonical structure
 (:func:`~repro.resilience.checkpoint.run_id_for`).  Two submissions of
 the same configuration are therefore *the same job*: the queue
@@ -20,47 +21,25 @@ job id; the result is the reproducible science.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional
 
-from repro.benchmark.controller import BenchmarkController
-from repro.benchmark.runner import (
-    evaluate_scenarios,
-    run_detection_suite,
-    run_repair_suite,
+from repro.benchmark.config import (
+    is_int,
+    require,
+    run_stages,
+    validate_options,
 )
-from repro.benchmark.scenarios import ALL_SCENARIOS
-from repro.datagen import DATASET_NAMES, dataset_spec, generate
-from repro.repair.base import RepairMethod
+from repro.datagen import generate
 from repro.repository.store import sanitize_payload
 from repro.resilience.checkpoint import SuiteCheckpoint, run_id_for
 
 JOB_KINDS = ("detect", "repair", "model")
 
-#: Option keys each kind accepts; anything else is a malformed config.
-_OPTION_KEYS = {
-    "detect": {"detectors", "block_rows"},
-    "repair": {"detectors", "repairs"},
-    "model": {"model", "scenarios", "n_seeds", "sample_rows"},
-}
-
 #: Schema version folded into every job id: bump when the result payload
 #: shape changes so stale cached results are never served for new specs.
 JOB_SCHEMA_VERSION = 1
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _validate_name_list(value: Any, what: str, known: Sequence[str]) -> None:
-    _require(
-        isinstance(value, (list, tuple)) and len(value) > 0,
-        f"{what} must be a non-empty list of names",
-    )
-    unknown = [n for n in value if n not in known]
-    _require(not unknown, f"unknown {what} {unknown!r}")
 
 
 @dataclass(frozen=True)
@@ -80,82 +59,13 @@ class JobSpec:
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _require(self.kind in JOB_KINDS, f"kind must be one of {JOB_KINDS}")
-        _require(
-            self.dataset in DATASET_NAMES,
-            f"unknown dataset {self.dataset!r}",
-        )
-        _require(
-            isinstance(self.rows, int) and self.rows >= 1,
+        require(self.kind in JOB_KINDS, f"kind must be one of {JOB_KINDS}")
+        require(
+            is_int(self.rows) and self.rows >= 1,
             "rows must be a positive integer",
         )
-        _require(isinstance(self.seed, int), "seed must be an integer")
-        _require(
-            isinstance(self.options, Mapping),
-            "options must be a mapping",
-        )
-        allowed = _OPTION_KEYS[self.kind]
-        extra = sorted(set(self.options) - allowed)
-        _require(
-            not extra,
-            f"unknown option(s) {extra!r} for kind {self.kind!r} "
-            f"(allowed: {sorted(allowed)})",
-        )
-        self._validate_options()
-
-    def _validate_options(self) -> None:
-        options = self.options
-        if "detectors" in options:
-            from repro.detectors import detector_registry
-
-            _validate_name_list(
-                options["detectors"], "detectors", detector_registry()
-            )
-        if "repairs" in options:
-            from repro.repair import repair_registry
-
-            registry = repair_registry()
-            _validate_name_list(options["repairs"], "repairs", registry)
-            non_generic = [
-                n for n in options["repairs"]
-                if not isinstance(registry[n], RepairMethod)
-            ]
-            _require(
-                not non_generic,
-                f"ML-oriented repairs produce models, not tables: "
-                f"{non_generic!r}",
-            )
-        if "block_rows" in options:
-            value = options["block_rows"]
-            _require(
-                isinstance(value, int) and value >= 1,
-                "block_rows must be a positive integer",
-            )
-        if self.kind == "model":
-            _require(
-                dataset_spec(self.dataset).task is not None,
-                f"{self.dataset!r} has no associated ML task",
-            )
-            from repro.ml.model_zoo import get_spec
-
-            model = options.get("model", "DT")
-            _require(isinstance(model, str), "model must be a string")
-            get_spec(dataset_spec(self.dataset).task, model)
-            scenarios = options.get("scenarios", ["S1", "S4"])
-            _validate_name_list(
-                scenarios, "scenarios", [s.name for s in ALL_SCENARIOS]
-            )
-            n_seeds = options.get("n_seeds", 3)
-            _require(
-                isinstance(n_seeds, int) and n_seeds >= 1,
-                "n_seeds must be a positive integer",
-            )
-            sample_rows = options.get("sample_rows")
-            _require(
-                sample_rows is None
-                or (isinstance(sample_rows, int) and sample_rows >= 1),
-                "sample_rows must be a positive integer",
-            )
+        require(is_int(self.seed), "seed must be an integer")
+        validate_options(self.kind, self.dataset, self.options)
 
     @property
     def job_id(self) -> str:
@@ -181,13 +91,13 @@ class JobSpec:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "JobSpec":
-        _require(isinstance(payload, Mapping), "job spec must be an object")
+        require(isinstance(payload, Mapping), "job spec must be an object")
         extra = sorted(
             set(payload) - {"kind", "dataset", "rows", "seed", "options"}
         )
-        _require(not extra, f"unknown job spec field(s) {extra!r}")
-        _require("kind" in payload, "job spec needs a 'kind'")
-        _require("dataset" in payload, "job spec needs a 'dataset'")
+        require(not extra, f"unknown job spec field(s) {extra!r}")
+        require("kind" in payload, "job spec needs a 'kind'")
+        require("dataset" in payload, "job spec needs a 'dataset'")
         return cls(
             kind=payload["kind"],
             dataset=payload["dataset"],
@@ -248,10 +158,6 @@ def canonical_result_text(payload: Mapping[str, Any]) -> str:
     )
 
 
-def _default_repair_names() -> Sequence[str]:
-    return ("GT", "Impute-Mean", "MISS-Mix")
-
-
 def execute_job(
     spec: JobSpec,
     store_path: Optional[str] = None,
@@ -260,7 +166,7 @@ def execute_job(
     clock: Optional[Callable[[], float]] = None,
     sleep: Optional[Callable[[float], None]] = None,
 ) -> Dict[str, Any]:
-    """Execute one job through the existing engines; returns the result.
+    """Execute one job through the stage driver; returns the result.
 
     This is *the* one-shot execution path: service workers and the
     ``repro submit --inline`` CLI both call it, so a job's service
@@ -272,118 +178,47 @@ def execute_job(
     chaos-test injection points forwarded to the suite guards.
     """
     dataset = generate(spec.dataset, n_rows=spec.rows, seed=spec.seed)
-    checkpoint = (
+    guards: Dict[str, Any] = {"executor": executor, "telemetry": telemetry}
+    if clock is not None:
+        guards["clock"] = clock
+    if sleep is not None:
+        guards["sleep"] = sleep
+    store = (
         SuiteCheckpoint.open(store_path, spec.job_id, resume=True)
         if store_path is not None
-        else None
+        else nullcontext()
     )
-    guard_kwargs: Dict[str, Any] = {
-        "seed": spec.seed,
-        "checkpoint": checkpoint,
-        "executor": executor,
-        "telemetry": telemetry,
-    }
-    if clock is not None:
-        guard_kwargs["clock"] = clock
-    if sleep is not None:
-        guard_kwargs["sleep"] = sleep
-    try:
-        if spec.kind == "detect":
-            body = _execute_detect(spec, dataset, guard_kwargs)
-        elif spec.kind == "repair":
-            body = _execute_repair(spec, dataset, guard_kwargs)
-        else:
-            body = _execute_model(spec, dataset, guard_kwargs)
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
+    with store as checkpoint:
+        detection_runs, repair_runs, evaluations = run_stages(
+            dataset, spec.kind, spec.options, seed=spec.seed,
+            checkpoint=checkpoint, **guards,
+        )
     result: Dict[str, Any] = {
         "schema": JOB_SCHEMA_VERSION,
         "job_id": spec.job_id,
         "spec": spec.to_payload(),
+        "kind": spec.kind,
     }
-    result.update(body)
+    if spec.kind == "detect":
+        result["runs"] = [r.to_payload() for r in detection_runs]
+    elif spec.kind == "repair":
+        result["detection_runs"] = [r.to_payload() for r in detection_runs]
+        result["repair_runs"] = [r.to_payload() for r in repair_runs]
+    else:
+        evaluation = evaluations[0]
+        result.update(
+            variant=evaluation.variant,
+            model=evaluation.model,
+            scores=evaluation.scores,
+            failures={
+                scenario: {
+                    str(seed): record.to_payload()
+                    for seed, record in sorted(by_seed.items())
+                }
+                for scenario, by_seed in sorted(evaluation.failures.items())
+            },
+        )
     return strip_timing(sanitize_payload(result))
-
-
-def _resolve_detectors(spec: JobSpec, dataset) -> Sequence[Any]:
-    names = spec.options.get("detectors")
-    if names is None:
-        return BenchmarkController().applicable_detectors(dataset)
-    from repro.detectors import detector_registry
-
-    registry = detector_registry()
-    return [registry[name] for name in names]
-
-
-def _execute_detect(spec, dataset, guard_kwargs) -> Dict[str, Any]:
-    runs = run_detection_suite(
-        dataset,
-        _resolve_detectors(spec, dataset),
-        block_rows=spec.options.get("block_rows"),
-        **guard_kwargs,
-    )
-    return {"kind": "detect", "runs": [r.to_payload() for r in runs]}
-
-
-def _execute_repair(spec, dataset, guard_kwargs) -> Dict[str, Any]:
-    from repro.repair import repair_registry
-
-    detection_runs = run_detection_suite(
-        dataset, _resolve_detectors(spec, dataset), **guard_kwargs
-    )
-    detections = {
-        r.detector: set(r.result.cells)
-        for r in detection_runs
-        if not r.failed and r.result.n_detected
-    }
-    registry = repair_registry()
-    repair_names = spec.options.get("repairs", _default_repair_names())
-    repair_runs = run_repair_suite(
-        dataset,
-        detections,
-        [registry[name] for name in repair_names],
-        **guard_kwargs,
-    )
-    return {
-        "kind": "repair",
-        "detection_runs": [r.to_payload() for r in detection_runs],
-        "repair_runs": [r.to_payload() for r in repair_runs],
-    }
-
-
-def _execute_model(spec, dataset, guard_kwargs) -> Dict[str, Any]:
-    options = spec.options
-    evaluation = evaluate_scenarios(
-        dataset,
-        dataset.dirty,
-        "dirty",
-        options.get("model", "DT"),
-        scenario_names=tuple(options.get("scenarios", ["S1", "S4"])),
-        n_seeds=options.get("n_seeds", 3),
-        sample_rows=options.get("sample_rows"),
-        checkpoint=guard_kwargs["checkpoint"],
-        executor=guard_kwargs["executor"],
-        telemetry=guard_kwargs["telemetry"],
-        **{
-            key: guard_kwargs[key]
-            for key in ("clock", "sleep")
-            if key in guard_kwargs
-        },
-    )
-    return {
-        "kind": "model",
-        "variant": evaluation.variant,
-        "model": evaluation.model,
-        "scores": evaluation.scores,
-        "failures": {
-            scenario: {
-                str(seed): record.to_payload()
-                for seed, record in sorted(by_seed.items())
-            }
-            for scenario, by_seed in sorted(evaluation.failures.items())
-        },
-    }
 
 
 def execute_job_payload(

@@ -251,6 +251,41 @@ class TestCliExitCodes:
              "--events", str(tmp_path / "no" / "such" / "events.jsonl")]
         ) == 4
 
+    def test_unknown_model_is_a_config_error(self, capsys):
+        assert main(["model", "Nasa", "--rows", "60", "--model", "Ghost"]) == 3
+        assert "malformed benchmark config" in capsys.readouterr().err
+        assert main(
+            ["submit", "Nasa", "--kind", "model", "--inline",
+             "--options", '{"model": "Ghost"}']
+        ) == 3
+        assert "malformed job config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--events", "events.jsonl"),
+        ("--cache-dir", "cache"),
+    ])
+    def test_failed_session_closes_checkpoint_store(
+        self, tmp_path, monkeypatch, flag, value
+    ):
+        from repro.resilience import SuiteCheckpoint
+
+        closed = []
+        real_close = SuiteCheckpoint.close
+
+        def counting_close(checkpoint):
+            closed.append(checkpoint.run_id)
+            real_close(checkpoint)
+
+        monkeypatch.setattr(SuiteCheckpoint, "close", counting_close)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(
+            ["detect", "Nasa", "--rows", "60", "-q",
+             "--store", str(tmp_path / "store.sqlite"),
+             flag, str(blocker / value)]
+        ) == 4
+        assert len(closed) == 1
+
     def test_inline_submit_is_byte_deterministic(self, tmp_path, capsys):
         argv = [
             "submit", "Nasa", "--kind", "detect", "--rows", "60",

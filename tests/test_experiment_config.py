@@ -25,6 +25,8 @@ class TestConfig:
             ExperimentConfig(dataset="Nasa", repairs=["GhostRepair"])
         with pytest.raises(ValueError, match="n_seeds"):
             ExperimentConfig(dataset="Nasa", n_seeds=0)
+        with pytest.raises(ValueError, match="scenarios"):
+            ExperimentConfig(dataset="Nasa", scenarios=["S9"])
 
     def test_json_is_plain_data(self):
         config = ExperimentConfig(dataset="Beers", n_rows=60)
@@ -64,17 +66,15 @@ class TestRunExperiment:
         assert report.evaluations == []
 
     def test_ml_oriented_repairs_rejected(self):
-        config = ExperimentConfig(
-            dataset="Adult", n_rows=100, detectors=["MVD"],
-            repairs=["ActiveClean"], models=[],
-        )
         with pytest.raises(ValueError, match="ML-oriented"):
-            run_experiment(config)
+            ExperimentConfig(
+                dataset="Adult", n_rows=100, detectors=["MVD"],
+                repairs=["ActiveClean"], models=[],
+            )
 
     def test_bad_model_name_fails_fast(self):
-        config = ExperimentConfig(
-            dataset="Nasa", n_rows=100, detectors=["MVD"], repairs=["GT"],
-            models=["GhostModel"], n_seeds=1,
-        )
-        with pytest.raises(KeyError):
-            run_experiment(config)
+        with pytest.raises(ValueError):
+            ExperimentConfig(
+                dataset="Nasa", n_rows=100, detectors=["MVD"],
+                repairs=["GT"], models=["GhostModel"], n_seeds=1,
+            )

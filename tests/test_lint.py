@@ -17,6 +17,7 @@ import check_hot_loops  # noqa: E402
 import check_reachable  # noqa: E402
 import check_rng  # noqa: E402
 import check_service_endpoints  # noqa: E402
+import check_stage_calls  # noqa: E402
 
 
 def test_no_broad_exception_handlers_outside_sanctioned_sites():
@@ -766,3 +767,75 @@ def test_reachable_lint_cli_exit_codes(tmp_path, capsys):
     assert check_reachable.main(["prog", str(tmp_path)]) == 1
     assert "dead.py:1" in capsys.readouterr().out
     assert check_reachable.main(["prog", str(tmp_path / "nope")]) == 2
+
+
+# ----------------------------------------------------------------------
+# Stage-call lint (tools/check_stage_calls.py)
+# ----------------------------------------------------------------------
+def test_only_the_stage_driver_calls_the_suites():
+    src = REPO_ROOT / "src"
+    assert check_stage_calls.check_tree(src) == []
+    callers = check_stage_calls.suite_callers(src)
+    assert [(path.name, where) for path, where in callers] == [
+        ("config.py", "run_stages")
+    ]
+
+
+def test_stage_call_lint_flags_second_caller(tmp_path):
+    _scoped_file(
+        tmp_path, "repro/benchmark/config.py",
+        "from repro.benchmark.runner import run_detection_suite\n"
+        "def run_stages(dataset):\n"
+        "    return run_detection_suite(dataset, [])\n",
+    )
+    _scoped_file(
+        tmp_path, "repro/cli.py",
+        "from repro import benchmark\n"
+        "class Command:\n"
+        "    def run(self, dataset):\n"
+        "        return benchmark.evaluate_scenarios(dataset)\n",
+    )
+    violations = check_stage_calls.check_tree(tmp_path)
+    assert len(violations) == 2, "\n".join(violations)
+    assert "config.py:3: run_stages calls run_detection_suite" in violations[0]
+    assert "cli.py:4: Command.run calls evaluate_scenarios" in violations[1]
+
+
+def test_stage_call_lint_counts_module_level_calls(tmp_path):
+    _scoped_file(
+        tmp_path, "repro/a.py",
+        "def drive(d):\n    return run_repair_suite(d, {}, [])\n",
+    )
+    _scoped_file(
+        tmp_path, "repro/b.py", "RUNS = run_detection_suite(None, [])\n"
+    )
+    violations = check_stage_calls.check_tree(tmp_path)
+    assert any("b.py:1: <module> calls" in v for v in violations)
+
+
+def test_stage_call_lint_accepts_one_driver_and_the_runner(tmp_path):
+    _scoped_file(
+        tmp_path, "repro/benchmark/runner.py",
+        "def run_detection_suite(d, detectors):\n    return []\n"
+        "def helper(d):\n    return run_detection_suite(d, [])\n",
+    )
+    _scoped_file(
+        tmp_path, "repro/benchmark/config.py",
+        "def run_stages(d):\n"
+        "    runs = run_detection_suite(d, [])\n"
+        "    repairs = run_repair_suite(d, {}, [])\n"
+        "    return runs, repairs, [evaluate_scenarios(d)]\n",
+    )
+    assert check_stage_calls.check_tree(tmp_path) == []
+
+
+def test_stage_call_lint_cli_exit_codes(tmp_path, capsys):
+    assert check_stage_calls.main(["prog", str(tmp_path)]) == 0
+    for name in ("a", "b"):
+        _scoped_file(
+            tmp_path, f"repro/{name}.py",
+            "def go(d):\n    return run_repair_suite(d, {}, [])\n",
+        )
+    assert check_stage_calls.main(["prog", str(tmp_path)]) == 1
+    assert "a.py:2" in capsys.readouterr().out
+    assert check_stage_calls.main(["prog", str(tmp_path / "nope")]) == 2

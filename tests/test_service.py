@@ -84,10 +84,27 @@ class TestJobSpec:
           "options": {"detectors": ["NoSuch"]}}, "detectors"),
         ({"kind": "model", "dataset": "Soccer"}, "task"),
         ({"kind": "detect", "dataset": "Nasa", "extra": 1}, "field"),
+        ({"kind": "model", "dataset": "Nasa",
+          "options": {"model": "Ghost"}}, "model"),
+        ({"kind": "detect", "dataset": "Nasa", "rows": True}, "rows"),
+        ({"kind": "detect", "dataset": "Nasa", "seed": False}, "seed"),
+        ({"kind": "detect", "dataset": "Nasa",
+          "options": {"block_rows": True}}, "block_rows"),
+        ({"kind": "model", "dataset": "Nasa",
+          "options": {"n_seeds": True}}, "n_seeds"),
     ])
     def test_malformed_configs_rejected(self, payload, fragment):
         with pytest.raises(ValueError, match=fragment):
             JobSpec.from_payload(payload)
+
+    def test_unknown_model_submission_is_a_bad_request(self):
+        from repro.service.api import BadRequest, Request, submit_job
+
+        body = {"kind": "model", "dataset": "Nasa",
+                "options": {"model": "Ghost"}}
+        with pytest.raises(BadRequest, match="malformed job config") as info:
+            submit_job(None, Request(params={}, body=body))
+        assert info.value.status == 400
 
     def test_strip_timing_zeroes_wall_clock_fields(self):
         payload = {
