@@ -1,7 +1,8 @@
-"""Kernel speedups: vectorized CART/KNN vs the frozen scalar reference,
-plus the warm artifact cache against a cold end-to-end run.
+"""Kernel speedups: vectorized CART/KNN and table fingerprints vs the
+frozen per-cell references, plus the warm artifact cache against a cold
+end-to-end run.
 
-Three measurements, all against honest workloads:
+Four measurements, all against honest workloads:
 
 - **tree fit+predict**: both builders train on the one-hot-heavy matrix
   produced by actually encoding a generated benchmark dataset (the
@@ -13,6 +14,10 @@ Three measurements, all against honest workloads:
   (n, m, d) broadcast.  Reported, no bar -- the margin is enormous and
   asserting a huge multiple would just make the suite flaky on slow
   hosts.  A conservative floor guards against regressions.
+- **table fingerprint**: the typed per-column pass against the per-cell
+  JSON reference in :mod:`oracles.cache`, on a generated 600-row Adult
+  table (the mixed str/float cells every cache lookup keys).  Bar:
+  >= 2x, a conservative floor under the measured margin.
 - **warm cache end-to-end**: an ML detector suite (featurization-bound
   ED2) run cold then warm on the same artifact cache.  Bar: >= 2x, and
   the warm run's payloads must be byte-identical to an uncached run's.
@@ -29,7 +34,7 @@ import numpy as np
 from conftest import bench_dataset, emit
 
 from repro.benchmark import run_detection_suite
-from repro.cache import ArtifactCache, cache_scope
+from repro.cache import ArtifactCache, cache_scope, table_fingerprint
 from repro.dataset.encoding import TableEncoder
 from repro.detectors.ml_detectors import ED2Detector
 from repro.ml.neighbors import _pairwise_sq_distances
@@ -37,6 +42,7 @@ from repro.ml.tree import DecisionTreeClassifier
 from repro.observability import write_bench_snapshot
 from repro.reporting import render_table
 
+from oracles.cache import reference_table_fingerprint
 from oracles.ml import (
     ReferenceDecisionTreeClassifier,
     reference_pairwise_sq_distances,
@@ -49,6 +55,7 @@ BENCH_SNAPSHOT = os.path.join(
 
 TREE_ROWS = 4000
 CACHE_ROWS = 2000
+FINGERPRINT_ROWS = 600
 
 #: Numbers accumulated across the tests in this module; the final test
 #: writes them as one snapshot.
@@ -144,6 +151,50 @@ def test_knn_distance_kernel_speedup(benchmark):
     assert speedup >= 5.0, f"distance kernel regressed to {speedup:.2f}x"
 
 
+def test_table_fingerprint_at_least_twice_as_fast(benchmark):
+    table = bench_dataset("Adult", n_rows=FINGERPRINT_ROWS).dirty
+
+    def unmemoized(fingerprint):
+        # The memo would turn every repeat into a dict lookup.
+        table.__dict__.pop("_fingerprint_memo", None)
+        return fingerprint(table)
+
+    benchmark.pedantic(
+        unmemoized, args=(table_fingerprint,), rounds=20, warmup_rounds=2
+    )
+    vec_seconds = benchmark.stats.stats.min
+    ref_seconds = _best_of(
+        lambda: unmemoized(reference_table_fingerprint), reps=20
+    )
+    speedup = ref_seconds / vec_seconds
+    _RESULTS["table_fingerprint_reference_seconds"] = round(ref_seconds, 5)
+    _RESULTS["table_fingerprint_vectorized_seconds"] = round(vec_seconds, 5)
+    _RESULTS["table_fingerprint_speedup"] = round(speedup, 2)
+    emit(
+        "kernel_fingerprint_speed",
+        render_table(
+            ["fingerprint", "milliseconds", "speedup"],
+            [
+                ["per-cell JSON", round(ref_seconds * 1e3, 2), 1.0],
+                [
+                    "typed column pass",
+                    round(vec_seconds * 1e3, 2),
+                    round(speedup, 2),
+                ],
+            ],
+            title=(
+                f"table_fingerprint, Adult ({table.n_rows} x "
+                f"{len(table.column_names)})"
+            ),
+        ),
+    )
+    assert speedup >= 2.0, (
+        f"expected >= 2x table fingerprint speedup, got {speedup:.2f}x "
+        f"(reference {ref_seconds * 1e3:.2f} ms, "
+        f"vectorized {vec_seconds * 1e3:.2f} ms)"
+    )
+
+
 def _detection_payloads(runs) -> str:
     stripped = []
     for run in runs:
@@ -211,6 +262,7 @@ def test_write_kernel_snapshot():
     required = {
         "tree_fit_predict_speedup",
         "knn_distances_speedup",
+        "table_fingerprint_speedup",
         "cache_warm_speedup",
     }
     missing = required - _RESULTS.keys()
@@ -224,6 +276,8 @@ def test_write_kernel_snapshot():
             "tree_rows": TREE_ROWS,
             "tree_config": "repo defaults (unbounded depth)",
             "knn_shape": "600x2500x60",
+            "fingerprint_dataset": "Adult",
+            "fingerprint_rows": FINGERPRINT_ROWS,
             "cache_workload": "ED2 detection suite",
             "cache_rows": CACHE_ROWS,
             "rounds": 3,

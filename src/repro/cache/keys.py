@@ -9,52 +9,119 @@ over the producing configuration (encoder settings, target column,
 feature-family version).  Same content -> same key -> safe reuse; any
 cell or config change -> a different key -> a clean miss.
 
-Canonical cell encoding mirrors the checkpoint store's: every explicit
-missing marker (``None``, NaN, ``"NA"`` ...) maps to ``null``.  That is
-deliberate -- the encoding and featurization paths treat all missing
-markers identically (``is_missing`` / ``coerce_float`` / one-hot key
-``None``), so tables that differ only in *which* missing marker they
-carry produce byte-identical artifacts and may share a cache entry.
+:func:`canonical_cell` defines each cell's canonical form.  Every
+explicit missing marker (``None``, NaN of any float type, ``"NA"`` ...)
+maps to ``None``.  That is deliberate -- the encoding and featurization
+paths treat all missing markers identically (``is_missing`` /
+``coerce_float`` / one-hot key ``None``), so tables that differ only in
+*which* missing marker they carry produce byte-identical artifacts and
+may share a cache entry.
+
+:func:`table_fingerprint` does not call it once per cell.  It hashes
+each column in one typed pass: a ``uint8`` tag lane (missing, bool,
+int, float, str), the float cells' raw ``float64`` bytes, the bools,
+the ints as JSON text (exact at any size) and the strings with their
+lengths, each part length-framed.  Only cells of other types (numpy
+scalars, arbitrary objects) go through :func:`canonical_cell` first.
+Two tables share a fingerprint exactly when their cells' canonical JSON
+is equal (``tests/oracles/cache.py`` is that per-cell reference); unlike
+JSON, ``inf`` and ``-inf`` cells hash too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping, Sequence
+import math
+from itertools import repeat
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.dataset.table import Table, is_missing
 
 #: Bump when the key layout or canonical encodings change incompatibly.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 def canonical_cell(value: Any) -> Any:
     """Reduce one cell payload to a JSON-stable canonical form.
 
-    Missing markers collapse to ``None`` (see module docstring); numpy
-    scalars map to their builtin equivalents; anything else is
-    stringified, matching how the encoders consume it.
+    Missing markers collapse to ``None`` (see module docstring); ints,
+    floats and numpy numbers map to exact builtin ``int``/``float``;
+    anything else is stringified, matching how the encoders consume it.
     """
     if is_missing(value):
         return None
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, (bool, int, float)):
+    if isinstance(value, bool):
         return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return None if math.isnan(value) else value
     return str(value)
+
+
+_MISSING, _BOOL, _INT, _FLOAT, _STR, _OTHER = range(6)
+
+#: Tag of each builtin type whose cells skip :func:`canonical_cell`.
+_TAGS = {type(None): _MISSING, bool: _BOOL, int: _INT, float: _FLOAT, str: _STR}
+
+
+def _tag_lane(cells: Sequence[Any]) -> np.ndarray:
+    return np.fromiter(
+        map(_TAGS.get, map(type, cells), repeat(_OTHER)),
+        dtype=np.uint8,
+        count=len(cells),
+    )
+
+
+def _column_parts(column: np.ndarray) -> Iterator[bytes]:
+    """The byte parts that identify one column's canonical cells.
+
+    The tag lane says which lane each cell's payload sits in, so the
+    lanes need no per-cell framing: floats are fixed-width, ints are
+    comma-joined JSON text and strings come with their lengths in code
+    points.
+    """
+    tags = _tag_lane(column)
+    strings = np.flatnonzero(tags == _STR)
+    if strings.size:
+        values = column[strings].tolist()
+        missing = {s: is_missing(s) for s in set(values)}
+        if any(missing.values()):
+            flags = np.fromiter(map(missing.__getitem__, values), bool, len(values))
+            tags[strings[flags]] = _MISSING
+    # Canonical strings of other cells are final: an object whose str()
+    # is "NA" is not a missing marker, so they skip the check above.
+    other = np.flatnonzero(tags == _OTHER)
+    if other.size:
+        canonical = [canonical_cell(v) for v in column[other]]
+        column = column.copy()
+        column[other] = canonical
+        tags[other] = _tag_lane(canonical)
+    floats = np.flatnonzero(tags == _FLOAT)
+    values = column[floats].astype("<f8")
+    nan = np.isnan(values)
+    if nan.any():
+        tags[floats[nan]] = _MISSING
+        values = values[~nan]
+    texts = column[tags == _STR].tolist()
+    yield tags.tobytes()
+    yield values.tobytes()
+    yield column[tags == _BOOL].astype(np.bool_).tobytes()
+    yield ",".join(map(str, column[tags == _INT])).encode()
+    yield np.fromiter(map(len, texts), "<i8", len(texts)).tobytes()
+    yield "".join(texts).encode("utf-8", "surrogatepass")
 
 
 def table_fingerprint(table: Table) -> str:
     """SHA-256 hex digest of a table's schema and cell contents.
 
-    Column-by-column streaming keeps peak memory at one column's JSON;
+    Column-by-column streaming keeps peak memory at one column's parts;
     the digest covers column names, declared kinds, row count, and every
-    canonicalized cell in order.
+    canonicalized cell in order (see module docstring).
 
     The digest is memoized on the table against its mutation counter
     (every ``set_cell`` bumps it), so re-fingerprinting an unchanged
@@ -73,10 +140,9 @@ def table_fingerprint(table: Table) -> str:
         json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     )
     for name in table.schema.names:
-        cells = [canonical_cell(v) for v in table.column(name)]
-        digest.update(
-            json.dumps(cells, separators=(",", ":"), allow_nan=False).encode()
-        )
+        for part in _column_parts(table.column(name)):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
     result = digest.hexdigest()
     if token is not None:
         table.__dict__["_fingerprint_memo"] = (token, result)

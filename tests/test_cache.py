@@ -10,12 +10,14 @@ pooled.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from repro.benchmark import run_detection_suite, run_scenario
+from repro.benchmark import evaluate_scenarios, run_detection_suite, run_scenario
 from repro.cache import (
+    CACHE_SCHEMA_VERSION,
     ArtifactCache,
     artifact_key,
     cache_scope,
@@ -105,6 +107,19 @@ class TestKeys:
         assert canonical_cell(np.float64(2.5)) == 2.5
         assert canonical_cell("text") == "text"
         assert json.dumps(canonical_cell(object())).startswith('"<object')
+
+    def test_encoding_is_pinned(self):
+        """Changing the canonical encoding must bump the schema version
+        together with this digest, so old cache directories miss."""
+        schema = Schema.from_pairs([("num", NUMERICAL), ("cat", CATEGORICAL)])
+        num = [1, 1.0, True, -0.0, math.nan, np.float32(2.5), 2**70, math.inf]
+        cat = ["1", " na ", None, "é\ud800", np.int64(7), np.bool_(True),
+               np.str_("s"), "x"]
+        table = Table(schema, {"num": num, "cat": cat})
+        assert CACHE_SCHEMA_VERSION == 2
+        assert table_fingerprint(table) == (
+            "b794747808454baae2fd17075625bd237475721b36521e92a5cab5ac76cd997b"
+        )
 
     def test_artifact_key_separates_kind_tables_config(self):
         fp = table_fingerprint(_table())
@@ -565,6 +580,32 @@ class TestEndToEndEquivalence:
         return json.dumps(
             [r.to_payload() for r in runs], sort_keys=True
         ).encode()
+
+    @pytest.mark.parametrize("cell", [math.inf, -math.inf, np.float32("nan")])
+    def test_cells_without_json_form_score_like_uncached(self, tmp_path, cell):
+        """An infinite float or a NaN of a non-``float`` type must key
+        like any other cell: no failed unit, and the cold-cache,
+        warm-cache and uncached scores agree."""
+        dataset = generate("Nasa", n_rows=80, seed=0)
+        dataset.dirty.set_cell(3, dataset.dirty.column_names[0], cell)
+
+        def evaluate():
+            return evaluate_scenarios(
+                dataset, dataset.dirty, "dirty", "DT",
+                scenario_names=("S1",), n_seeds=2,
+            )
+
+        reference = evaluate()
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            cold = evaluate()
+            warm = evaluate()
+        assert cache.stats()["hits"] > 0
+        for evaluation in (reference, cold, warm):
+            assert not any(evaluation.failures.values())
+            assert not any(math.isnan(v) for v in evaluation.scores["S1"])
+        assert cold.scores == reference.scores
+        assert warm.scores == reference.scores
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_cached_run_matches_uncached(self, tmp_path, workers):

@@ -9,6 +9,10 @@ Two families, both hypothesis-driven:
 - **array fingerprints**: two arrays share an ``array_fingerprint``
   exactly when their dtype, shape and raw bytes agree, the property the
   memoized fit->predict keys rest on;
+- **table fingerprints**: over hostile mixed-type columns, two tables
+  share a ``table_fingerprint`` exactly when the per-cell reference in
+  :mod:`oracles.cache` gives them equal digests, and a block's
+  fingerprint is its ``block_view``'s;
 - **kernel equivalence**: the vectorized CART builder and batched
   predictors in :mod:`repro.ml.tree` produce *exactly* the trees and
   predictions of the frozen scalar reference implementations in
@@ -16,17 +20,28 @@ Two families, both hypothesis-driven:
   the naive broadcast within 1e-12.
 """
 
+import math
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cache import ArtifactCache, array_fingerprint, cache_scope
+from repro.cache import (
+    ArtifactCache,
+    array_fingerprint,
+    cache_scope,
+    canonical_cell,
+    table_block_fingerprint,
+    table_fingerprint,
+)
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.encoding import TableEncoder, encode_supervised
+from repro.dataset.table import is_missing
 from repro.ml.neighbors import _pairwise_sq_distances
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
+from oracles.cache import reference_table_fingerprint
 from oracles.ml import (
     ReferenceDecisionTreeClassifier,
     ReferenceDecisionTreeRegressor,
@@ -163,6 +178,124 @@ def test_array_fingerprint_of_view_matches_contiguous_copy(matrix):
         assert array_fingerprint(view) == array_fingerprint(
             np.ascontiguousarray(view)
         )
+
+
+# ----------------------------------------------------------------------
+# Table fingerprints
+# ----------------------------------------------------------------------
+class _Token:
+    """An arbitrary object; its canonical form is its ``str``."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return self.text
+
+
+_MISSING_FORMS = [
+    None, math.nan, np.float64("nan"), np.float32("nan"), "NA", " na ", "?", "",
+]
+
+hostile_cell = st.one_of(
+    st.sampled_from(
+        _MISSING_FORMS
+        + [-0.0, 0.0, 1, 1.0, True, False, "1", "1.0", "True", "null"]
+        + [np.int64(1), np.float64(1.0), np.float32(1.5), np.bool_(True)]
+        + [np.str_("a"), "a", 2**63, 2**63 + 1, -(2**64), "\ud800", "é"]
+    ),
+    st.builds(_Token, st.sampled_from(["NA", "1", "a", "True", ""])),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_infinity=False),
+    st.floats(width=32, allow_infinity=False).map(np.float32),
+    st.text(
+        st.one_of(
+            st.characters(categories=["Ll", "Lo", "Nd", "Zs", "Po"]),
+            st.sampled_from(["\ud800", "\udfff"]),
+        ),
+        max_size=3,
+    ),
+)
+
+
+def _aliases(value):
+    """Other payloads with the same canonical JSON as ``value``."""
+    canonical = canonical_cell(value)
+    if canonical is None:
+        return _MISSING_FORMS
+    if isinstance(canonical, bool):
+        return [canonical]
+    if isinstance(canonical, int):
+        fits = -(2**63) <= canonical < 2**63
+        return [canonical] + ([np.int64(canonical)] if fits else [])
+    if isinstance(canonical, float):
+        return [canonical, np.float64(canonical)]
+    strings = [] if is_missing(canonical) else [canonical, np.str_(canonical)]
+    return strings + [_Token(canonical)]
+
+
+@st.composite
+def hostile_tables(draw, min_rows=0):
+    n_rows = draw(st.integers(min_value=min_rows, max_value=5))
+    kinds = draw(
+        st.lists(st.sampled_from([NUMERICAL, CATEGORICAL]), min_size=1, max_size=3)
+    )
+    schema = Schema.from_pairs([(f"c{i}", kind) for i, kind in enumerate(kinds)])
+    cells = st.lists(hostile_cell, min_size=n_rows, max_size=n_rows)
+    return Table(schema, {name: draw(cells) for name in schema.names})
+
+
+@st.composite
+def hostile_table_pairs(draw):
+    """A hostile table and a twin of aliases, one cell maybe redrawn."""
+    table = draw(hostile_tables())
+    twin = {
+        name: [draw(st.sampled_from(_aliases(v))) for v in table.column(name)]
+        for name in table.column_names
+    }
+    if table.n_rows and draw(st.booleans()):
+        name = draw(st.sampled_from(table.column_names))
+        twin[name][draw(st.integers(0, table.n_rows - 1))] = draw(hostile_cell)
+    return table, Table(table.schema, twin)
+
+
+def _hostile(*columns):
+    schema = Schema.from_pairs([(f"c{i}", CATEGORICAL) for i in range(len(columns))])
+    return Table(schema, {f"c{i}": list(c) for i, c in enumerate(columns)})
+
+
+@given(hostile_table_pairs())
+@example((_hostile([None, "NA"]), _hostile([np.float32("nan"), " na "])))
+@example((_hostile([-0.0]), _hostile([0.0])))
+@example((_hostile([1, 1.0, True]), _hostile(["1", "1", "1"])))
+@example((_hostile([2**63 + 1]), _hostile([2**63])))
+@example((_hostile([_Token("NA")]), _hostile(["NA"])))
+@example((_hostile([np.bool_(True)]), _hostile(["True"])))
+@example((_hostile([True]), _hostile([False])))
+@example((_hostile([1, 23]), _hostile([12, 3])))
+@example((_hostile([None, 1.0, "a"]), _hostile(["a", None, 1.0])))
+@example((_hostile(["ab", "c"]), _hostile(["a", "bc"])))
+@example((_hostile(["\ud800"]), _hostile(["\udfff"])))
+@example((_hostile([1.5], [1]), _hostile([np.float32(1.5)], [np.int64(1)])))
+@settings(max_examples=300, deadline=None)
+def test_table_fingerprint_equality_matches_reference(pair):
+    a, b = pair
+    same = reference_table_fingerprint(a) == reference_table_fingerprint(b)
+    assert (table_fingerprint(a) == table_fingerprint(b)) == same
+
+
+@given(hostile_tables(min_rows=1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_fingerprint_is_block_view_fingerprint(table, data):
+    start = data.draw(st.integers(0, table.n_rows))
+    stop = data.draw(st.integers(start, table.n_rows))
+    block = table_block_fingerprint(table, start, stop)
+    assert block == table_fingerprint(table.block_view(start, stop))
+    copy = Table(
+        table.schema,
+        {n: list(table.column(n)[start:stop]) for n in table.column_names},
+    )
+    assert block == table_fingerprint(copy)
 
 
 # ----------------------------------------------------------------------
