@@ -17,7 +17,7 @@ from typing import List, Optional
 from repro.constraints.discovery import discover_fds
 from repro.constraints.fd import FunctionalDependency
 from repro.constraints.patterns import ColumnPattern
-from repro.dataset.table import Table, is_missing
+from repro.dataset.table import Table
 
 
 @dataclass
@@ -58,9 +58,7 @@ def infer_column_pattern(
 
     Returns None for columns without a dominant shape family (free text).
     """
-    values = [
-        str(v).strip() for v in table.column(column) if not is_missing(v)
-    ]
+    values = [k for k in table.text_keys(column) if k is not None]
     if len(values) < 5:
         return None
     shapes = Counter(_shape_regex(v) for v in values)
@@ -83,11 +81,7 @@ def infer_key_columns(table: Table, max_keys: int = 2) -> List[str]:
     """Columns whose non-missing values are (almost) all distinct."""
     keys = []
     for column in table.column_names:
-        values = [
-            str(v).strip()
-            for v in table.column(column)
-            if not is_missing(v)
-        ]
+        values = [k for k in table.text_keys(column) if k is not None]
         if len(values) >= 5 and len(set(values)) >= 0.99 * len(values):
             keys.append(column)
         if len(keys) >= max_keys:

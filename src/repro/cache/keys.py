@@ -17,15 +17,17 @@ paths treat all missing markers identically (``is_missing`` /
 *which* missing marker they carry produce byte-identical artifacts and
 may share a cache entry.
 
-:func:`table_fingerprint` does not call it once per cell.  It hashes
-each column in one typed pass: a ``uint8`` tag lane (missing, bool,
-int, float, str), the float cells' raw ``float64`` bytes, the bools,
-the ints as JSON text (exact at any size) and the strings with their
-lengths, each part length-framed.  Only cells of other types (numpy
-scalars, arbitrary objects) go through :func:`canonical_cell` first.
-Two tables share a fingerprint exactly when their cells' canonical JSON
-is equal (``tests/oracles/cache.py`` is that per-cell reference); unlike
-JSON, ``inf`` and ``-inf`` cells hash too.
+:func:`table_fingerprint` does not call it once per cell.  It reads each
+column's memoized :class:`~repro.dataset.columnar.ColumnView` and
+coarsens it: the view's kinds map to a ``uint8`` fingerprint tag lane
+(missing, bool, int, float, str; big ints are ints), float cells hash as
+their raw ``float64`` bytes, bools as bytes, ints as JSON text (exact at
+any size) and strings with their lengths, each part length-framed.  The
+missing-token check runs once per distinct string, and only "other"
+cells (numpy scalars, arbitrary objects) go through
+:func:`canonical_cell`.  Two tables share a fingerprint exactly when
+their cells' canonical JSON is equal (``tests/oracles/cache.py`` is that
+per-cell reference); unlike JSON, ``inf`` and ``-inf`` cells hash too.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import repeat
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.dataset.columnar import KIND_OTHER, KIND_TEXT, ColumnView
 from repro.dataset.table import Table, is_missing
 
 #: Bump when the key layout or canonical encodings change incompatibly.
@@ -65,19 +67,14 @@ def canonical_cell(value: Any) -> Any:
 
 _MISSING, _BOOL, _INT, _FLOAT, _STR, _OTHER = range(6)
 
-#: Tag of each builtin type whose cells skip :func:`canonical_cell`.
-_TAGS = {type(None): _MISSING, bool: _BOOL, int: _INT, float: _FLOAT, str: _STR}
+#: Fingerprint tag of each column-view kind, in ``KIND_*`` order (none,
+#: float, int, bool, text, big int, other): big ints are ints.
+_TAG_OF_KIND = np.array(
+    [_MISSING, _FLOAT, _INT, _BOOL, _STR, _INT, _OTHER], dtype=np.uint8
+)
 
 
-def _tag_lane(cells: Sequence[Any]) -> np.ndarray:
-    return np.fromiter(
-        map(_TAGS.get, map(type, cells), repeat(_OTHER)),
-        dtype=np.uint8,
-        count=len(cells),
-    )
-
-
-def _column_parts(column: np.ndarray) -> Iterator[bytes]:
+def _column_parts(view: ColumnView) -> Iterator[bytes]:
     """The byte parts that identify one column's canonical cells.
 
     The tag lane says which lane each cell's payload sits in, so the
@@ -85,33 +82,31 @@ def _column_parts(column: np.ndarray) -> Iterator[bytes]:
     comma-joined JSON text and strings come with their lengths in code
     points.
     """
-    tags = _tag_lane(column)
-    strings = np.flatnonzero(tags == _STR)
-    if strings.size:
-        values = column[strings].tolist()
-        missing = {s: is_missing(s) for s in set(values)}
-        if any(missing.values()):
-            flags = np.fromiter(map(missing.__getitem__, values), bool, len(values))
-            tags[strings[flags]] = _MISSING
-    # Canonical strings of other cells are final: an object whose str()
+    text = np.flatnonzero(view.tags == KIND_TEXT)
+    missing = np.array([is_missing(s) for s in view.strings], dtype=bool)
+    blank = text[missing[view.bits[text]]]
+    # Canonical forms of other cells are final: an object whose str()
     # is "NA" is not a missing marker, so they skip the check above.
-    other = np.flatnonzero(tags == _OTHER)
+    other = np.flatnonzero(view.tags == KIND_OTHER)
     if other.size:
-        canonical = [canonical_cell(v) for v in column[other]]
-        column = column.copy()
-        column[other] = canonical
-        tags[other] = _tag_lane(canonical)
+        cells = view.cells.copy()
+        cells[other] = np.fromiter(
+            map(canonical_cell, cells[other]), dtype=object, count=other.size
+        )
+        view = ColumnView(cells)
+    tags = _TAG_OF_KIND[view.tags]
+    tags[blank] = _MISSING
     floats = np.flatnonzero(tags == _FLOAT)
-    values = column[floats].astype("<f8")
+    values = view.lane[floats]
     nan = np.isnan(values)
     if nan.any():
         tags[floats[nan]] = _MISSING
         values = values[~nan]
-    texts = column[tags == _STR].tolist()
+    texts = view.cells[tags == _STR].tolist()
     yield tags.tobytes()
-    yield values.tobytes()
-    yield column[tags == _BOOL].astype(np.bool_).tobytes()
-    yield ",".join(map(str, column[tags == _INT])).encode()
+    yield values.astype("<f8").tobytes()
+    yield view.lane.view(np.int64)[tags == _BOOL].astype(np.bool_).tobytes()
+    yield ",".join(map(str, view.cells[tags == _INT])).encode()
     yield np.fromiter(map(len, texts), "<i8", len(texts)).tobytes()
     yield "".join(texts).encode("utf-8", "surrogatepass")
 
@@ -140,7 +135,7 @@ def table_fingerprint(table: Table) -> str:
         json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     )
     for name in table.schema.names:
-        for part in _column_parts(table.column(name)):
+        for part in _column_parts(table.column_view(name)):
             digest.update(len(part).to_bytes(8, "little"))
             digest.update(part)
     result = digest.hexdigest()

@@ -134,16 +134,11 @@ class _ConstraintArrays:
         self.numeric: Dict[str, np.ndarray] = {}
         self.suid: Dict[str, np.ndarray] = {}
         for attr in sorted(dc.attributes):
-            cells = table.column(attr)
-            self.miss[attr] = np.array(
-                normalized_column(cells, is_missing), dtype=bool
-            )
-            floats = np.array(
-                normalized_column(cells, coerce_float), dtype=float
-            )
+            self.miss[attr] = table.missing_mask(attr)
+            floats = table.as_float(attr)
             self.floats[attr] = floats
             self.numeric[attr] = floats == floats  # not NaN
-            strs = normalized_column(cells, _strip_text)
+            strs = normalized_column(table.column_view(attr), _strip_text)
             self.suid[attr] = np.fromiter(
                 (shared.setdefault(s, len(shared)) for s in strs),
                 dtype=np.int64,

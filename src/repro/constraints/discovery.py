@@ -15,13 +15,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constraints.fd import FunctionalDependency
-from repro.dataset.table import Table, is_missing
-
-
-def _column_keys(table: Table, attr: str) -> List[Optional[str]]:
-    return [
-        None if is_missing(v) else str(v).strip() for v in table.column(attr)
-    ]
+from repro.dataset.table import Table
 
 
 def g3_error(table: Table, lhs: Sequence[str], rhs: str) -> float:
@@ -30,8 +24,8 @@ def g3_error(table: Table, lhs: Sequence[str], rhs: str) -> float:
     This is Kivinen & Mannila's g3 measure; 0 means the FD holds exactly.
     Rows with missing determinant values are skipped.
     """
-    lhs_keys = [_column_keys(table, a) for a in lhs]
-    rhs_keys = _column_keys(table, rhs)
+    lhs_keys = [table.text_keys(a) for a in lhs]
+    rhs_keys = table.text_keys(rhs)
     groups: Dict[Tuple[str, ...], Dict[Optional[str], int]] = {}
     considered = 0
     for i in range(table.n_rows):
@@ -49,7 +43,7 @@ def g3_error(table: Table, lhs: Sequence[str], rhs: str) -> float:
 
 
 def _distinct_count(table: Table, attr: str) -> int:
-    return len({k for k in _column_keys(table, attr) if k is not None})
+    return len({k for k in table.text_keys(attr) if k is not None})
 
 
 def discover_fds(

@@ -8,7 +8,7 @@ to_denial_constraint` performs that conversion programmatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
@@ -22,10 +22,6 @@ from repro.dataset.columnar import (
 )
 from repro.dataset.table import Cell, Table, is_missing
 from repro.kernels import kernel_stage
-
-
-def _strip_or_none(value: object) -> Optional[str]:
-    return None if is_missing(value) else str(value).strip()
 
 
 def _rhs_key(value: object) -> str:
@@ -44,15 +40,10 @@ class _GroupStats:
 
     def __init__(self, fd: "FunctionalDependency", table: Table) -> None:
         group_codes = combine_codes(
-            [
-                intern_values(
-                    normalized_column(table.column(attr), _strip_or_none)
-                )[0]
-                for attr in fd.lhs
-            ]
+            [intern_values(table.text_keys(attr))[0] for attr in fd.lhs]
         )
         rhs_uids, self.rhs_values = intern_values(
-            normalized_column(table.column(fd.rhs), _rhs_key)
+            normalized_column(table.column_view(fd.rhs), _rhs_key)
         )
         valid = group_codes >= 0
         self.rows = np.flatnonzero(valid)

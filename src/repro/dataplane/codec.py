@@ -16,15 +16,19 @@ pointers), so crossing a process boundary without pickling requires a
 - an **interned UTF-8 string pool** shared by every column of the
   table: each distinct text payload is stored once in a blob, addressed
   by ``(offsets, code)`` -- repeated categorical values (the common case
-  in REIN datasets) cost 4 bytes per occurrence; ints outside the int64
+  in REIN datasets) cost 8 bytes per occurrence; ints outside the int64
   range ride the pool as decimal text;
 - a per-column **pickle fallback blob** for exotic payloads (numpy
   scalars, nested containers) so the codec is total over anything a
   generator or repair can produce.
 
-Encoding happens once, driver-side; decoding is vectorized (dtype
-views, ``tolist`` on the lanes, object-array fancy indexing into the
-decoded pool) so workers do no per-cell Python work on the hot path.
+The tags, the numeric lane and each column's distinct strings come from
+the table's memoized :class:`~repro.dataset.columnar.ColumnView`, so
+encoding packs lanes that are already built: it only merges each
+column's distinct strings into the table pool, O(distinct) per column.
+Decoding is vectorized (dtype views, ``tolist`` on the lanes,
+object-array fancy indexing into the decoded pool) so workers do no
+per-cell Python work on the hot path.
 Decoded columns materialize lazily per column name, reading straight
 out of the attached buffer -- the buffer views themselves are zero-copy
 and ``writeable=False``, and the decoded table is read-only
@@ -45,30 +49,16 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.dataset.columnar import (
+    KIND_BIGINT,
+    KIND_BOOL,
+    KIND_FLOAT,
+    KIND_INT,
+    KIND_OTHER,
+    KIND_TEXT,
+)
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
-
-#: Cell kind tags (the per-cell ``uint8``).
-KIND_NONE = 0
-KIND_FLOAT = 1
-KIND_INT = 2
-KIND_BOOL = 3
-KIND_TEXT = 4
-KIND_BIGINT = 5
-KIND_OTHER = 6
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-#: Exact-type dispatch: subclasses (IntEnum, numpy scalars, ...) fall
-#: through to the pickle lane so their concrete type round-trips.
-_TAG_BY_TYPE = {
-    type(None): KIND_NONE,
-    float: KIND_FLOAT,
-    int: KIND_INT,
-    bool: KIND_BOOL,
-    str: KIND_TEXT,
-}
 
 _CODEC_VERSION = 1
 
@@ -141,17 +131,9 @@ def encode_table(table: Table) -> EncodedTable:
     # Text -> pool code, in first-occurrence order (dicts keep it).
     intern: Dict[str, int] = {}
     columns_meta: List[Dict[str, Any]] = []
-    n = table.n_rows
     for name in table.schema.names:
-        col = table.column(name)
-        kinds = np.fromiter(
-            (_TAG_BY_TYPE.get(type(value), KIND_OTHER) for value in col),
-            dtype=np.uint8,
-            count=n,
-        )
-        for i in np.flatnonzero(kinds == KIND_INT):
-            if not _INT64_MIN <= col[i] <= _INT64_MAX:
-                kinds[i] = KIND_BIGINT
+        view = table.column_view(name)
+        kinds = view.tags
         meta_col: Dict[str, Any] = {
             "name": name,
             "kinds": registry.add(kinds),
@@ -159,45 +141,33 @@ def encode_table(table: Table) -> EncodedTable:
             "codes": None,
             "other": None,
         }
-        m_float = kinds == KIND_FLOAT
-        m_int = kinds == KIND_INT
-        m_bool = kinds == KIND_BOOL
-        if m_float.any() or m_int.any() or m_bool.any():
-            lane = np.zeros(n, dtype=np.float64)
-            if m_float.any():
-                lane[m_float] = col[m_float].astype(np.float64)
-            lane_bits = lane.view(np.int64)
-            if m_int.any():
-                lane_bits[m_int] = col[m_int].astype(np.int64)
-            if m_bool.any():
-                lane_bits[m_bool] = col[m_bool].astype(np.int64)
+        numeric = (kinds >= KIND_FLOAT) & (kinds <= KIND_BOOL)
+        if numeric.any():
+            lane = view.lane.copy()
+            lane.view(np.int64)[~numeric] = 0  # the view keeps codes there
             meta_col["lane"] = registry.add(lane)
         m_text = (kinds == KIND_TEXT) | (kinds == KIND_BIGINT)
         if m_text.any():
-            texts = col[m_text]
-            codes = np.fromiter(
-                (
-                    intern.setdefault(
-                        text if type(text) is str else str(text), len(intern)
-                    )
-                    for text in texts
-                ),
+            pool_codes = np.fromiter(
+                (intern.setdefault(text, len(intern)) for text in view.strings),
                 dtype=np.int64,
-                count=len(texts),
+                count=len(view.strings),
             )
-            meta_col["codes"] = registry.add(codes)
+            meta_col["codes"] = registry.add(pool_codes[view.bits[m_text]])
         m_other = kinds == KIND_OTHER
         if m_other.any():
             blob = pickle.dumps(
-                [col[i] for i in np.flatnonzero(m_other)],
-                protocol=pickle.HIGHEST_PROTOCOL,
+                view.cells[m_other].tolist(), protocol=pickle.HIGHEST_PROTOCOL
             )
             meta_col["other"] = registry.add(
                 np.frombuffer(blob, dtype=np.uint8)
             )
         columns_meta.append(meta_col)
     uniques = list(intern)
-    encoded_uniques = [text.encode("utf-8") for text in uniques]
+    # surrogatepass: lone surrogates are legal str cells, not valid UTF-8.
+    encoded_uniques = [
+        text.encode("utf-8", "surrogatepass") for text in uniques
+    ]
     pool_offsets = np.zeros(len(uniques) + 1, dtype=np.int64)
     if uniques:
         np.cumsum(
@@ -207,7 +177,7 @@ def encode_table(table: Table) -> EncodedTable:
     meta: Dict[str, Any] = {
         "version": _CODEC_VERSION,
         "schema": [[c.name, c.kind] for c in table.schema.columns],
-        "n_rows": n,
+        "n_rows": table.n_rows,
         "columns": columns_meta,
         "pool": {
             "blob": registry.add(pool_blob),
@@ -253,7 +223,9 @@ class _PoolDecoder:
             data = blob.tobytes()
             decoded = np.empty(self._meta["count"], dtype=object)
             for k in range(self._meta["count"]):
-                decoded[k] = data[offsets[k] : offsets[k + 1]].decode("utf-8")
+                decoded[k] = data[offsets[k] : offsets[k + 1]].decode(
+                    "utf-8", "surrogatepass"
+                )
             self._strings = decoded
         return self._strings
 

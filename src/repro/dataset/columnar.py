@@ -1,78 +1,152 @@
-"""Columnar normalization and interning shared by the cleaning kernels.
+"""Typed column views, plus the columnar building blocks of the kernels.
 
-The vectorized detector/constraint/repair kernels all start the same
-way: turn an ``object`` column into integer ids so the hot math runs on
-numpy arrays instead of per-cell Python.  Three building blocks live
-here:
+:class:`~repro.dataset.table.Table` keeps each column as a numpy
+``object`` array, so that dirty cells can hold anything.  Every module
+that needs a cell's type or identity reads it from one
+:class:`ColumnView`, built in one typed pass per column and memoized on
+the table until its next write (:meth:`Table.column_view`).  It holds:
 
-- :func:`normalized_column` applies a normalization function once per
-  *distinct* cell payload (typed-key memo), instead of once per row --
-  the cheap O(distinct) pass that replaces the scalar kernels' O(rows)
-  string work;
-- :func:`intern_values` maps normalized payloads to dense integer ids
-  (first-occurrence order, ``-1`` for ``None``), the substrate for
-  hash-group joins and pairwise comparisons;
-- :func:`group_sequence_ranks` numbers each element's position within
-  its group in stream order, which the batched repair scorers use to
-  replicate dict-insertion-order tie-breaking bit-for-bit.
+- a ``uint8`` **tag** per cell by exact type (``KIND_NONE`` ...
+  ``KIND_OTHER``): subclasses such as numpy scalars or ``np.str_`` are
+  "other", ints outside int64 are ``KIND_BIGINT``;
+- the distinct **strings** of text cells and the decimal text of big
+  ints, in first-occurrence order;
+- one 8-byte **lane**, read as ``float64`` (``lane``) or int64
+  (``bits``): float cells keep their raw IEEE-754 bits (NaN payloads,
+  ``inf``, ``-0.0``), int and bool cells their int64 value, text and
+  big-int cells the index of their string, every other cell 0;
+- the cells themselves, so that "other" cells stay the objects they are.
 
-Memoizing per distinct payload is safe because every normalizer used by
-the kernels (``str(v).strip()``, KB normalization, ``coerce_float``) is
-a pure function of the payload's type and value: the memo key is
-:func:`payload_key`, so ``1`` and ``True`` (equal and hash-equal, but
-with different ``str()``) never share an entry, and neither do ``-0.0``
-and ``0.0``.
+Two cells are the same *entry* (:meth:`ColumnView.entries`) exactly
+when their tags and lane bits match or, for other cells, when they are
+the same cell: ``1`` and ``True`` differ, and so do ``-0.0`` and
+``0.0``.  That is the finest identity any consumer uses; each
+coarsens it by its own rules (the fingerprint folds missing markers
+together, the codec packs the lanes as they are, the kernels normalize)
+and runs Python once per distinct string or other cell, not per cell.
+
+The kernels' building blocks: :func:`normalized_column` applies a pure
+normalizer once per distinct entry; :func:`intern_values` maps
+normalized payloads to dense ids in first-occurrence order (``-1`` for
+``None``); :func:`combine_codes`, :func:`first_occurrence_order` and
+:func:`group_sequence_ranks` give group-bys whose order reproduces
+dict-insertion order, which keeps tie-breaking bit-for-bit.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Callable, Dict, List, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-_MISS = object()
-_PACK_DOUBLE = struct.Struct("<d").pack
-_NUMPY_FLOATS = frozenset({np.float16, np.float32, np.float64, np.longdouble})
+#: Cell kind tags, by exact type; also the data-plane codec's wire tags.
+(KIND_NONE, KIND_FLOAT, KIND_INT, KIND_BOOL, KIND_TEXT, KIND_BIGINT,
+ KIND_OTHER) = range(7)
+
+#: The one type -> tag table.  Exact types only: subclasses fall
+#: through to ``KIND_OTHER`` so that their concrete type survives.
+_KIND_BY_TYPE = {
+    type(None): KIND_NONE, float: KIND_FLOAT, int: KIND_INT,
+    bool: KIND_BOOL, str: KIND_TEXT,
+}
 
 
-def payload_key(value: Any) -> Tuple[type, Any]:
-    """Memo key under which equal keys mean identical cell payloads.
+class ColumnView:
+    """One column's cells as typed lanes (see the module docstring)."""
 
-    ``(type(v), v)`` for most payloads; floats key on their bit pattern
-    instead, because ``-0.0 == 0.0`` (and hash-equal) yet the two differ
-    under ``str()``.  Raises ``TypeError`` on hashing an unhashable
-    payload, like the plain tuple would.
-    """
-    kind = type(value)
-    if kind is float:
-        return kind, _PACK_DOUBLE(value)
-    if kind in _NUMPY_FLOATS:
-        return kind, value.tobytes()
-    return kind, value
+    __slots__ = ("cells", "tags", "lane", "strings")
+
+    def __init__(self, cells: Sequence[Any]) -> None:
+        n = len(cells)
+        if not (isinstance(cells, np.ndarray) and cells.dtype == object):
+            cells = np.fromiter(cells, dtype=object, count=n)
+        tags = np.fromiter(
+            map(_KIND_BY_TYPE.get, map(type, cells), repeat(KIND_OTHER)),
+            dtype=np.uint8,
+            count=n,
+        )
+        lane = np.zeros(n, dtype=np.float64)
+        bits = lane.view(np.int64)
+        floats = tags == KIND_FLOAT
+        lane[floats] = cells[floats].astype(np.float64)
+        ints = np.flatnonzero(tags == KIND_INT)
+        try:
+            bits[ints] = cells[ints].astype(np.int64)
+        except OverflowError:
+            big = [i for i in ints if not -(2**63) <= cells[i] < 2**63]
+            tags[big] = KIND_BIGINT
+            ints = np.flatnonzero(tags == KIND_INT)
+            bits[ints] = cells[ints].astype(np.int64)
+        bools = tags == KIND_BOOL
+        bits[bools] = cells[bools].astype(np.int64)
+        texts = np.flatnonzero((tags == KIND_TEXT) | (tags == KIND_BIGINT))
+        values = cells[texts]
+        big = tags[texts] == KIND_BIGINT
+        if big.any():
+            values[big] = [str(v) for v in values[big]]
+        values = values.tolist()
+        strings = list(dict.fromkeys(values))
+        index = dict(zip(strings, range(len(strings))))
+        bits[texts] = np.fromiter(
+            map(index.__getitem__, values), dtype=np.int64, count=len(values)
+        )
+        self.cells, self.tags, self.lane = cells, tags, lane
+        self.strings: List[str] = strings
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The lane read as int64."""
+        return self.lane.view(np.int64)
+
+    def entries(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)``: the first row of each distinct entry, in
+        first-occurrence order, and each cell's entry id."""
+        key = self.bits.copy()
+        other = np.flatnonzero(self.tags == KIND_OTHER)
+        key[other] = other
+        order = np.lexsort((key, self.tags))
+        tags, key = self.tags[order], key[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (tags[1:] != tags[:-1]) | (key[1:] != key[:-1])
+        group = np.empty(len(order), dtype=np.int64)
+        group[order] = np.cumsum(starts) - 1
+        _, _, first, inverse = first_occurrence_order(group)
+        return first, inverse
+
+    def fill(self, out: np.ndarray, fn: Callable[[Any], Any]) -> np.ndarray:
+        """Write ``fn(cell)`` into ``out`` for every text, big-int and
+        other cell, and return ``out``.
+
+        ``fn`` runs once per distinct string for text cells and once per
+        cell for big ints and other cells.  The caller fills the none,
+        float, int and bool cells from the lane.
+        """
+        text = np.flatnonzero(self.tags == KIND_TEXT)
+        if text.size:
+            per_string = np.empty(len(self.strings), dtype=out.dtype)
+            per_string[:] = [fn(s) for s in self.strings]
+            out[text] = per_string[self.bits[text]]
+        rest = np.flatnonzero(self.tags >= KIND_BIGINT)
+        if rest.size:
+            out[rest] = [fn(v) for v in self.cells[rest]]
+        return out
 
 
 def normalized_column(
-    column: np.ndarray, normalize: Callable[[Any], Any]
+    column: Union[ColumnView, Sequence[Any]], normalize: Callable[[Any], Any]
 ) -> List[Any]:
-    """``[normalize(v) for v in column]`` computed once per distinct payload.
+    """``[normalize(v) for v in column]`` computed once per distinct entry.
 
-    Unhashable payloads (which cannot be memoized) fall back to a direct
-    call, so the result always equals the plain per-row comprehension.
+    ``column`` is a :class:`ColumnView` (a table's memoized
+    :meth:`~repro.dataset.table.Table.column_view`) or any sequence of
+    cells, which gets a transient view.  ``normalize`` sees each entry's
+    first cell, in row order.
     """
-    memo: Dict[Any, Any] = {}
-    out: List[Any] = []
-    for value in column:
-        key = payload_key(value)
-        try:
-            cached = memo.get(key, _MISS)
-        except TypeError:  # unhashable payload
-            out.append(normalize(value))
-            continue
-        if cached is _MISS:
-            cached = memo[key] = normalize(value)
-        out.append(cached)
-    return out
+    view = column if isinstance(column, ColumnView) else ColumnView(column)
+    first, inverse = view.entries()
+    distinct = [normalize(v) for v in view.cells[first]]
+    return list(map(distinct.__getitem__, inverse.tolist()))
 
 
 def intern_values(

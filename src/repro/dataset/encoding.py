@@ -24,6 +24,8 @@ both behave exactly as before.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,10 +103,6 @@ class TableEncoder:
         self._cat_index: Dict[str, Dict[str, int]] = {}
         self._fitted = False
 
-    @staticmethod
-    def _cat_key(value: Any) -> Optional[str]:
-        return None if is_missing(value) else str(value).strip()
-
     def fit(self, table: Table, exclude: Sequence[str] = ()) -> "TableEncoder":
         excluded = set(exclude)
         self._numerical = [
@@ -124,11 +122,8 @@ class TableEncoder:
             self._num_std = np.ones(0)
         self._cat_levels = {}
         for name in self._categorical:
-            counts: Dict[str, int] = {}
-            for v in table.column(name):
-                key = self._cat_key(v)
-                if key is not None:
-                    counts[key] = counts.get(key, 0) + 1
+            counts = Counter(table.text_keys(name))
+            counts.pop(None, None)
             top = sorted(counts, key=lambda k: (-counts[k], k))
             self._cat_levels[name] = top[: self.max_categories]
         self._cat_index = {
@@ -157,18 +152,13 @@ class TableEncoder:
         for name in self._categorical:
             levels = self._cat_levels[name]
             onehot = np.zeros((block.n_rows, len(levels)), dtype=np.float64)
-            index = self._cat_index[name]
-            key = self._cat_key
-            cells = block.column(name)
             # One pass: map each cell to its level index (-1 for missing
             # or unseen), then scatter the hits in a single assignment.
+            index = self._cat_index[name]
             hits = np.fromiter(
-                (
-                    index.get(k, -1) if (k := key(v)) is not None else -1
-                    for v in cells
-                ),
+                map(index.get, block.text_keys(name), repeat(-1)),
                 dtype=np.int64,
-                count=len(cells),
+                count=block.n_rows,
             )
             rows = np.flatnonzero(hits >= 0)
             onehot[rows, hits[rows]] = 1.0

@@ -31,6 +31,14 @@ from typing import (
 
 import numpy as np
 
+from repro.dataset.columnar import (
+    KIND_BOOL,
+    KIND_FLOAT,
+    KIND_INT,
+    KIND_NONE,
+    ColumnView,
+    normalized_column,
+)
 from repro.dataset.schema import CATEGORICAL, NUMERICAL, Column, Schema
 
 Cell = Tuple[int, str]
@@ -75,6 +83,12 @@ def coerce_float(value: Any) -> float:
     return math.nan
 
 
+def text_key(value: Any) -> Optional[str]:
+    """A cell's stripped text, or ``None`` when it is missing: the key
+    categorical cells are counted, encoded and compared by."""
+    return None if is_missing(value) else str(value).strip()
+
+
 def values_equal(a: Any, b: Any) -> bool:
     """Cell equality that treats missing markers as mutually equal.
 
@@ -115,11 +129,12 @@ class Table:
                 )
             self._data[name] = arr
         self._n_rows = n_rows if n_rows is not None else 0
-        # Bumped by every in-place cell write; content-keyed consumers
-        # (the artifact cache's fingerprint memo) use it to detect staleness.
-        self._mutation_count = 0
-        # Block views are read-only: a write through a view would bypass
-        # the parent's mutation counter and poison fingerprint memos.
+        # Bumped by every in-place cell write; content-keyed memos (column
+        # views, fingerprints) use it to detect staleness.  Block views
+        # share the one-element list, so a write to the parent
+        # invalidates their memos too.
+        self._mutations = [0]
+        # Block views are read-only: their writes would bypass the parent.
         self._readonly = False
 
     # ------------------------------------------------------------------
@@ -153,19 +168,27 @@ class Table:
         data: Dict[str, np.ndarray],
         n_rows: int,
         readonly: bool = False,
+        mutations: Optional[List[int]] = None,
     ) -> "Table":
         """Internal no-copy constructor wrapping existing column arrays.
 
         Used by :meth:`block_view` to build zero-copy views; callers own
-        the aliasing consequences, which is why this stays private.
+        the aliasing consequences, which is why this stays private.  A
+        view passes its parent's ``mutations`` counter.
         """
         table = cls.__new__(cls)
         table._schema = schema
         table._data = data
         table._n_rows = n_rows
-        table._mutation_count = 0
+        table._mutations = [0] if mutations is None else mutations
         table._readonly = readonly
         return table
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Column views are a rebuildable memo; keep them out of pickles.
+        state = self.__dict__.copy()
+        state.pop("_column_views", None)
+        return state
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -213,7 +236,24 @@ class Table:
             )
         self._check_row(row)
         self.column(column)[row] = value
-        self._mutation_count += 1
+        self._mutations[0] += 1
+
+    @property
+    def _mutation_count(self) -> int:
+        """Writes so far to this table or, for a block view, its parent."""
+        return self._mutations[0]
+
+    def column_view(self, name: str) -> ColumnView:
+        """The typed :class:`ColumnView` of a column, memoized until the
+        next :meth:`set_cell`."""
+        token = self._mutations[0]
+        memo = self.__dict__.get("_column_views")
+        if memo is None or memo[0] != token:
+            memo = self._column_views = (token, {})
+        view = memo[1].get(name)
+        if view is None:
+            view = memo[1][name] = ColumnView(self.column(name))
+        return view
 
     def _check_row(self, index: int) -> None:
         if not 0 <= index < self._n_rows:
@@ -238,9 +278,14 @@ class Table:
     # Numeric views and missing masks
     # ------------------------------------------------------------------
     def as_float(self, name: str) -> np.ndarray:
-        """Column as float64 with NaN for missing or non-numeric payloads."""
-        col = self.column(name)
-        return np.array([coerce_float(v) for v in col], dtype=np.float64)
+        """Column as float64 with NaN for missing or non-numeric payloads
+        (:func:`coerce_float` of every cell)."""
+        view = self.column_view(name)
+        out = view.lane.copy()
+        exact = (view.tags == KIND_INT) | (view.tags == KIND_BOOL)
+        out[exact] = view.bits[exact]
+        out[~np.isfinite(out) | (view.tags == KIND_NONE)] = np.nan
+        return view.fill(out, coerce_float)
 
     def numeric_matrix(self, names: Optional[Sequence[str]] = None) -> np.ndarray:
         """Stack numeric views of columns into an ``(n_rows, k)`` matrix."""
@@ -252,7 +297,15 @@ class Table:
 
     def missing_mask(self, name: str) -> np.ndarray:
         """Boolean array marking explicitly missing cells of a column."""
-        return np.array([is_missing(v) for v in self.column(name)], dtype=bool)
+        view = self.column_view(name)
+        out = (view.tags == KIND_NONE) | (
+            (view.tags == KIND_FLOAT) & np.isnan(view.lane)
+        )
+        return view.fill(out, is_missing)
+
+    def text_keys(self, name: str) -> List[Optional[str]]:
+        """:func:`text_key` of every cell of a column."""
+        return normalized_column(self.column_view(name), text_key)
 
     def missing_cells(self) -> Set[Cell]:
         """All explicitly missing cells in the table."""
@@ -271,9 +324,9 @@ class Table:
         The view shares the parent's column arrays through numpy basic
         slicing: no cell payloads are copied, and later in-place writes to
         the parent (via :meth:`set_cell`) remain visible through the view.
-        Writes *through* the view are rejected because they would bypass
-        the parent's mutation counter, on which the artifact cache's
-        fingerprint memo relies.
+        Writes *through* the view are rejected: the view shares the
+        parent's mutation counter, so only parent writes invalidate the
+        memos (column views, fingerprints) of parent and views alike.
         """
         if not 0 <= start <= stop <= self._n_rows:
             raise IndexError(
@@ -285,7 +338,8 @@ class Table:
             view.flags.writeable = False
             data[name] = view
         return Table._wrap_arrays(
-            self._schema, data, stop - start, readonly=True
+            self._schema, data, stop - start, readonly=True,
+            mutations=self._mutations,
         )
 
     def iter_blocks(

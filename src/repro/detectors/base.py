@@ -98,6 +98,12 @@ class BlockwiseDetector:
         """Whole-table fit pass; returns the picklable profile."""
         return None
 
+    def _detect(self, context: CleaningContext) -> Set[Cell]:
+        # The unblocked run is the whole table as one block.
+        return self._detect_block(
+            context, self.fit_profile(context), context.dirty, 0
+        )
+
     def detect_block(
         self,
         context: CleaningContext,

@@ -37,10 +37,12 @@ from repro.cache.keys import artifact_key, table_fingerprint
 from repro.cache.store import current_cache
 from repro.context import CleaningContext
 from repro.dataset.columnar import (
+    KIND_INT,
+    KIND_NONE,
+    ColumnView,
     csr_gather,
     intern_values,
     normalized_column,
-    payload_key,
 )
 from repro.dataset.table import Cell, Table, coerce_float, is_missing
 from repro.detectors.base import NON_LEARNING, Detector
@@ -123,7 +125,7 @@ def _block_keys(column: str, value: Any) -> List[str]:
 
 
 def _numeric_column_blocks(
-    column: str, values: List[Any], blocks: Dict[str, List[int]]
+    column: str, view: ColumnView, blocks: Dict[str, List[int]]
 ) -> bool:
     """Exact fast path for columns holding only ``float``/``int``/``None``.
 
@@ -137,13 +139,12 @@ def _numeric_column_blocks(
     ``round`` + f-string per distinct value.  Returns False when any
     payload needs the general path.
     """
-    for v in values:
-        if not (v is None or type(v) is float or type(v) is int):
-            return False
-    floats = np.array(
-        [math.nan if v is None else float(v) for v in values],
-        dtype=np.float64,
-    )
+    if not (view.tags <= KIND_INT).all():  # none, float and int64 cells
+        return False
+    floats = view.lane.copy()
+    ints = view.tags == KIND_INT
+    floats[ints] = view.lane.view(np.int64)[ints]
+    floats[view.tags == KIND_NONE] = np.nan
     present = np.flatnonzero(~np.isnan(floats))
     if not len(present):
         return True
@@ -173,7 +174,7 @@ def _numeric_column_blocks(
 
 
 def build_blocks(table: Table) -> Dict[str, List[int]]:
-    """Blocking-key index, keys derived once per distinct cell payload.
+    """Blocking-key index, keys derived once per distinct view entry.
 
     Produces the same key -> row multiset mapping as the frozen scalar
     ``reference_build_blocks`` oracle; only the within-block row order may
@@ -182,25 +183,18 @@ def build_blocks(table: Table) -> Dict[str, List[int]]:
     """
     blocks: Dict[str, List[int]] = defaultdict(list)
     for column in table.column_names:
-        column_values = table.column(column)
-        if _numeric_column_blocks(column, column_values, blocks):
+        view = table.column_view(column)
+        if _numeric_column_blocks(column, view, blocks):
             continue
-        by_value: Dict[Any, Tuple[Any, List[int]]] = {}
-        unkeyed: List[Tuple[int, Any]] = []
-        for index, value in enumerate(column_values):
-            try:
-                key = payload_key(value)
-                by_value.setdefault(key, (value, []))[1].append(index)
-            except TypeError:  # unhashable payload: key it directly
-                unkeyed.append((index, value))
-        for value, members in by_value.values():
+        first, inverse = view.entries()
+        rows = np.argsort(inverse, kind="stable")
+        bounds = np.cumsum(np.bincount(inverse, minlength=len(first)))[:-1]
+        for value, members in zip(view.cells[first], np.split(rows, bounds)):
+            members = members.tolist()
             for key, multiplicity in Counter(
                 _block_keys(column, value)
             ).items():
                 blocks[key].extend(members * multiplicity)
-        for index, value in unkeyed:
-            for key in _block_keys(column, value):
-                blocks[key].append(index)
     return blocks
 
 
@@ -350,9 +344,8 @@ def pair_feature_matrix(
     right = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=n_pairs)
     features = np.empty((n_pairs, len(table.column_names)))
     for k, column in enumerate(table.column_names):
-        cells = table.column(column)
-        miss = np.array(normalized_column(cells, is_missing), dtype=bool)
-        floats = np.array(normalized_column(cells, coerce_float), dtype=float)
+        miss = table.missing_mask(column)
+        floats = table.as_float(column)
         missing_pair = miss[left] | miss[right]
         fa, fb = floats[left], floats[right]
         numeric_pair = ~missing_pair & ~np.isnan(fa) & ~np.isnan(fb)
@@ -364,7 +357,9 @@ def pair_feature_matrix(
         )
         stringy = ~missing_pair & ~numeric_pair
         if stringy.any():
-            uids, distinct = intern_values(normalized_column(cells, str))
+            uids, distinct = intern_values(
+                normalized_column(table.column_view(column), str)
+            )
             out[stringy] = _string_similarity_batch(
                 uids[left[stringy]], uids[right[stringy]], distinct
             )

@@ -27,13 +27,18 @@ from repro.cache.keys import (
     table_fingerprint,
 )
 from repro.cache.store import current_cache
-from repro.dataset.table import Table, coerce_float, is_missing
+from repro.dataset.columnar import normalized_column
+from repro.dataset.table import Table, is_missing
 
 _SENTINEL_STRINGS = {"unknown", "unk", "xxx", "missing", "tbd", "-", "x"}
 
 #: Fixed widths of the two feature families (block assembly preallocates).
 N_STRATEGY_FEATURES = 11
 N_METADATA_FEATURES = 7
+
+
+def _lower_key(value: Any) -> Optional[str]:
+    return None if is_missing(value) else str(value).strip().lower()
 
 
 def _shape_of(text: str) -> str:
@@ -75,10 +80,9 @@ class ColumnProfile:
 
 def fit_column_profile(table: Table, column: str) -> ColumnProfile:
     """Fit the whole-table statistics for one column (the 'fit' half)."""
-    values = table.column(column)
     numeric = table.as_float(column)
     finite = numeric[~np.isnan(numeric)]
-    keys = [None if is_missing(v) else str(v).strip().lower() for v in values]
+    keys = normalized_column(table.column_view(column), _lower_key)
     counts = Counter(k for k in keys if k is not None)
     total = sum(counts.values()) or 1
     shape_counts = Counter(_shape_of(k) for k in keys if k is not None)
@@ -118,11 +122,10 @@ def strategy_features_block(
     whole-table evaluation would produce for the same rows.
     """
     n_rows = block.n_rows
-    values = block.column(profile.column)
     numeric = block.as_float(profile.column)
-    missing = np.array([is_missing(v) for v in values], dtype=float)
+    missing = block.missing_mask(profile.column)
 
-    columns: List[np.ndarray] = [missing]
+    columns: List[np.ndarray] = [missing.astype(float)]
     # Z-score strategies.
     if profile.has_z:
         z = np.abs(numeric - profile.mean) / profile.std
@@ -143,7 +146,7 @@ def strategy_features_block(
     else:
         columns.extend([np.zeros(n_rows)] * 2)
     # Frequency strategies.
-    keys = [None if is_missing(v) else str(v).strip().lower() for v in values]
+    keys = normalized_column(block.column_view(profile.column), _lower_key)
     counts, total = profile.counts, profile.total
     frequency = np.array(
         [counts.get(k, 0) / total if k is not None else 0.0 for k in keys]
@@ -170,12 +173,7 @@ def strategy_features_block(
     )
     # Non-numeric payload in a numeric column.
     if profile.numerical:
-        corrupted = np.array(
-            [
-                float(not is_missing(v) and np.isnan(coerce_float(v)))
-                for v in values
-            ]
-        )
+        corrupted = (~missing & np.isnan(numeric)).astype(float)
     else:
         corrupted = np.zeros(n_rows)
     columns.append(corrupted)
@@ -200,9 +198,8 @@ def metadata_features_block(
 ) -> np.ndarray:
     """Metadata-feature matrix for one row block, given a fitted profile."""
     n_rows = block.n_rows
-    values = block.column(profile.column)
     numeric = block.as_float(profile.column)
-    keys = [None if is_missing(v) else str(v).strip() for v in values]
+    keys = block.text_keys(profile.column)
     counts, total = profile.counts, profile.total
 
     lengths = np.array([0.0 if k is None else float(len(k)) for k in keys])

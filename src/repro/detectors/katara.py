@@ -77,7 +77,9 @@ class KnowledgeBase:
         distinct value; the score divides the same integers the scalar
         per-cell scan divides, so alignments are identical.
         """
-        normalized = normalized_column(table.column(column), self.normalize)
+        normalized = normalized_column(
+            table.column_view(column), self.normalize
+        )
         counts = Counter(v for v in normalized if v is not None)
         total = sum(counts.values())
         if not total:
@@ -105,7 +107,7 @@ def katara_violations(
     cells: Set[Cell] = set()
     interned: Dict[str, Tuple[np.ndarray, List[Optional[str]]]] = {
         column: intern_values(
-            normalized_column(table.column(column), kb.normalize)
+            normalized_column(table.column_view(column), kb.normalize)
         )
         for column in alignment
     }

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.context import CleaningContext
 from repro.dataset.encoding import TableEncoder
-from repro.dataset.table import Cell, Table, coerce_float, is_missing
+from repro.dataset.table import Cell, Table
 from repro.detectors.base import ML_SUPPORTED, Detector
 from repro.detectors.ensembles import default_base_detectors
 from repro.detectors.features import (
@@ -335,13 +335,7 @@ class PicketDetector(Detector):
         self, table: Table, column: str, features: np.ndarray
     ) -> Set[Cell]:
         values = table.as_float(column)
-        raw = table.column(column)
-        corrupted = np.array(
-            [
-                not is_missing(v) and np.isnan(coerce_float(v))
-                for v in raw
-            ]
-        )
+        corrupted = ~table.missing_mask(column) & np.isnan(values)
         usable = ~np.isnan(values)
         cells: Set[Cell] = {
             (int(i), column) for i in np.flatnonzero(corrupted)
@@ -362,10 +356,7 @@ class PicketDetector(Detector):
     def _categorical_column(
         self, table: Table, column: str, features: np.ndarray
     ) -> Set[Cell]:
-        keys = [
-            None if is_missing(v) else str(v).strip()
-            for v in table.column(column)
-        ]
+        keys = table.text_keys(column)
         usable = np.array([k is not None for k in keys])
         if usable.sum() < 10:
             return set()

@@ -15,7 +15,7 @@ from typing import Dict, Set, Tuple
 import numpy as np
 
 from repro.context import CleaningContext
-from repro.dataset.table import Cell, is_missing
+from repro.dataset.table import Cell
 from repro.detectors.base import NON_LEARNING, Detector
 from repro.errors import profile
 
@@ -83,13 +83,7 @@ class HoloCleanDetector(Detector):
         # Pairwise conditional frequencies P(value_b | value_a).
         pair_counts: Dict[Tuple[str, str], Counter] = defaultdict(Counter)
         value_counts: Dict[str, Counter] = {c: Counter() for c in categorical}
-        normalized = {
-            c: [
-                None if is_missing(v) else str(v).strip()
-                for v in table.column(c)
-            ]
-            for c in categorical
-        }
+        normalized = {c: table.text_keys(c) for c in categorical}
         for i in range(table.n_rows):
             for col_a in categorical:
                 value_a = normalized[col_a][i]

@@ -27,9 +27,6 @@ class MVDetector(BlockwiseDetector, Detector):
     category = NON_LEARNING
     tackles = frozenset({profile.MISSING})
 
-    def _detect(self, context: CleaningContext) -> Set[Cell]:
-        return context.dirty.missing_cells()
-
     def _detect_block(
         self,
         context: CleaningContext,
@@ -64,7 +61,7 @@ class SDDetector(BlockwiseDetector, Detector):
         """Per-column ``(mean, std)`` over the whole dirty table.
 
         Columns with fewer than 3 finite values or zero spread are
-        omitted, exactly as :meth:`_detect` skips them.
+        omitted: no cell of theirs is flagged.
         """
         stats: Dict[str, Tuple[float, float]] = {}
         table = context.dirty
@@ -78,22 +75,6 @@ class SDDetector(BlockwiseDetector, Detector):
                 continue
             stats[column] = (mean, std)
         return stats
-
-    def _detect(self, context: CleaningContext) -> Set[Cell]:
-        cells: Set[Cell] = set()
-        table = context.dirty
-        for column in table.schema.numerical_names:
-            values = table.as_float(column)
-            finite = values[~np.isnan(values)]
-            if len(finite) < 3:
-                continue
-            mean, std = float(finite.mean()), float(finite.std())
-            if std == 0:
-                continue
-            deviant = np.abs(values - mean) > self.n_sigmas * std
-            for i in np.flatnonzero(deviant & ~np.isnan(values)):
-                cells.add((int(i), column))
-        return cells
 
     def _detect_block(
         self,
@@ -134,8 +115,8 @@ class IQRDetector(BlockwiseDetector, Detector):
     ) -> Dict[str, Tuple[float, float]]:
         """Per-column ``(low, high)`` fences over the whole dirty table.
 
-        Columns with fewer than 4 finite values or zero IQR are omitted,
-        exactly as :meth:`_detect` skips them.
+        Columns with fewer than 4 finite values or zero IQR are omitted:
+        no cell of theirs is flagged.
         """
         fences: Dict[str, Tuple[float, float]] = {}
         table = context.dirty
@@ -150,24 +131,6 @@ class IQRDetector(BlockwiseDetector, Detector):
                 continue
             fences[column] = (q1 - self.k * iqr, q3 + self.k * iqr)
         return fences
-
-    def _detect(self, context: CleaningContext) -> Set[Cell]:
-        cells: Set[Cell] = set()
-        table = context.dirty
-        for column in table.schema.numerical_names:
-            values = table.as_float(column)
-            finite = values[~np.isnan(values)]
-            if len(finite) < 4:
-                continue
-            q1, q3 = np.quantile(finite, [0.25, 0.75])
-            iqr = q3 - q1
-            if iqr == 0:
-                continue
-            low, high = q1 - self.k * iqr, q3 + self.k * iqr
-            deviant = (values < low) | (values > high)
-            for i in np.flatnonzero(deviant & ~np.isnan(values)):
-                cells.add((int(i), column))
-        return cells
 
     def _detect_block(
         self,

@@ -158,11 +158,7 @@ def discover_inclusion_dependencies(
         raise ValueError("min_coverage must be in (0, 1]")
     value_sets: Dict[str, set] = {}
     for name in table.column_names:
-        values = {
-            str(v).strip()
-            for v in table.column(name)
-            if not is_missing(v)
-        }
+        values = set(table.text_keys(name)) - {None}
         if 0 < len(values) <= max_domain:
             value_sets[name] = values
     findings: List[Tuple[str, str]] = []

@@ -42,7 +42,7 @@ from repro.dataset.columnar import (
     intern_values,
     normalized_column,
 )
-from repro.dataset.table import Cell, Table, is_missing
+from repro.dataset.table import Cell, Table, is_missing, text_key
 from repro.kernels import kernel_stage
 from repro.repair.base import GENERIC, RepairMethod
 
@@ -117,10 +117,6 @@ def edit_distance(a: str, b: str, cutoff: int = 3) -> int:
             return cutoff + 1
         previous = current
     return previous[-1]
-
-
-def _strip_or_none(value: object) -> Optional[str]:
-    return None if is_missing(value) else str(value).strip()
 
 
 def _char_matrix(strings: List[str]) -> Tuple[np.ndarray, np.ndarray]:
@@ -205,10 +201,7 @@ def _build_context_models(
     ``most_common`` tie-breaking observes -- matches the scalar build
     exactly.
     """
-    normalized = {
-        c: normalized_column(table.column(c), _strip_or_none)
-        for c in categorical
-    }
+    normalized = {c: table.text_keys(c) for c in categorical}
     uids: Dict[str, np.ndarray] = {}
     distinct: Dict[str, List[str]] = {}
     for c in categorical:
@@ -294,7 +287,7 @@ def _score_column(
         # the full column would cost O(rows) for O(detections) work.
         column_values = table.column(column)
         texts = normalized_column(
-            [column_values[i] for i in cell_rows], _strip_or_none
+            [column_values[i] for i in cell_rows], text_key
         )
         column_domain = None
         eligible = []
@@ -577,7 +570,7 @@ class BaranRepair(RepairMethod):
             """
             scores: Dict[str, float] = defaultdict(float)
             value = table.get_cell(row, column)
-            text = None if is_missing(value) else str(value).strip()
+            text = text_key(value)
             if text is not None:
                 for fn in transformations.values():
                     try:
@@ -642,7 +635,7 @@ class BaranRepair(RepairMethod):
             # Update model reliabilities: which model would have proposed
             # the right answer?
             proposals = candidates_for(row, column)
-            target = None if is_missing(correction) else str(correction).strip()
+            target = text_key(correction)
             if target is not None and proposals:
                 best = max(proposals, key=proposals.get)
                 if best == target:

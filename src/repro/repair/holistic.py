@@ -9,11 +9,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.context import CleaningContext
-from repro.dataset.columnar import (
-    first_occurrence_order,
-    intern_values,
-    normalized_column,
-)
+from repro.dataset.columnar import first_occurrence_order, intern_values
 from repro.dataset.encoding import LabelEncoder, TableEncoder
 from repro.dataset.table import Cell, Table, is_missing
 from repro.detectors.openrefine import cluster_column, fingerprint
@@ -21,10 +17,6 @@ from repro.kernels import kernel_stage
 from repro.ml.linear import LogisticRegression
 from repro.repair.base import GENERIC, RepairMethod, blank_detected_cells
 from repro.repair.simple import MeanModeImputeRepair
-
-
-def _strip_or_none(value: object) -> Optional[str]:
-    return None if is_missing(value) else str(value).strip()
 
 
 class _SignalModel:
@@ -42,8 +34,7 @@ class _SignalModel:
     def __init__(self, blanked: Table, categorical: List[str]) -> None:
         self.categorical = list(categorical)
         self.normalized: Dict[str, List[Optional[str]]] = {
-            c: normalized_column(blanked.column(c), _strip_or_none)
-            for c in self.categorical
+            c: blanked.text_keys(c) for c in self.categorical
         }
         self.uids: Dict[str, np.ndarray] = {}
         self.distinct: Dict[str, List[str]] = {}

@@ -54,11 +54,8 @@ def _initial_fill(table: Table) -> Table:
             finite = values[~np.isnan(values)]
             fill = float(finite.mean()) if len(finite) else 0.0
         else:
-            counts = Counter(
-                str(v).strip()
-                for v in table.column(column)
-                if not is_missing(v)
-            )
+            keys = table.text_keys(column)
+            counts = Counter(k for k in keys if k is not None)
             fill = counts.most_common(1)[0][0] if counts else "unknown"
         for row in holes:
             filled.set_cell(row, column, fill)
@@ -174,10 +171,7 @@ class MLImputeRepair(RepairMethod):
                 features[holes],
             )
             return [float(v) for v in predicted]
-        values = [
-            None if is_missing(v) else str(v).strip()
-            for v in current.column(column)
-        ]
+        values = current.text_keys(column)
         usable = [i for i in observed if values[i] is not None]
         classes = sorted({values[i] for i in usable})
         if len(usable) < 5 or len(classes) < 2:

@@ -85,12 +85,17 @@ def run_id_for(*parts: Any) -> str:
 # Table / scores payload helpers (shared by the runner's serializers)
 # ----------------------------------------------------------------------
 def table_to_payload(table: Table) -> Dict[str, Any]:
+    """Schema plus rows of :func:`encode_cell_value` cells, computed from
+    each column's view: once per distinct string or other cell."""
+    columns = []
+    for name in table.schema.names:
+        view = table.column_view(name)
+        cells = view.cells.copy()
+        cells[table.missing_mask(name)] = None
+        columns.append(view.fill(cells, encode_cell_value).tolist())
     return {
         "schema": [[c.name, c.kind] for c in table.schema.columns],
-        "rows": [
-            [encode_cell_value(v) for v in table.row(i)]
-            for i in range(table.n_rows)
-        ],
+        "rows": [list(row) for row in zip(*columns)],
     }
 
 

@@ -29,15 +29,19 @@ from oracles.detectors import (
     reference_build_blocks,
     reference_enumerate_block_pairs,
     reference_histogram_outliers,
+    reference_iqr_detect,
     reference_katara_align_column,
     reference_katara_violations,
+    reference_mv_detect,
     reference_pair_feature_matrix,
+    reference_sd_detect,
 )
 from oracles.repair import reference_baran_repair, reference_holoclean_repair
 from repro.cache.store import current_cache
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.fd import FunctionalDependency
 from repro.detectors import dboost, duplicates, katara
+from repro.detectors.simple import IQRDetector, MVDetector, SDDetector
 from repro.repair.baran import BaranRepair
 from repro.repair.holistic import HoloCleanRepair
 
@@ -46,6 +50,9 @@ from repro.repair.holistic import HoloCleanRepair
 #: instance as their first argument).
 KERNELS: Tuple[Tuple[Any, str, Callable[..., Any]], ...] = (
     (dboost, "_histogram_outliers", reference_histogram_outliers),
+    (MVDetector, "_detect", reference_mv_detect),
+    (SDDetector, "_detect", reference_sd_detect),
+    (IQRDetector, "_detect", reference_iqr_detect),
     (duplicates, "build_blocks", reference_build_blocks),
     (duplicates, "_enumerate_block_pairs", reference_enumerate_block_pairs),
     (duplicates, "pair_feature_matrix", reference_pair_feature_matrix),

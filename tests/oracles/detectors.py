@@ -8,7 +8,10 @@ vectorization pass (mirroring :mod:`oracles.ml`):
 - ZeroER candidate-pair enumeration by nested Python loops inside each
   block, and pair featurization by one Python call per pair that
   re-derives character trigram sets from scratch;
-- KATARA domain/relation checking by per-row membership loops.
+- KATARA domain/relation checking by per-row membership loops;
+- the whole-table MV, SD and IQR detector bodies, with one
+  ``is_missing``/``coerce_float`` call per cell instead of the table's
+  column views.
 
 One deliberate deviation is documented inline:
 :func:`reference_enumerate_block_pairs` iterates blocks in sorted-key
@@ -59,6 +62,64 @@ def reference_histogram_outliers(
         bin_index = int(np.clip(np.searchsorted(edges, value) - 1, 0, n_bins - 1))
         flagged[i] = rare_bins[bin_index]
     return flagged
+
+
+# ----------------------------------------------------------------------
+# MV / SD / IQR: whole-table detection
+# ----------------------------------------------------------------------
+
+
+def _reference_floats(table: Table, column: str) -> np.ndarray:
+    return np.array([coerce_float(v) for v in table.column(column)])
+
+
+def reference_mv_detect(detector, context) -> Set[Tuple[int, str]]:
+    """Original whole-table ``MVDetector._detect``."""
+    table = context.dirty
+    return {
+        (i, column)
+        for column in table.column_names
+        for i, value in enumerate(table.column(column))
+        if is_missing(value)
+    }
+
+
+def reference_sd_detect(detector, context) -> Set[Tuple[int, str]]:
+    """Original whole-table ``SDDetector._detect``."""
+    cells: Set[Tuple[int, str]] = set()
+    table = context.dirty
+    for column in table.schema.numerical_names:
+        values = _reference_floats(table, column)
+        finite = values[~np.isnan(values)]
+        if len(finite) < 3:
+            continue
+        mean, std = float(finite.mean()), float(finite.std())
+        if std == 0:
+            continue
+        deviant = np.abs(values - mean) > detector.n_sigmas * std
+        for i in np.flatnonzero(deviant & ~np.isnan(values)):
+            cells.add((int(i), column))
+    return cells
+
+
+def reference_iqr_detect(detector, context) -> Set[Tuple[int, str]]:
+    """Original whole-table ``IQRDetector._detect``."""
+    cells: Set[Tuple[int, str]] = set()
+    table = context.dirty
+    for column in table.schema.numerical_names:
+        values = _reference_floats(table, column)
+        finite = values[~np.isnan(values)]
+        if len(finite) < 4:
+            continue
+        q1, q3 = np.quantile(finite, [0.25, 0.75])
+        iqr = q3 - q1
+        if iqr == 0:
+            continue
+        low, high = q1 - detector.k * iqr, q3 + detector.k * iqr
+        deviant = (values < low) | (values > high)
+        for i in np.flatnonzero(deviant & ~np.isnan(values)):
+            cells.add((int(i), column))
+    return cells
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,12 @@ from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.parallel.engine import block_spans, block_unit_key, null_sleep
 from repro.resilience import SuiteCheckpoint
 
+from oracles.detectors import (
+    reference_iqr_detect,
+    reference_mv_detect,
+    reference_sd_detect,
+)
+
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -168,6 +174,19 @@ class TestBlockFingerprints:
         assert table_block_fingerprint(table, 0, 2) != table_block_fingerprint(
             table, 2, 4
         )
+
+    def test_view_memos_follow_parent_writes(self):
+        table = self._table()
+        view = table.block_view(0, 2)
+        before = table_fingerprint(view)
+        assert view.as_float("n")[0] == 1.0
+        table.set_cell(0, "n", 99.0)
+        assert view.column("n")[0] == 99.0
+        assert table_fingerprint(view) != before
+        assert table_fingerprint(view) == table_fingerprint(
+            table.block_view(0, 2)
+        )
+        assert view.as_float("n")[0] == 99.0
 
 
 # ----------------------------------------------------------------------
@@ -354,12 +373,20 @@ def _context(table):
     return CleaningContext(dirty=table)
 
 
+#: Each blockwise detector with its frozen whole-table oracle.
+_BLOCKWISE_ORACLES = (
+    (MVDetector(), reference_mv_detect),
+    (SDDetector(), reference_sd_detect),
+    (IQRDetector(), reference_iqr_detect),
+)
+
+
 @given(small_tables(), block_sizes)
 @settings(max_examples=40, deadline=None)
 def test_blockwise_detectors_byte_identical(table, block_rows):
-    for detector in (MVDetector(), SDDetector(), IQRDetector()):
+    for detector, reference in _BLOCKWISE_ORACLES:
         context = _context(table)
-        whole = detector._detect(context)
+        whole = reference(detector, context)
         fitted = detector.fit_profile(context)
         streamed = set()
         for start, block in table.iter_blocks(block_rows):
@@ -454,8 +481,8 @@ def test_csv_round_trip_then_blocked_identity(tmp_path_factory, table, block_row
     assert reloaded.n_rows == table.n_rows
 
     context = _context(reloaded)
-    for detector in (MVDetector(), SDDetector(), IQRDetector()):
-        whole = detector._detect(context)
+    for detector, reference in _BLOCKWISE_ORACLES:
+        whole = reference(detector, context)
         fitted = detector.fit_profile(context)
         streamed = set()
         for start, block in reloaded.iter_blocks(block_rows):

@@ -13,6 +13,10 @@ Two families, both hypothesis-driven:
   share a ``table_fingerprint`` exactly when the per-cell reference in
   :mod:`oracles.cache` gives them equal digests, and a block's
   fingerprint is its ``block_view``'s;
+- **column views**: on the same hostile columns, every consumer of the
+  memoized ``ColumnView`` (codec, ``normalized_column``, ``as_float``,
+  ``missing_mask``, ``table_to_payload``) equals its per-cell
+  definition, also after a ``set_cell``;
 - **kernel equivalence**: the vectorized CART builder and batched
   predictors in :mod:`repro.ml.tree` produce *exactly* the trees and
   predictions of the frozen scalar reference implementations in
@@ -20,7 +24,10 @@ Two families, both hypothesis-driven:
   the naive broadcast within 1e-12.
 """
 
+import json
 import math
+import pickle
+import struct
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -36,10 +43,13 @@ from repro.cache import (
     table_fingerprint,
 )
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
+from repro.dataset.columnar import ColumnView, normalized_column
 from repro.dataset.encoding import TableEncoder, encode_supervised
-from repro.dataset.table import is_missing
+from repro.dataset.table import coerce_float, is_missing
 from repro.ml.neighbors import _pairwise_sq_distances
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.repository.store import encode_cell_value
+from repro.resilience.checkpoint import table_to_payload
 
 from oracles.cache import reference_table_fingerprint
 from oracles.ml import (
@@ -277,6 +287,7 @@ def _hostile(*columns):
 @example((_hostile(["ab", "c"]), _hostile(["a", "bc"])))
 @example((_hostile(["\ud800"]), _hostile(["\udfff"])))
 @example((_hostile([1.5], [1]), _hostile([np.float32(1.5)], [np.int64(1)])))
+@example((_hostile([2**64, "a"]), _hostile(["18446744073709551616", "a"])))
 @settings(max_examples=300, deadline=None)
 def test_table_fingerprint_equality_matches_reference(pair):
     a, b = pair
@@ -296,6 +307,77 @@ def test_block_fingerprint_is_block_view_fingerprint(table, data):
         {n: list(table.column(n)[start:stop]) for n in table.column_names},
     )
     assert block == table_fingerprint(copy)
+
+
+# ----------------------------------------------------------------------
+# Column views
+# ----------------------------------------------------------------------
+def _same_cell(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, np.generic):
+        return a.tobytes() == b.tobytes()
+    if a is None or isinstance(a, (bool, int, str)):
+        return a == b
+    return pickle.dumps(a) == pickle.dumps(b)
+
+
+#: Columns whose views hit every lane: big ints beside their decimal
+#: text, NaN payloads, -0.0, bools beside ints, numpy scalars.
+_LANE_COLUMNS = _hostile(
+    [2**64, "18446744073709551616", 1, True, -0.0, 0.0, _nan(5)[0].item()],
+    [np.float32("nan"), None, "NA", "x", "x", np.int64(3), _Token("NA")],
+)
+
+
+@given(hostile_tables())
+@example(_LANE_COLUMNS)
+@settings(max_examples=150, deadline=None)
+def test_codec_round_trip_is_type_and_bit_identical(table):
+    encoded = table.to_buffers()
+    buf = bytearray(encoded.nbytes)
+    encoded.write_into(buf)
+    restored = Table.from_buffers(encoded.meta, buf)
+    for name in table.column_names:
+        pairs = zip(table.column(name), restored.column(name))
+        assert all(_same_cell(a, b) for a, b in pairs), name
+
+
+@given(hostile_tables())
+@example(_LANE_COLUMNS)
+@settings(max_examples=150, deadline=None)
+def test_view_consumers_match_per_cell_definitions(table):
+    for name in table.column_names:
+        cells = table.column(name)
+        for fn in (str, repr, is_missing, coerce_float):
+            expected = [fn(v) for v in cells]
+            assert normalized_column(table.column_view(name), fn) == expected
+            assert normalized_column(list(cells), fn) == expected
+        floats = np.array([coerce_float(v) for v in cells], dtype=np.float64)
+        assert table.as_float(name).tobytes() == floats.tobytes()
+        assert table.missing_mask(name).tolist() == [is_missing(v) for v in cells]
+    rows = [
+        [encode_cell_value(v) for v in table.row(i)] for i in range(table.n_rows)
+    ]
+    assert json.dumps(table_to_payload(table)["rows"]) == json.dumps(rows)
+
+
+@given(hostile_tables(min_rows=1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_column_view_memo_follows_writes(table, data):
+    name = data.draw(st.sampled_from(table.column_names))
+    view = table.column_view(name)
+    assert table.column_view(name) is view
+    row = data.draw(st.integers(0, table.n_rows - 1))
+    table.set_cell(row, name, data.draw(hostile_cell))
+    memo, fresh = table.column_view(name), ColumnView(list(table.column(name)))
+    assert memo.tags.tobytes() == fresh.tags.tobytes()
+    assert memo.lane.tobytes() == fresh.lane.tobytes()
+    assert memo.strings == fresh.strings
+    cells = table.column(name)
+    assert normalized_column(memo, repr) == [repr(v) for v in cells]
 
 
 # ----------------------------------------------------------------------

@@ -237,6 +237,27 @@ def test_hot_loop_lint_cli_exit_codes(tmp_path, capsys):
     assert check_hot_loops.main(["prog", str(tmp_path / "nope")]) == 2
 
 
+def test_src_has_one_type_table():
+    violations = check_hot_loops.check_type_tables(REPO_ROOT / "src")
+    assert violations == [], "\n".join(violations)
+
+
+def test_hot_loop_lint_flags_type_tables_outside_columnar(tmp_path):
+    table = (
+        "KINDS = {type(None): 0, float: 1}\n"
+        "def tags(cells):\n"
+        "    return list(map(type, cells))\n"
+    )
+    _scoped_file(tmp_path, "repro/dataplane/codec.py", table)
+    _scoped_file(tmp_path, "repro/dataset/columnar.py", table)
+    _scoped_file(tmp_path, "repro/cache/keys.py", "KINDS = {int: 0}\n")
+    violations = check_hot_loops.check_tree(tmp_path)
+    assert len(violations) == 2, "\n".join(violations)
+    assert "codec.py:1" in violations[0]
+    assert "codec.py:3" in violations[1]
+    assert all("type table" in v for v in violations)
+
+
 def test_no_whole_table_access_in_block_paths():
     violations = check_block_paths.check_tree(REPO_ROOT / "src")
     assert violations == [], "\n".join(violations)

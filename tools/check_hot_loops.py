@@ -28,9 +28,16 @@ patterns that historically made them slow from creeping back in:
    Nested loops over column collections (``categorical``, ``columns``,
    ``names``, ``attrs``) are exempt: schema width bounds them, not row
    count.
+4. **per-cell type tables outside the column view** -- a dict keyed by
+   ``type(None)``, or a ``map(type, ...)`` call, anywhere under
+   ``src/repro`` except ``repro/dataset/columnar.py``.  A cell's type
+   tag and identity have one definition, ``ColumnView``; a second
+   table lets the fingerprint, the codec, the kernels and the store
+   disagree on what a cell is, and brings back a per-cell pass that
+   the memoized view already made.
 
-Intentional exceptions live in ``ALLOWLIST`` with the reason recorded
-next to each entry.  The tier-1 suite asserts ``check_tree`` is clean
+Intentional exceptions to rules 1-3 live in ``ALLOWLIST`` with the
+reason recorded next to each entry.  The tier-1 suite asserts ``check_tree`` is clean
 (see ``tests/test_lint.py``), mirroring ``check_clocks.py``.
 
 Usage::
@@ -63,6 +70,9 @@ SCOPE = (
     "repro/constraints",
     "repro/repair",
 )
+
+#: The one module allowed a per-cell type table (rule 4).
+TYPE_TABLE_HOME = "repro/dataset/columnar.py"
 
 #: Iterable names that denote column collections: nesting over them is
 #: O(schema width^2), not O(rows^2).
@@ -174,6 +184,50 @@ def check_file(path: Path) -> Iterator[Tuple[int, str]]:
             )
 
 
+def _is_type_of_none(node: ast.AST) -> bool:
+    """True for the expression ``type(None)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "type"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value is None
+    )
+
+
+def _is_map_type(node: ast.AST) -> bool:
+    """True for ``map(type, ...)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "map"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "type"
+    )
+
+
+def check_type_tables(src_root: Path) -> List[str]:
+    """Rule 4: per-cell type tables outside :data:`TYPE_TABLE_HOME`."""
+    violations: List[str] = []
+    for path in sorted((src_root / "repro").rglob("*.py")):
+        if path.relative_to(src_root).as_posix() == TYPE_TABLE_HOME:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Dict)
+                and any(_is_type_of_none(key) for key in node.keys)
+            ) or _is_map_type(node):
+                violations.append(
+                    f"{path}:{node.lineno}: per-cell type table: read "
+                    f"cell tags from {TYPE_TABLE_HOME}'s ColumnView "
+                    "(Table.column_view) instead"
+                )
+    return violations
+
+
 def check_tree(src_root: Path) -> List[str]:
     violations: List[str] = []
     for scope in SCOPE:
@@ -183,7 +237,7 @@ def check_tree(src_root: Path) -> List[str]:
                 continue
             for lineno, message in check_file(path):
                 violations.append(f"{path}:{lineno}: {message}")
-    return violations
+    return violations + check_type_tables(src_root)
 
 
 def main(argv: List[str]) -> int:
