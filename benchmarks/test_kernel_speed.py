@@ -1,8 +1,8 @@
-"""Kernel speedups: vectorized CART/KNN and table fingerprints vs the
-frozen per-cell references, plus the warm artifact cache against a cold
+"""Kernel speedups: vectorized CART/KNN, table fingerprints and cell
+diffs vs the frozen per-cell references, plus the warm artifact cache against a cold
 end-to-end run.
 
-Four measurements, all against honest workloads:
+Five measurements, all against honest workloads:
 
 - **tree fit+predict**: both builders train on the one-hot-heavy matrix
   produced by actually encoding a generated benchmark dataset (the
@@ -18,6 +18,16 @@ Four measurements, all against honest workloads:
   JSON reference in :mod:`oracles.cache`, on a generated 600-row Adult
   table (the mixed str/float cells every cache lookup keys).  Bar:
   >= 2x, a conservative floor under the measured margin.
+- **cell diff**: the typed ``Table.diff_cells`` (column views, then
+  ``values_equal`` only on cells that are not the same entry) against
+  the per-cell reference in :mod:`oracles.table`, clean vs dirty Soccer
+  at 5,300 rows (the diff every ``generate`` runs).  The clean table's
+  views stay memoized and the dirty table's are rebuilt each round, as
+  in ``generate`` (error injection built the clean views) and in repair
+  scoring (the dirty views serve every repaired version).  Bar: >= 2x,
+  a conservative floor under the measured margin (about 3x: Soccer's
+  error rate leaves some 49,000 cells for ``values_equal``); the pass
+  that rebuilds both tables' views is reported beside it.
 - **warm cache end-to-end**: an ML detector suite (featurization-bound
   ED2) run cold then warm on the same artifact cache.  Bar: >= 2x, and
   the warm run's payloads must be byte-identical to an uncached run's.
@@ -27,6 +37,7 @@ they stay diffable PR over PR.
 """
 
 import json
+import math
 import os
 import time
 
@@ -43,6 +54,7 @@ from repro.observability import write_bench_snapshot
 from repro.reporting import render_table
 
 from oracles.cache import reference_table_fingerprint
+from oracles.table import reference_diff_cells
 from oracles.ml import (
     ReferenceDecisionTreeClassifier,
     reference_pairwise_sq_distances,
@@ -56,6 +68,7 @@ BENCH_SNAPSHOT = os.path.join(
 TREE_ROWS = 4000
 CACHE_ROWS = 2000
 FINGERPRINT_ROWS = 600
+DIFF_ROWS = 5300
 
 #: Numbers accumulated across the tests in this module; the final test
 #: writes them as one snapshot.
@@ -197,6 +210,61 @@ def test_table_fingerprint_at_least_twice_as_fast(benchmark):
     )
 
 
+def test_diff_cells_at_least_twice_as_fast():
+    dataset = bench_dataset("Soccer", n_rows=DIFF_ROWS)
+    clean, dirty = dataset.clean, dataset.dirty
+    typed = type(clean).diff_cells
+
+    def fresh(diff, *tables):
+        # Drop the column views of ``tables`` so the pass rebuilds them.
+        for table in tables:
+            table.__dict__.pop("_column_views", None)
+        return diff(clean, dirty)
+
+    assert fresh(typed, clean, dirty) == fresh(reference_diff_cells)
+    # Alternate the variants so that all of them see the same load.
+    best = {"reference": math.inf, "typed": math.inf, "cold": math.inf}
+    for _ in range(5):
+        for name, run in (
+            ("reference", lambda: fresh(reference_diff_cells)),
+            # As ``generate`` and repair scoring diff: the reference
+            # table's views are memoized, the new table's are built.
+            ("typed", lambda: fresh(typed, dirty)),
+            ("cold", lambda: fresh(typed, clean, dirty)),
+        ):
+            best[name] = min(best[name], _best_of(run, reps=1))
+    ref_seconds, vec_seconds = best["reference"], best["typed"]
+    speedup = ref_seconds / vec_seconds
+    cold_speedup = ref_seconds / best["cold"]
+    _RESULTS["diff_cells_reference_seconds"] = round(ref_seconds, 4)
+    _RESULTS["diff_cells_typed_seconds"] = round(vec_seconds, 4)
+    _RESULTS["diff_cells_speedup"] = round(speedup, 2)
+    _RESULTS["diff_cells_cold_views_seconds"] = round(best["cold"], 4)
+    _RESULTS["diff_cells_cold_views_speedup"] = round(cold_speedup, 2)
+    emit(
+        "kernel_diff_cells_speed",
+        render_table(
+            ["diff", "milliseconds", "speedup"],
+            [
+                ["per-cell values_equal", round(ref_seconds * 1e3, 1), 1.0],
+                ["typed, new table's views built", round(vec_seconds * 1e3, 1),
+                 round(speedup, 2)],
+                ["typed, both tables' views built",
+                 round(best["cold"] * 1e3, 1), round(cold_speedup, 2)],
+            ],
+            title=(
+                f"Table.diff_cells, Soccer clean vs dirty ({clean.n_rows} x "
+                f"{len(clean.column_names)})"
+            ),
+        ),
+    )
+    assert speedup >= 2.0, (
+        f"expected >= 2x diff_cells speedup, got {speedup:.2f}x "
+        f"(reference {ref_seconds * 1e3:.1f} ms, "
+        f"typed {vec_seconds * 1e3:.1f} ms)"
+    )
+
+
 def _detection_payloads(runs) -> str:
     stripped = []
     for run in runs:
@@ -265,6 +333,7 @@ def test_write_kernel_snapshot():
         "tree_fit_predict_speedup",
         "knn_distances_speedup",
         "table_fingerprint_speedup",
+        "diff_cells_speedup",
         "cache_warm_speedup",
     }
     missing = required - _RESULTS.keys()
@@ -280,6 +349,8 @@ def test_write_kernel_snapshot():
             "knn_shape": "600x2500x60",
             "fingerprint_dataset": "Adult",
             "fingerprint_rows": FINGERPRINT_ROWS,
+            "diff_dataset": "Soccer",
+            "diff_rows": DIFF_ROWS,
             "cache_workload": "ED2 detection suite",
             "cache_rows": CACHE_ROWS,
             "rounds": 3,

@@ -48,9 +48,15 @@ from typing import (
 
 import numpy as np
 
+from repro.cache.keys import artifact_key, table_fingerprint
+from repro.cache.store import current_cache
 from repro.context import CleaningContext
 from repro.datagen.benchmark_dataset import BenchmarkDataset
-from repro.dataset.encoding import TableEncoder, encode_supervised
+from repro.dataset.encoding import (
+    SUPERVISED_MAX_CATEGORIES,
+    TableEncoder,
+    encode_supervised,
+)
 from repro.dataset.splits import train_test_split
 from repro.dataset.table import Cell, Table
 from repro.detectors.base import BlockwiseDetector, DetectionResult, Detector
@@ -723,6 +729,10 @@ def run_scenario(
     ``tune_trials`` enables the paper's per-model hyperparameter search
     (the Optuna analogue) over an inner holdout of the training data
     before the final fit; None uses the zoo defaults.
+
+    Under an installed artifact cache a supervised unit's ``y_test`` and
+    predictions are memoized by provenance (:data:`SCENARIO_UNIT_KIND`):
+    a hit rescores them without splitting, encoding, tuning or fitting.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -763,10 +773,21 @@ def run_scenario(
 
     target = dataset.target
     assert target is not None
-    mapping = _aligned_rows(variant_table, clean, kept_rows)
     stratify = None
     if task == "classification":
         stratify = [str(v) for v in clean.column(target)]
+    cache = current_cache()
+    key = None if cache is None else _scenario_unit_key(
+        scenario, variant_table, dataset, model_name, seed, test_fraction,
+        kept_rows, model_params, sample_rows, tune_trials, stratify,
+    )
+    if key is not None:
+        entry = cache.get(key)
+        if entry is not None and _UNIT_ARRAYS <= entry.arrays.keys():
+            return _supervised_score(
+                task, entry.arrays["y_test"], entry.arrays["predictions"]
+            )
+    mapping = _aligned_rows(variant_table, clean, kept_rows)
     train_idx, test_idx = train_test_split(
         clean.n_rows, test_fraction, rng=rng, stratify=stratify
     )
@@ -788,9 +809,8 @@ def run_scenario(
     test_table = resolve(test_version, test_idx)
     if train_table.n_rows < 5 or test_table.n_rows < 2:
         return math.nan
-    supervised_task = task
     x_train, y_train, x_test, y_test, _ = encode_supervised(
-        train_table, test_table, target, supervised_task
+        train_table, test_table, target, task
     )
     if tune_trials is not None and tune_trials > 0:
         model = _tuned_model(
@@ -799,6 +819,77 @@ def run_scenario(
     else:
         model = build_model(task, model_name, **(model_params or {}))
     predictions = fit_predict(model, x_train, y_train, x_test)
+    if (
+        key is not None
+        and isinstance(predictions, np.ndarray)
+        and not predictions.dtype.hasobject
+    ):
+        cache.put(key, {"y_test": y_test, "predictions": predictions})
+    return _supervised_score(task, y_test, predictions)
+
+
+#: Cache kind of one supervised scenario unit's outcome (``y_test`` and
+#: the predictions), keyed by provenance.  Bump the version whenever the
+#: split, encoding, model or prediction code changes what a unit yields.
+SCENARIO_UNIT_KIND = "benchmark/scenario_unit@v1"
+
+_UNIT_ARRAYS = frozenset({"y_test", "predictions"})
+
+
+def _scenario_unit_key(
+    scenario: Scenario,
+    variant_table: Table,
+    dataset: BenchmarkDataset,
+    model_name: str,
+    seed: int,
+    test_fraction: float,
+    kept_rows: Optional[Sequence[int]],
+    model_params: Optional[Dict[str, object]],
+    sample_rows: Optional[int],
+    tune_trials: Optional[int],
+    stratify: Optional[List[str]],
+) -> str:
+    """Provenance key of one supervised unit.
+
+    It names what the unit is computed from -- the variant and clean
+    tables (memoized fingerprints), the split, the encoding settings and
+    the model -- not the split tables or matrices built from them, so a
+    hit needs none of those.  The stratification labels are part of it
+    because ``str`` tells apart cells that the table fingerprint merges
+    (``None`` and NaN, ``float32`` and ``float64`` payloads).
+    """
+    tuned = tune_trials is not None and tune_trials > 0
+    model = build_model(
+        dataset.task, model_name, **({} if tuned else model_params or {})
+    )
+    kind = type(model)
+    return artifact_key(
+        SCENARIO_UNIT_KIND,
+        [table_fingerprint(variant_table), table_fingerprint(dataset.clean)],
+        {
+            "scenario": [scenario.name, scenario.train, scenario.test],
+            "seed": seed,
+            "test_fraction": test_fraction,
+            "kept_rows": (
+                None if kept_rows is None else [int(i) for i in kept_rows]
+            ),
+            "sample_rows": sample_rows,
+            "stratify": stratify,
+            "target": dataset.target,
+            "task": dataset.task,
+            "max_categories": SUPERVISED_MAX_CATEGORIES,
+            # The zoo name picks the tuning search space: two names may
+            # build the same default model (Ridge and Lasso-like).
+            "model_name": model_name,
+            "model": f"{kind.__module__}.{kind.__qualname__}",
+            "params": model.get_params(),
+            "tune_trials": tune_trials if tuned else None,
+        },
+    )
+
+
+def _supervised_score(task: str, y_test: np.ndarray, predictions: Any) -> float:
+    """Macro-F1 (classification) or RMSE (regression) of predictions."""
     if task == "classification":
         return f1_score(y_test, predictions)
     return rmse(y_test, predictions)

@@ -24,6 +24,8 @@ the same cell: ``1`` and ``True`` differ, and so do ``-0.0`` and
 coarsens it by its own rules (the fingerprint folds missing markers
 together, the codec packs the lanes as they are, the kernels normalize)
 and runs Python once per distinct string or other cell, not per cell.
+Across two views of equal length, :func:`same_entries` marks the rows
+whose cells are the same entry (what ``Table.diff_cells`` skips).
 
 The kernels' building blocks: :func:`normalized_column` applies a pure
 normalizer once per distinct entry; :func:`intern_values` maps
@@ -131,6 +133,23 @@ class ColumnView:
         if rest.size:
             out[rest] = [fn(v) for v in self.cells[rest]]
         return out
+
+
+def same_entries(a: ColumnView, b: ColumnView) -> np.ndarray:
+    """Rows whose cells are the same entry in two equal-length views:
+    equal tags and lane bits, text and big-int cells compared by their
+    strings.  Other cells never count as the same."""
+    same = (a.tags == b.tags) & (a.tags != KIND_OTHER)
+    stringy = (a.tags == KIND_TEXT) | (a.tags == KIND_BIGINT)
+    same &= stringy | (a.bits == b.bits)
+    rows = np.flatnonzero(same & stringy)
+    if rows.size:
+        index = dict(zip(b.strings, range(len(b.strings))))
+        remap = np.fromiter(
+            (index.get(s, -1) for s in a.strings), np.int64, len(a.strings)
+        )
+        same[rows] = remap[a.bits[rows]] == b.bits[rows]
+    return same
 
 
 def normalized_column(

@@ -295,12 +295,16 @@ def _encode_supervised_fresh(
     return x_train, y_train, x_test, y_test, encoder
 
 
+#: Default one-hot level cap of :func:`encode_supervised`.
+SUPERVISED_MAX_CATEGORIES = 20
+
+
 def encode_supervised(
     train: Table,
     test: Table,
     target: str,
     task: str,
-    max_categories: int = 20,
+    max_categories: int = SUPERVISED_MAX_CATEGORIES,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, TableEncoder]:
     """Encode a train/test table pair for a supervised task.
 

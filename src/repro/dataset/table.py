@@ -38,6 +38,7 @@ from repro.dataset.columnar import (
     KIND_NONE,
     ColumnView,
     normalized_column,
+    same_entries,
 )
 from repro.dataset.schema import CATEGORICAL, NUMERICAL, Column, Schema
 
@@ -450,11 +451,17 @@ class Table:
     # ------------------------------------------------------------------
     # Comparison
     # ------------------------------------------------------------------
-    def diff_cells(self, other: "Table") -> Set[Cell]:
-        """Cells whose values differ between two same-shape tables.
+    def diff_cells(
+        self, other: "Table", columns: Optional[Sequence[str]] = None
+    ) -> Set[Cell]:
+        """Cells whose values differ between two same-shape tables, in
+        ``columns`` (default: all of them).
 
         This is how REIN derives the ground-truth error mask: the dirty
-        version is diffed against the clean version.
+        version is diffed against the clean version.  Cells that are the
+        same entry of both column views are equal (:func:`values_equal`
+        is reflexive); only the others are compared, column-wise.  Cells
+        enter the set column by column, rows ascending.
         """
         if self._schema.names != other._schema.names:
             raise ValueError("cannot diff tables with different columns")
@@ -464,11 +471,14 @@ class Table:
                 f"{other._n_rows} rows"
             )
         cells: Set[Cell] = set()
-        for name in self._schema.names:
+        for name in self._schema.names if columns is None else columns:
+            same = same_entries(self.column_view(name), other.column_view(name))
             mine, theirs = self._data[name], other._data[name]
-            for i in range(self._n_rows):
-                if not values_equal(mine[i], theirs[i]):
-                    cells.add((i, name))
+            cells.update(
+                (i, name)
+                for i in np.flatnonzero(~same).tolist()
+                if not values_equal(mine[i], theirs[i])
+            )
         return cells
 
     # ------------------------------------------------------------------

@@ -63,19 +63,27 @@ class ErrorInjector:
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must be in [0, 1]")
         columns = self.eligible_columns(table)
-        pool: List[Cell] = []
-        for name in columns:
-            values = table.column(name)
-            for i in range(table.n_rows):
-                if skip_missing and is_missing(values[i]):
-                    continue
-                pool.append((i, name))
+        # The pool runs column by column, rows ascending: the draw below
+        # indexes into it, so this order fixes which cells are picked.
+        rows = [
+            np.flatnonzero(~table.missing_mask(name))
+            if skip_missing
+            else np.arange(table.n_rows)
+            for name in columns
+        ]
+        sizes = [len(r) for r in rows]
         count = int(round(rate * table.n_rows * len(columns)))
-        count = min(count, len(pool))
+        count = min(count, sum(sizes))
         if count == 0:
             return []
-        chosen = rng.choice(len(pool), size=count, replace=False)
-        return [pool[i] for i in chosen]
+        chosen = rng.choice(sum(sizes), size=count, replace=False)
+        owners = np.repeat(np.arange(len(columns)), sizes)[chosen]
+        return list(
+            zip(
+                np.concatenate(rows)[chosen].tolist(),
+                [columns[k] for k in owners.tolist()],
+            )
+        )
 
     def inject(
         self, table: Table, rate: float, rng: np.random.Generator
@@ -358,7 +366,7 @@ class MislabelInjector(ErrorInjector):
         if len(classes) < 2:
             return InjectionResult(dirty, {self.error_type: marked})
         n_flips = int(round(rate * table.n_rows))
-        candidates = [i for i in range(table.n_rows) if not is_missing(values[i])]
+        candidates = np.flatnonzero(~table.missing_mask(self.label_column)).tolist()
         n_flips = min(n_flips, len(candidates))
         if n_flips == 0:
             return InjectionResult(dirty, {self.error_type: marked})

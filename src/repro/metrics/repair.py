@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,11 +26,6 @@ class RepairScores:
     correctly_repaired: int
     repaired: int
     total_errors: int
-
-
-def _cells_in_columns(cells: Iterable[Cell], columns: Sequence[str]) -> Set[Cell]:
-    allowed = set(columns)
-    return {cell for cell in cells if cell[1] in allowed}
 
 
 def repair_scores_categorical(
@@ -48,8 +43,11 @@ def repair_scores_categorical(
     """
     if columns is None:
         columns = clean.schema.categorical_names
-    errors = _cells_in_columns(actual_errors, columns)
-    changed = _cells_in_columns(dirty.diff_cells(repaired), columns)
+    allowed = set(columns)
+    errors = {cell for cell in actual_errors if cell[1] in allowed}
+    changed = dirty.diff_cells(
+        repaired, [name for name in dirty.column_names if name in allowed]
+    )
     correctly = {
         (row, col)
         for row, col in changed

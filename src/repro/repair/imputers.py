@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.context import CleaningContext
 from repro.dataset.encoding import TableEncoder
-from repro.dataset.table import Cell, Table, is_missing
+from repro.dataset.table import Cell, Table
 from repro.ml.base import fit_predict
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.linear import BayesianRidgeRegressor
@@ -43,10 +43,7 @@ def _initial_fill(table: Table) -> Table:
     """Mean/mode-fill every missing cell as the iteration starting point."""
     filled = table.copy()
     for column in table.column_names:
-        holes = [
-            i for i in range(table.n_rows)
-            if is_missing(table.get_cell(i, column))
-        ]
+        holes = np.flatnonzero(table.missing_mask(column)).tolist()
         if not holes:
             continue
         if table.schema.kind_of(column) == "numerical":
@@ -107,11 +104,7 @@ class MLImputeRepair(RepairMethod):
         blanked = blank_detected_cells(table, detections)
         holes_by_column: Dict[str, List[int]] = {}
         for column in table.column_names:
-            holes = [
-                i
-                for i in range(table.n_rows)
-                if is_missing(blanked.get_cell(i, column))
-            ]
+            holes = np.flatnonzero(blanked.missing_mask(column)).tolist()
             if holes:
                 holes_by_column[column] = holes
         if not holes_by_column:

@@ -2,8 +2,8 @@
 
 Production code carries one vectorized implementation per cleaning
 kernel.  The scalar originals they replaced live here as test code:
-``oracles.ml``, ``oracles.detectors``, ``oracles.constraints`` and
-``oracles.repair``.  The property suites call them directly; whole-run
+``oracles.ml``, ``oracles.detectors``, ``oracles.constraints``,
+``oracles.repair`` and ``oracles.table``.  The property suites call them directly; whole-run
 comparisons (checkpoint stores, the cleaning-kernel benchmarks) route
 the public API through them with :func:`reference_kernels`, which
 patches every row of :data:`KERNELS` for the duration of a block.
@@ -37,9 +37,11 @@ from oracles.detectors import (
     reference_sd_detect,
 )
 from oracles.repair import reference_baran_repair, reference_holoclean_repair
+from oracles.table import reference_diff_cells
 from repro.cache.store import current_cache
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.fd import FunctionalDependency
+from repro.dataset.table import Table
 from repro.detectors import dboost, duplicates, katara
 from repro.detectors.simple import IQRDetector, MVDetector, SDDetector
 from repro.repair.baran import BaranRepair
@@ -65,6 +67,7 @@ KERNELS: Tuple[Tuple[Any, str, Callable[..., Any]], ...] = (
     (DenialConstraint, "violating_row_pairs", reference_violating_row_pairs),
     (BaranRepair, "_repair", reference_baran_repair),
     (HoloCleanRepair, "_repair", reference_holoclean_repair),
+    (Table, "diff_cells", reference_diff_cells),
 )
 
 

@@ -9,6 +9,7 @@ property: a cached run's outputs equal an uncached run's, serial or
 pooled.
 """
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.benchmark import evaluate_scenarios, run_detection_suite, run_scenario
+from repro.benchmark import runner
 from repro.cache import (
     CACHE_SCHEMA_VERSION,
     ArtifactCache,
@@ -33,6 +35,7 @@ from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.encoding import TableEncoder, encode_supervised
 from repro.detectors import MVDetector, SDDetector
 from repro.detectors.features import combined_features
+from repro.ml import base as ml_base
 from repro.ml.base import BaseEstimator, ClassifierMixin, fit_predict
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.observability import Telemetry, telemetry_scope
@@ -473,8 +476,9 @@ class TestFitPredictMemo:
             cold = scores()
             before = len(fit_calls)
             warm = scores()
-        tuned_winner_fits = 1  # tune_estimator returns a fitted winner
-        assert len(fit_calls) - before == tuned_winner_fits
+        # Every unit is a scenario-unit hit: no fit, not even the tuned
+        # run's winner refit.
+        assert len(fit_calls) == before
         assert np.array(cold).tobytes() == np.array(reference).tobytes()
         assert np.array(warm).tobytes() == np.array(reference).tobytes()
 
@@ -552,6 +556,127 @@ class TestFitPredictMemo:
         assert len([c for c in fit_calls if c == "_CallableParam"]) == 2
         stats = cache.stats()
         assert (stats["hits"], stats["misses"], stats["puts"]) == (0, 0, 0)
+
+
+class TestScenarioUnitMemo:
+    """Supervised ``run_scenario`` units are memoized by provenance."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """Count ``train_test_split`` calls: one per unit that misses."""
+        calls = []
+        original = runner.train_test_split
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "train_test_split", counting)
+        return calls
+
+    def test_key_separates_provenance(self, tmp_path, splits):
+        dataset = generate("SmartFactory", n_rows=80, seed=2)
+        base = {"scenario": "S1", "variant_table": dataset.dirty,
+                "dataset": dataset, "model_name": "DT", "seed": 0}
+        variant = dataset.dirty.copy()
+        name = variant.column_names[0]
+        variant.set_cell(0, name, "changed")
+        clean = dataset.clean.copy()
+        clean.set_cell(1, name, "changed")
+        variations = [
+            {"variant_table": variant},
+            {"dataset": dataclasses.replace(dataset, clean=clean)},
+            {"scenario": "S4"},
+            {"seed": 1},
+            {"test_fraction": 0.3},
+            {"kept_rows": list(range(dataset.dirty.n_rows))},
+            {"sample_rows": 20},
+            {"tune_trials": 2},
+            {"model_params": {"max_depth": 2}},
+        ]
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            reference = run_scenario(**base)
+            assert len(splits) == 1
+            assert run_scenario(**base) == reference
+            assert len(splits) == 1, "a repeated unit must hit"
+            for change in variations:
+                before = len(splits)
+                run_scenario(**{**base, **change})
+                assert len(splits) > before, change
+                before = len(splits)
+                run_scenario(**{**base, **change})
+                assert len(splits) == before, change
+
+    def test_key_separates_tuned_zoo_names(self, tmp_path, splits):
+        # Ridge and Lasso-like build the same default RidgeRegressor but
+        # tune over different alpha ranges.
+        dataset = generate("Nasa", n_rows=80, seed=2)
+
+        def tuned(model_name):
+            return run_scenario("S1", dataset.dirty, dataset, model_name,
+                                seed=0, tune_trials=3)
+
+        reference = [tuned("Ridge"), tuned("Lasso-like")]
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            splits.clear()
+            # A tuned miss splits twice: the unit and the tuning holdout.
+            assert [tuned("Ridge"), tuned("Lasso-like")] == reference
+            assert len(splits) == 4, "each zoo name must miss once"
+            assert [tuned("Ridge"), tuned("Lasso-like")] == reference
+            assert len(splits) == 4
+
+    @pytest.mark.parametrize("name", ["SmartFactory", "Nasa"])
+    def test_full_hit_splits_encodes_hashes_and_fits_nothing(
+        self, tmp_path, monkeypatch, fit_calls, splits, name
+    ):
+        dataset = generate(name, n_rows=80, seed=2)
+
+        def scores():
+            return [
+                run_scenario(s, dataset.dirty, dataset, "DT", seed=seed)
+                for s in ("S1", "S2", "S3", "S4", "S5")
+                for seed in (0, 1)
+            ] + [run_scenario("S1", dataset.dirty, dataset, "DT",
+                              seed=0, tune_trials=3)]
+
+        reference = scores()
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            cold = scores()
+            touched = []
+            for module, attribute in [
+                (runner, "encode_supervised"),
+                (runner, "_tuned_model"),
+                (ml_base, "array_fingerprint"),
+            ]:
+                monkeypatch.setattr(
+                    module, attribute,
+                    lambda *a, _name=attribute, **k: touched.append(_name),
+                )
+            fit_calls.clear()
+            splits.clear()
+            hits = cache.hits
+            warm = scores()
+        assert (touched, fit_calls, splits) == ([], [], [])
+        assert cache.hits - hits == len(reference)
+        assert np.array(cold).tobytes() == np.array(reference).tobytes()
+        assert np.array(warm).tobytes() == np.array(reference).tobytes()
+
+    def test_incomplete_entry_recomputes_and_rewrites(self, tmp_path, splits):
+        dataset = generate("SmartFactory", n_rows=80, seed=2)
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            reference = run_scenario("S1", dataset.dirty, dataset, "DT")
+            for key in cache.entries():
+                entry = cache.get(key)
+                if "predictions" in entry.arrays and "y_test" in entry.arrays:
+                    cache.put(key, {"predictions": entry.arrays["predictions"]})
+            assert run_scenario("S1", dataset.dirty, dataset, "DT") == reference
+            assert len(splits) == 2
+            assert run_scenario("S1", dataset.dirty, dataset, "DT") == reference
+            assert len(splits) == 2
 
 
 # ----------------------------------------------------------------------

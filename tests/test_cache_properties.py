@@ -13,6 +13,9 @@ Two families, both hypothesis-driven:
   share a ``table_fingerprint`` exactly when the per-cell reference in
   :mod:`oracles.cache` gives them equal digests, and a block's
   fingerprint is its ``block_view``'s;
+- **cell diffs**: on the same hostile columns plus infinities and
+  numbers beside their text, the typed ``Table.diff_cells`` equals the
+  per-cell ``values_equal`` reference in :mod:`oracles.table`;
 - **column views**: on the same hostile columns, every consumer of the
   memoized ``ColumnView`` (codec, ``normalized_column``, ``as_float``,
   ``missing_mask``, ``table_to_payload``) equals its per-cell
@@ -52,6 +55,7 @@ from repro.repository.store import encode_cell_value
 from repro.resilience.checkpoint import table_to_payload
 
 from oracles.cache import reference_table_fingerprint
+from oracles.table import reference_diff_cells
 from oracles.ml import (
     ReferenceDecisionTreeClassifier,
     ReferenceDecisionTreeRegressor,
@@ -245,13 +249,13 @@ def _aliases(value):
 
 
 @st.composite
-def hostile_tables(draw, min_rows=0):
+def hostile_tables(draw, min_rows=0, cell=hostile_cell):
     n_rows = draw(st.integers(min_value=min_rows, max_value=5))
     kinds = draw(
         st.lists(st.sampled_from([NUMERICAL, CATEGORICAL]), min_size=1, max_size=3)
     )
     schema = Schema.from_pairs([(f"c{i}", kind) for i, kind in enumerate(kinds)])
-    cells = st.lists(hostile_cell, min_size=n_rows, max_size=n_rows)
+    cells = st.lists(cell, min_size=n_rows, max_size=n_rows)
     return Table(schema, {name: draw(cells) for name in schema.names})
 
 
@@ -307,6 +311,62 @@ def test_block_fingerprint_is_block_view_fingerprint(table, data):
         {n: list(table.column(n)[start:stop]) for n in table.column_names},
     )
     assert block == table_fingerprint(copy)
+
+
+# ----------------------------------------------------------------------
+# Cell diffs
+# ----------------------------------------------------------------------
+#: Hostile cells plus the pairs ``values_equal`` relates across types:
+#: infinities, numbers and their text, padded missing tokens.
+diff_cell = st.one_of(
+    hostile_cell,
+    st.sampled_from(
+        [math.inf, -math.inf, np.float64("-inf"), "inf", " -Inf", 3, 3.0,
+         "3.0", " 3 ", " NA ", None, _nan(7)[0].item()]
+    ),
+)
+
+
+@st.composite
+def diff_table_pairs(draw):
+    """A hostile table and a twin whose cells are kept, aliased or
+    redrawn one by one."""
+    table = draw(hostile_tables(cell=diff_cell))
+    twin = {
+        name: [
+            draw(st.one_of(st.just(v), st.sampled_from(_aliases(v)), diff_cell))
+            for v in table.column(name)
+        ]
+        for name in table.column_names
+    }
+    return table, Table(table.schema, twin)
+
+
+@given(diff_table_pairs())
+@example((_hostile([_nan(1)[0].item()]), _hostile([_nan(2)[0].item()])))
+@example((_hostile([-0.0, 0.0]), _hostile([0.0, -0.0])))
+@example((_hostile(["3.0", 3.0, 3]), _hostile([3.0, "3.0", 3.0])))
+@example((_hostile([" NA ", None, math.nan]), _hostile([None, " NA ", "?"])))
+@example((_hostile([1, True, 0]), _hostile([True, 1, False])))
+@example((_hostile([2**64, 2**64, -(2**70)]),
+          _hostile(["18446744073709551616", 2**64 + 1, -(2**70)])))
+@example((_hostile([np.int64(3), np.float32(1.5), np.str_("a"), np.bool_(True)]),
+          _hostile([3, 1.5, "a", True])))
+@example((_hostile([math.inf, -math.inf, math.inf]),
+          _hostile(["inf", -math.inf, -math.inf])))
+@example((_hostile(["a", "b", "a"]), _hostile(["b", "a", "a "])))
+@example((_hostile([1.0, 0.0, 1e300, "1.0000000000001", 1.7e308, 2e-12]),
+          _hostile([1 + 1e-13, 5e-13, 1e300 * (1 + 1e-13), 1.0, -1.7e308, 0.0])))
+@settings(max_examples=300, deadline=None)
+def test_diff_cells_matches_per_cell_reference(pair):
+    a, b = pair
+    for mine, theirs in ((a, b), (b, a)):
+        for columns in (None, mine.column_names[::-2]):
+            typed = mine.diff_cells(theirs, columns)
+            reference = reference_diff_cells(mine, theirs, columns)
+            # Equal sets built in the same order iterate the same way.
+            assert list(typed) == list(reference)
+    assert a.diff_cells(a) == set()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ The cache's acceptance properties under fault injection:
 - a cached run's checkpoint store is byte-identical to an uncached
   serial run's, for any worker count, cold or warm cache -- including a
   pipeline whose model fits are memoized (MISS-Mix repair, S1-S5 and a
-  tuned scenario run).
+  tuned scenario run), also after its scenario-unit entries are torn;
+- a torn scenario-unit entry (or every entry) falls back to a recompute
+  with a bit-identical score and rewrites the entry.
 
 Kills are injected at the cache's ``_finalize`` boundary (the exact
 window a real worker death would hit between write and publish),
@@ -25,6 +27,7 @@ import pytest
 from repro.benchmark import evaluate_scenarios, run_repair_suite, run_scenario
 from repro.cache import ArtifactCache, cache_scope
 from repro.datagen import generate
+from repro.ml.tree import DecisionTreeClassifier
 from repro.parallel import ProcessPoolExecutor, null_sleep
 from repro.repair import MissForestMixRepair
 from repro.resilience import SuiteCheckpoint
@@ -102,6 +105,22 @@ def _pipeline(store_path, cache, executor=None):
                 "S1", variant, dataset, "DT", seed=0, tune_trials=3
             )
             ckpt.put("tuned/DT/S1/0", {"value": tuned})
+
+
+def _unit_entries(cache):
+    """Keys of the scenario-unit entries (``y_test`` plus predictions),
+    read through a second handle so ``cache``'s counters stay put."""
+    reader = ArtifactCache(cache.root)
+    return [
+        key for key in cache.entries()
+        if set(reader.get(key).arrays) == {"y_test", "predictions"}
+    ]
+
+
+def _tear(cache, key):
+    """Truncate one finalized entry, as a torn disk write would."""
+    path = cache._path(key)
+    path.write_bytes(path.read_bytes()[:64])
 
 
 def _evaluation_canonical(evaluation) -> bytes:
@@ -182,6 +201,44 @@ class TestKillMidCacheWrite:
         assert _store_canonical(killed_store) == _store_canonical(ref_store)
 
 
+class TestCorruptScenarioUnit:
+    @pytest.mark.parametrize("torn", ["unit", "all"])
+    def test_corrupt_entry_recomputes_identical_score(
+        self, tmp_path, monkeypatch, torn
+    ):
+        dataset = _dataset()
+        reference = run_scenario("S1", dataset.dirty, dataset, "DT", seed=1)
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            assert run_scenario(
+                "S1", dataset.dirty, dataset, "DT", seed=1
+            ) == reference
+        units = _unit_entries(cache)
+        assert len(units) == 1
+        keys = units if torn == "unit" else cache.entries()
+        for key in keys:
+            _tear(cache, key)
+        fits = []
+        fit = DecisionTreeClassifier.fit
+        monkeypatch.setattr(
+            DecisionTreeClassifier, "fit",
+            lambda self, *a: fits.append(1) or fit(self, *a),
+        )
+        healed = ArtifactCache(cache.root)
+        with cache_scope(healed):
+            score = run_scenario("S1", dataset.dirty, dataset, "DT", seed=1)
+        assert np.float64(score).tobytes() == np.float64(reference).tobytes()
+        assert healed.stats()["corrupt"] == len(keys)
+        # Only a torn fit entry refits; the rewritten unit entry loads.
+        assert len(fits) == (0 if torn == "unit" else 1)
+        assert _unit_entries(healed) == units
+        with cache_scope(healed):
+            assert run_scenario(
+                "S1", dataset.dirty, dataset, "DT", seed=1
+            ) == reference
+        assert len(fits) == (0 if torn == "unit" else 1)
+
+
 class TestCachedUncachedStoreEquivalence:
     @pytest.mark.parametrize("workers", [None, 2, 3])
     def test_checkpoint_store_identical_cached_vs_uncached(
@@ -213,11 +270,20 @@ class TestCachedUncachedStoreEquivalence:
         ref_store = str(tmp_path / "ref.sqlite")
         _pipeline(ref_store, cache=None)
         cache = ArtifactCache(str(tmp_path / "art"))
-        for run in ("cold", "warm"):
+        for run in ("cold", "warm", "torn"):
+            if run == "torn":
+                units = _unit_entries(cache)
+                assert len(units) == 11  # S1-S5 x 2 seeds + the tuned run
+                for key in units:
+                    _tear(cache, key)
+            entries = cache.entries()
             store = str(tmp_path / f"{run}.sqlite")
             _pipeline(store, cache=cache, executor=executor)
             assert _store_canonical(store) == _store_canonical(ref_store), run
+            if run == "warm":
+                assert cache.entries() == entries, "a warm run writes nothing"
         assert cache.stats()["hits"] > 0
+        assert len(_unit_entries(ArtifactCache(cache.root))) == 11
 
     def test_scores_are_real_numbers_not_placeholders(self, tmp_path):
         evaluation = _evaluate(

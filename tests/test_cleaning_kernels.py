@@ -61,6 +61,7 @@ from repro.resilience import SuiteCheckpoint
 import oracles.constraints
 import oracles.detectors
 import oracles.repair
+import oracles.table
 from oracles import KERNELS, reference_kernels
 from oracles.constraints import (
     reference_binary_violations,
@@ -635,7 +636,10 @@ class TestReferenceSwapTable:
         swapped = {reference for _, _, reference in KERNELS}
         # Called only by other oracles, never in place of a live kernel.
         helpers = {"reference_fd_groups", "reference_pair_features"}
-        for module in (oracles.constraints, oracles.detectors, oracles.repair):
+        for module in (
+            oracles.constraints, oracles.detectors, oracles.repair,
+            oracles.table,
+        ):
             for name, value in vars(module).items():
                 if name.startswith("reference_") and name not in helpers:
                     assert value in swapped, f"{module.__name__}.{name}"
