@@ -1,8 +1,8 @@
-"""Kernel speedups: vectorized CART/KNN, table fingerprints and cell
-diffs vs the frozen per-cell references, plus the warm artifact cache against a cold
-end-to-end run.
+"""Kernel speedups: vectorized CART/KNN, random forests, table
+fingerprints and cell diffs vs the frozen per-cell references, plus the
+warm artifact cache against a cold end-to-end run.
 
-Five measurements, all against honest workloads:
+Six measurements, all against honest workloads:
 
 - **tree fit+predict**: both builders train on the one-hot-heavy matrix
   produced by actually encoding a generated benchmark dataset (the
@@ -10,6 +10,13 @@ Five measurements, all against honest workloads:
   configuration.  The property suite proves the two builders produce
   *identical* trees, so this is a pure like-for-like kernel comparison.
   Bar: >= 3x.
+- **forest fit**: the MISS-Mix regressor (15 trees, depth 10) fitted on
+  every feature matrix the imputer builds while repairing Nasa at 56
+  rows -- the forests the service jobs fit -- against the same forests
+  grown tree by tree with the frozen reference builder (same bootstraps
+  and seeds, so identical trees).  Such trees are tiny (tens of nodes,
+  half of them holding one or two rows), so this times the per-node
+  overhead, not the scan arithmetic.  Bar: >= 1.8x.
 - **KNN distances**: the blocked Gram-matrix kernel against the naive
   (n, m, d) broadcast.  Reported, no bar -- the margin is enormous and
   asserting a huge multiple would just make the suite flaky on slow
@@ -48,15 +55,18 @@ from repro.benchmark import run_detection_suite
 from repro.cache import ArtifactCache, cache_scope, table_fingerprint
 from repro.dataset.encoding import TableEncoder
 from repro.detectors.ml_detectors import ED2Detector
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.neighbors import _pairwise_sq_distances
 from repro.ml.tree import DecisionTreeClassifier
 from repro.observability import write_bench_snapshot
+from repro.repair.imputers import MissForestMixRepair
 from repro.reporting import render_table
 
 from oracles.cache import reference_table_fingerprint
 from oracles.table import reference_diff_cells
 from oracles.ml import (
     ReferenceDecisionTreeClassifier,
+    reference_forest,
     reference_pairwise_sq_distances,
 )
 
@@ -66,6 +76,7 @@ BENCH_SNAPSHOT = os.path.join(
 )
 
 TREE_ROWS = 4000
+FOREST_ROWS = 56
 CACHE_ROWS = 2000
 FINGERPRINT_ROWS = 600
 DIFF_ROWS = 5300
@@ -126,6 +137,69 @@ def test_tree_fit_predict_at_least_three_times_faster(benchmark):
     )
     assert speedup >= 3.0, (
         f"expected >= 3x tree fit+predict speedup, got {speedup:.2f}x "
+        f"(reference {ref_seconds:.3f}s, vectorized {vec_seconds:.3f}s)"
+    )
+
+
+def _imputer_regression_fits():
+    """MISS-Mix's regressor parameters and every (features, targets)
+    pair it fits while repairing Nasa's detected errors."""
+    dataset = bench_dataset("Nasa", n_rows=FOREST_ROWS)
+    repair = MissForestMixRepair()
+    params = repair.numeric_factory().get_params()
+    fits = []
+
+    class Recording(RandomForestRegressor):
+        def fit(self, features, targets):
+            fits.append((features, targets))
+            return super().fit(features, targets)
+
+    repair.numeric_factory = lambda: Recording(**params)
+    repair.repair(dataset.context(), dataset.error_cells)
+    return params, fits
+
+
+def test_forest_fit_at_least_1_8_times_faster(benchmark):
+    params, fits = _imputer_regression_fits()
+    assert fits, "MISS-Mix fitted no regressor"
+
+    def vectorized():
+        return [RandomForestRegressor(**params).fit(x, y) for x, y in fits]
+
+    def reference():
+        return [
+            reference_forest(RandomForestRegressor(**params), x, y)
+            for x, y in fits
+        ]
+
+    for ours, theirs, (x, _) in zip(vectorized(), reference(), fits):
+        assert ours.predict(x).tobytes() == theirs.predict(x).tobytes()
+    benchmark.pedantic(vectorized, rounds=5, warmup_rounds=1)
+    vec_seconds = benchmark.stats.stats.min
+    ref_seconds = _best_of(reference, reps=5)
+    speedup = ref_seconds / vec_seconds
+    _RESULTS["forest_fit_reference_seconds"] = round(ref_seconds, 4)
+    _RESULTS["forest_fit_vectorized_seconds"] = round(vec_seconds, 4)
+    _RESULTS["forest_fit_speedup"] = round(speedup, 2)
+    shapes = sorted({x.shape for x, _ in fits})
+    emit(
+        "kernel_forest_speed",
+        render_table(
+            ["trees grown by", "fit seconds", "speedup"],
+            [
+                ["scalar reference", round(ref_seconds, 3), 1.0],
+                ["flat pre-order builder", round(vec_seconds, 3),
+                 round(speedup, 2)],
+            ],
+            title=(
+                f"MISS-Mix regressor forests, Nasa n={FOREST_ROWS}: "
+                f"{len(fits)} fits of {params['n_estimators']} trees "
+                f"on {shapes[0]}..{shapes[-1]}"
+            ),
+        ),
+    )
+    assert speedup >= 1.8, (
+        f"expected >= 1.8x forest fit speedup, got {speedup:.2f}x "
         f"(reference {ref_seconds:.3f}s, vectorized {vec_seconds:.3f}s)"
     )
 
@@ -331,6 +405,7 @@ def test_write_kernel_snapshot():
     """Runs last (file order): persists every number measured above."""
     required = {
         "tree_fit_predict_speedup",
+        "forest_fit_speedup",
         "knn_distances_speedup",
         "table_fingerprint_speedup",
         "diff_cells_speedup",
@@ -346,6 +421,9 @@ def test_write_kernel_snapshot():
             "tree_dataset": "Beers",
             "tree_rows": TREE_ROWS,
             "tree_config": "repo defaults (unbounded depth)",
+            "forest_dataset": "Nasa",
+            "forest_rows": FOREST_ROWS,
+            "forest_config": "MISS-Mix regressor (15 trees, max_depth 10)",
             "knn_shape": "600x2500x60",
             "fingerprint_dataset": "Adult",
             "fingerprint_rows": FINGERPRINT_ROWS,

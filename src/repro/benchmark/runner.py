@@ -917,6 +917,8 @@ def _tuned_model(
     inner_train, inner_valid = train_test_split(
         len(x_train), 0.25, seed=seed
     )
+    # spec.build drops placeholder "_"-prefixed dimensions, so the
+    # returned winner is ready to fit.
     model, _ = tune_estimator(
         spec.build,
         spec.space,
@@ -927,8 +929,7 @@ def _tuned_model(
         n_trials=n_trials,
         seed=seed,
     )
-    # spec.build drops placeholder "_"-prefixed dimensions.
-    return spec.build(**model.get_params())
+    return model
 
 
 @dataclass

@@ -6,13 +6,12 @@ it is a generic model; the IF outlier *detector* of Table 1 wraps it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_arrays
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _leaf_indices
 
 
 class RandomForestClassifier(BaseEstimator, ClassifierMixin):
@@ -163,19 +162,6 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
 # ----------------------------------------------------------------------
 # Isolation forest
 # ----------------------------------------------------------------------
-@dataclass
-class _IsoNode:
-    feature: int = -1
-    threshold: float = 0.0
-    size: int = 0
-    left: Optional["_IsoNode"] = None
-    right: Optional["_IsoNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 def _average_path_length(n: float) -> float:
     """Expected unsuccessful-search path length in a BST of n nodes (c(n))."""
     if n <= 1:
@@ -186,74 +172,68 @@ def _average_path_length(n: float) -> float:
     return 2.0 * harmonic - 2.0 * (n - 1) / n
 
 
-def _build_iso_tree(
-    features: np.ndarray, depth: int, max_depth: int, rng: np.random.Generator
-) -> _IsoNode:
-    n_samples = len(features)
-    if depth >= max_depth or n_samples <= 1:
-        return _IsoNode(size=n_samples)
-    # Pick a random feature with spread; give up after a few tries.
-    for _ in range(5):
-        feature = int(rng.integers(0, features.shape[1]))
-        lo, hi = features[:, feature].min(), features[:, feature].max()
-        if hi > lo:
-            break
-    else:
-        return _IsoNode(size=n_samples)
-    threshold = float(rng.uniform(lo, hi))
-    goes_left = features[:, feature] <= threshold
-    node = _IsoNode(feature=feature, threshold=threshold, size=n_samples)
-    node.left = _build_iso_tree(features[goes_left], depth + 1, max_depth, rng)
-    node.right = _build_iso_tree(features[~goes_left], depth + 1, max_depth, rng)
-    return node
+#: Flat isolation tree: (feature, threshold, left, right, path_value)
+#: arrays in pre-order.  ``feature[i] == -1`` marks a leaf, whose
+#: ``path_value`` is its depth plus ``c(size)`` -- the full per-row
+#: contribution -- so scoring a batch is just routing every row to its
+#: leaf and gathering.
+IsoTree = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _flatten_iso_tree(root: _IsoNode):
-    """Linearize an isolation tree for batched routing.
+def _grow_iso_tree(
+    features: np.ndarray, max_depth: int, rng: np.random.Generator
+) -> IsoTree:
+    """Grow one isolation tree straight into flat pre-order arrays.
 
-    Returns (feature, threshold, left, right, path_value) arrays where
-    ``path_value[i]`` for a leaf is its depth plus ``c(size)`` -- the
-    full per-row contribution -- so scoring a batch is just routing every
-    row to its leaf and gathering.
+    Draws from ``rng`` in pre-order (a node's feature tries and
+    threshold, then its left subtree, then its right), the order of the
+    recursive builder the scores were defined with.
     """
-    feature: List[int] = []
-    threshold: List[float] = []
-    left: List[int] = []
-    right: List[int] = []
+    node_feature: List[int] = []
+    node_threshold: List[float] = []
+    node_left: List[int] = []
+    node_right: List[int] = []
     path_value: List[float] = []
-    stack = [(root, 0)]
-    order: List[_IsoNode] = []
-    depths: List[int] = []
-    indices = {id(root): 0}
+
+    # Depth-first, left child first: each entry is (the node's rows of
+    # features, its depth, the parent whose right child it is, or -1).
+    stack = [(features, 0, -1)]
     while stack:
-        node, depth = stack.pop()
-        order.append(node)
-        depths.append(depth)
-        if not node.is_leaf:
-            for child in (node.right, node.left):
-                indices[id(child)] = len(indices)
-                stack.append((child, depth + 1))
-    ranked = sorted(range(len(order)), key=lambda i: indices[id(order[i])])
-    for i in ranked:
-        node, depth = order[i], depths[i]
-        if node.is_leaf:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            path_value.append(depth + _average_path_length(node.size))
-        else:
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            left.append(indices[id(node.left)])
-            right.append(indices[id(node.right)])
-            path_value.append(0.0)
+        subset, depth, right_of = stack.pop()
+        index = len(node_feature)
+        if right_of >= 0:
+            node_right[right_of] = index
+        n_samples = len(subset)
+        feature = -1
+        if depth < max_depth and n_samples > 1:
+            # Pick a random feature with spread; give up after a few tries.
+            for _ in range(5):
+                drawn = int(rng.integers(0, subset.shape[1]))
+                lo, hi = subset[:, drawn].min(), subset[:, drawn].max()
+                if hi > lo:
+                    feature = drawn
+                    break
+        node_right.append(-1)
+        if feature < 0:
+            node_feature.append(-1)
+            node_threshold.append(0.0)
+            node_left.append(-1)
+            path_value.append(depth + _average_path_length(n_samples))
+            continue
+        threshold = float(rng.uniform(lo, hi))
+        goes_left = subset[:, feature] <= threshold
+        node_feature.append(feature)
+        node_threshold.append(threshold)
+        node_left.append(index + 1)
+        path_value.append(0.0)
+        stack.append((subset[~goes_left], depth + 1, index))
+        stack.append((subset[goes_left], depth + 1, -1))
     return (
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.asarray(path_value, dtype=np.float64),
+        np.array(node_feature, dtype=np.int64),
+        np.array(node_threshold, dtype=np.float64),
+        np.array(node_left, dtype=np.int64),
+        np.array(node_right, dtype=np.int64),
+        np.array(path_value, dtype=np.float64),
     )
 
 
@@ -277,8 +257,7 @@ class IsolationForest(BaseEstimator):
         self.max_samples = max_samples
         self.contamination = contamination
         self.seed = seed
-        self.trees_: Optional[List[_IsoNode]] = None
-        self._flat_trees_: Optional[list] = None
+        self.trees_: Optional[List[IsoTree]] = None
         self.subsample_size_: int = 0
         self.threshold_: float = 0.5
 
@@ -294,8 +273,7 @@ class IsolationForest(BaseEstimator):
         self.trees_ = []
         for _ in range(self.n_estimators):
             idx = rng.choice(n_samples, size=psi, replace=False)
-            self.trees_.append(_build_iso_tree(features[idx], 0, max_depth, rng))
-        self._flat_trees_ = [_flatten_iso_tree(tree) for tree in self.trees_]
+            self.trees_.append(_grow_iso_tree(features[idx], max_depth, rng))
         scores = self.score_samples(features)
         self.threshold_ = float(
             np.quantile(scores, 1.0 - self.contamination)
@@ -305,16 +283,9 @@ class IsolationForest(BaseEstimator):
     def _score_rows(self, features: np.ndarray, c_norm: float) -> np.ndarray:
         n = len(features)
         total_path = np.zeros(n)
-        for feature, threshold, left, right, path_value in self._flat_trees_:
-            at = np.zeros(n, dtype=np.int64)
-            active = np.flatnonzero(feature[at] >= 0)
-            while active.size:
-                nodes = at[active]
-                goes_left = features[active, feature[nodes]] <= threshold[nodes]
-                at[active] = np.where(goes_left, left[nodes], right[nodes])
-                active = active[feature[at[active]] >= 0]
-            total_path += path_value[at]
-        mean_path = total_path / max(len(self._flat_trees_), 1)
+        for *routing, path_value in self.trees_:
+            total_path += path_value[_leaf_indices(*routing, features)]
+        mean_path = total_path / max(len(self.trees_), 1)
         return 2.0 ** (-mean_path / c_norm)
 
     def score_samples(
@@ -324,8 +295,6 @@ class IsolationForest(BaseEstimator):
         self._require_fitted("trees_")
         features, _ = check_arrays(features)
         c_norm = _average_path_length(float(self.subsample_size_)) or 1.0
-        if self._flat_trees_ is None:  # unpickled from an older snapshot
-            self._flat_trees_ = [_flatten_iso_tree(tree) for tree in self.trees_]
         if block_rows is None:
             return self._score_rows(features, c_norm)
         if block_rows < 1:

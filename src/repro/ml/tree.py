@@ -9,46 +9,44 @@ speedups against the frozen scalar kernels in ``tests/oracles/ml.py``):
 
 - **Fit** presorts every feature column *once* at the root
   (``np.argsort(features, axis=0)``) and threads the per-feature sorted
-  row indices down the recursion, partitioning them stably at each
+  row indices down the tree, partitioning them stably at each
   split -- so ``_best_split`` never sorts again and scans each candidate
   feature with prefix-sum impurity updates in O(n) instead of
   O(n log n).  The class one-hot matrix is likewise built once and
-  gathered per node.
-- **Predict** flattens the fitted tree into parallel node arrays and
-  routes all query rows down the tree iteratively, level by level, with
-  no Python-level per-row work; a depth-0 tree short-circuits to a tiled
-  leaf value.
+  gathered per node.  The trees the ensembles grow are tiny (tens of
+  nodes, half of them holding one or two rows), so the cost is the
+  numpy calls each node makes, not arithmetic: one depth-first builder
+  writes each node straight into flat pre-order arrays (no node objects,
+  no second walk), computes a node's mean once for both its leaf value
+  and its impurity, makes a one-row regression node a leaf without a
+  numpy call, partitions the order table only for children that can
+  still split, and resolves ``max_features`` and the split sizes once
+  per tree.
+- **Predict** routes all query rows down the flat tree iteratively,
+  level by level, with no Python-level per-row work; a depth-0 tree
+  short-circuits to a tiled leaf value.
 
 Both paths are bit-for-bit equivalent to the reference implementation:
 node statistics are computed over rows in ascending original order (the
-exact order the scalar builder saw), and stable presorting partitions to
-the same tie order as the per-node stable argsort it replaces.  The
-property suite asserts this exactly.
+exact order the scalar builder saw) with the same reductions, candidate
+features are drawn from the tree's generator in the same pre-order, and
+stable presorting partitions to the same tie order as the per-node
+stable argsort it replaces.  The property suite asserts this exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_arrays
 
-
-@dataclass
-class _Node:
-    """A tree node; leaves carry a prediction, internal nodes a split."""
-
-    prediction: np.ndarray  # class distribution or [mean]
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+#: Flattened tree: (feature, threshold, left, right, predictions) arrays in
+#: pre-order.  ``feature[i] == -1`` marks a leaf (threshold 0.0, children
+#: -1); an internal node's left child is ``i + 1``.  predictions is
+#: (n_nodes, pred_dim): class distributions, or one mean per node.
+FlatTree = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _resolve_max_features(max_features: Union[str, int, None], n_features: int) -> int:
@@ -65,62 +63,63 @@ def _resolve_max_features(max_features: Union[str, int, None], n_features: int) 
     raise ValueError(f"unsupported max_features {max_features!r}")
 
 
-class _TreeBuilder:
-    """Shared recursive CART builder, parameterized by task.
+def _grow_tree(
+    features: np.ndarray,
+    targets: np.ndarray,
+    n_classes: Optional[int],
+    max_depth: Optional[int],
+    min_samples_split: int,
+    min_samples_leaf: int,
+    max_features: Union[str, int, None],
+    rng: np.random.Generator,
+) -> FlatTree:
+    """Grow one CART tree into flat pre-order arrays.
 
-    The builder holds the full feature/target arrays; each node is a set
-    of row indices carried in two synchronized forms -- ``rows`` in
-    ascending original order (for order-sensitive node statistics) and
-    ``order``, an ``(n_features, n_node)`` matrix whose row ``j`` lists
-    the node's rows sorted by feature ``j`` (stable, ties in ascending
-    row order, inherited from the single root argsort).
+    With ``n_classes`` set it grows a classifier on integer class codes,
+    with None a regressor on float64 targets.  Each node is a
+    set of rows carried in two synchronized forms: ``rows`` in ascending
+    original order (for order-sensitive node statistics) and ``order``,
+    a ``(n_features, n_node)`` matrix whose row ``j`` lists the node's
+    rows sorted by feature ``j`` (stable, ties in ascending row order,
+    inherited from the single root argsort).  ``order`` is None for a
+    node that cannot split.
     """
-
-    def __init__(
-        self,
-        task: str,
-        max_depth: Optional[int],
-        min_samples_split: int,
-        min_samples_leaf: int,
-        max_features: Union[str, int, None],
-        rng: np.random.Generator,
-        n_classes: int = 0,
-    ) -> None:
-        self.task = task
-        self.max_depth = max_depth if max_depth is not None else 10**9
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.rng = rng
-        self.n_classes = n_classes
-        self._features: Optional[np.ndarray] = None
-        self._features_t: Optional[np.ndarray] = None
-        self._targets: Optional[np.ndarray] = None
-        self._onehot: Optional[np.ndarray] = None
-        self._in_left: Optional[np.ndarray] = None
-
-    def _leaf_value(self, targets: np.ndarray) -> np.ndarray:
-        if self.task == "classification":
-            counts = np.bincount(targets.astype(int), minlength=self.n_classes)
-            return counts / max(counts.sum(), 1)
-        return np.array([targets.mean() if len(targets) else 0.0])
-
-    def _node_impurity(self, targets: np.ndarray) -> float:
-        if self.task == "classification":
-            counts = np.bincount(targets.astype(int), minlength=self.n_classes)
-            p = counts / max(counts.sum(), 1)
-            return float(1.0 - np.sum(p * p))
-        return float(targets.var()) if len(targets) else 0.0
+    n_samples, n_features = features.shape
+    depth_limit = max_depth if max_depth is not None else 10**9
+    classification = n_classes is not None
+    k = _resolve_max_features(max_features, n_features)
+    subsample = k < n_features
+    all_features = np.arange(n_features)[:, None]
+    # Feature-major copy: per-feature value gathers read contiguous
+    # memory instead of stride-d columns.
+    features_t = np.ascontiguousarray(features.T)
+    # split_sizes[p - 1] is the left child's row count at position p.
+    split_sizes = np.arange(1, n_samples, dtype=np.float64)
+    if classification:
+        onehot = np.zeros((n_samples, n_classes))
+        onehot[np.arange(n_samples), targets] = 1.0
+    else:
+        # Each row's target beside its square: one gather and one
+        # prefix sum per node give both running sums of the scan.
+        moments = np.empty((n_samples, 2))
+        moments[:, 0] = targets
+        moments[:, 1] = targets**2
+    node_feature: List[int] = []
+    node_threshold: List[float] = []
+    node_left: List[int] = []
+    node_right: List[int] = []
+    node_value: list = []
 
     def _best_split(
-        self, order: np.ndarray, parent_impurity: float
-    ) -> Optional[Tuple[int, float, float]]:
-        """Return (feature, threshold, impurity_decrease) or None.
+        order: np.ndarray, m: int, impurity: float
+    ) -> Optional[Tuple[int, float]]:
+        """Return the (feature, threshold) of the node's best split, or None.
 
         ``order`` supplies each candidate feature's rows presorted, so
         the whole node is scanned in one shot: every candidate feature's
-        impurity curve is a prefix-sum row of a single (c, n[, k])
-        gather -- no per-node sorting and no per-feature Python loop.
+        impurity curve is a prefix-sum row of a single (c, m, k) gather
+        (class one-hots, or each target beside its square) -- no
+        per-node sorting and no per-feature Python loop.
 
         Elementwise operations and the class-axis reductions are applied
         in the same order as the scalar reference, and ties resolve
@@ -128,184 +127,171 @@ class _TreeBuilder:
         feature across candidates), so the chosen split is exactly the
         reference's.
         """
-        n_samples = order.shape[1]
-        n_features = self._features.shape[1]
-        k = _resolve_max_features(self.max_features, n_features)
-        candidates = (
-            np.arange(n_features)
-            if k == n_features
-            else self.rng.choice(n_features, size=k, replace=False)
-        )
-        min_leaf = self.min_samples_leaf
-        # ``order`` is feature-major (d, n): each candidate's presorted
-        # rows are a contiguous row, so every per-feature op below is a
-        # cache-friendly sweep.
-        sub_order = order if k == n_features else order[candidates]
-        values = self._features_t[candidates[:, None], sub_order]  # (c, n)
-        # Valid split positions p in 1..n-1 per feature: a boundary
-        # between distinct adjacent values, with both children >= min_leaf.
-        positions = np.arange(1, n_samples)
-        valid = (
-            (values[:, 1:] > values[:, :-1])
-            & (positions >= min_leaf)
-            & (positions <= n_samples - min_leaf)
-        )
+        if subsample:
+            candidates = rng.choice(n_features, size=k, replace=False)
+            sub_order = order[candidates]
+            values = features_t[candidates[:, None], sub_order]  # (c, m)
+        else:
+            candidates = None
+            sub_order = order
+            values = features_t[all_features, order]
+        # Valid split positions p in 1..m-1 per feature: a boundary
+        # between distinct adjacent values, with min_samples_leaf rows or
+        # more on each side.
+        valid = values[:, 1:] > values[:, :-1]
+        if min_samples_leaf > 1:
+            valid[:, : min_samples_leaf - 1] = False
+            valid[:, m - min_samples_leaf :] = False
         # Flatten the valid (feature, position) pairs -- row-major
         # nonzero is already feature-major. The impurity curve is then
         # evaluated ONLY at candidate splits (one-hot columns contribute
         # a single entry each), and the first flat maximum is exactly
         # the reference's winner: earliest candidate feature, earliest
         # position within it.
-        at_feature, at_position = np.nonzero(valid)
-        if len(at_feature) == 0:
+        at_feature, at_position = valid.nonzero()
+        if not len(at_feature):
             return None
-        n_left = (at_position + 1).astype(np.float64)
-        n_right = n_samples - n_left
-        if self.task == "classification":
-            left_counts = np.cumsum(self._onehot[sub_order], axis=1)
+        n_left = split_sizes[at_position]
+        n_right = m - n_left
+        if classification:
+            left_counts = onehot[sub_order].cumsum(axis=1)
             total = left_counts[:, -1]
             left = left_counts[at_feature, at_position]
             right = total[at_feature] - left
-            gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-            gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
-            child = (n_left * gini_left + n_right * gini_right) / n_samples
-        else:
-            sorted_targets = self._targets[sub_order]
-            prefix = np.cumsum(sorted_targets, axis=1, dtype=np.float64)
-            prefix_sq = np.cumsum(
-                sorted_targets**2, axis=1, dtype=np.float64
+            gini_left = 1.0 - np.add.reduce((left / n_left[:, None]) ** 2, axis=1)
+            gini_right = 1.0 - np.add.reduce(
+                (right / n_right[:, None]) ** 2, axis=1
             )
-            sum_left = prefix[at_feature, at_position]
-            sum_right = prefix[at_feature, -1] - sum_left
-            sq_left = prefix_sq[at_feature, at_position]
-            sq_right = prefix_sq[at_feature, -1] - sq_left
-            var_left = sq_left / n_left - (sum_left / n_left) ** 2
-            var_right = sq_right / n_right - (sum_right / n_right) ** 2
-            child = (n_left * var_left + n_right * var_right) / n_samples
-        decrease = parent_impurity - child
-        flat = int(np.argmax(decrease))
-        best_decrease = float(decrease[flat])
-        if best_decrease <= 1e-12:
+            child = (n_left * gini_left + n_right * gini_right) / m
+        else:
+            # (c, m, 2): running sums of the targets and their squares.
+            prefix = moments[sub_order].cumsum(axis=1)
+            left = prefix[at_feature, at_position]
+            right = prefix[at_feature, -1] - left
+            # Column 0 is the mean, column 1 the mean square.
+            left /= n_left[:, None]
+            right /= n_right[:, None]
+            var_left = left[:, 1] - left[:, 0] ** 2
+            var_right = right[:, 1] - right[:, 0] ** 2
+            child = (n_left * var_left + n_right * var_right) / m
+        decrease = impurity - child
+        flat = int(decrease.argmax())
+        # ``not >`` also rejects NaN, where argmax stops.  A NaN decrease
+        # means the node's sum of squared targets overflows (or a target
+        # is infinite); then every right side's sum of squares is inf,
+        # no position has a finite child impurity, and the reference
+        # splits nowhere either.
+        if not decrease[flat] > 1e-12:
             return None
         winner = int(at_feature[flat])
         split_at = int(at_position[flat]) + 1
-        winner_values = values[winner]
-        low, high = winner_values[split_at - 1], winner_values[split_at]
+        low, high = values[winner, split_at - 1], values[winner, split_at]
         threshold = 0.5 * (low + high)
         # The midpoint can round up to ``high`` for adjacent subnormals
         # or overflow to +/-inf for huge magnitudes; either way ``<=``
         # routing would send every row to one child and the builder
-        # would recurse on an unchanged node forever.  ``low`` itself is
+        # would split an unchanged node forever.  ``low`` itself is
         # always an exact separator.
         if not (low <= threshold < high):
             threshold = low
-        return int(candidates[winner]), float(threshold), best_decrease
+        feature = winner if candidates is None else int(candidates[winner])
+        return feature, float(threshold)
 
-    def build(self, features: np.ndarray, targets: np.ndarray) -> _Node:
-        """Build the tree: one presort at the root, then recurse."""
-        n_samples = len(features)
-        self._features = features
-        # Feature-major copy: per-feature value gathers read contiguous
-        # memory instead of stride-d columns.
-        self._features_t = np.ascontiguousarray(features.T)
-        self._targets = targets
-        if self.task == "classification" and n_samples:
-            onehot = np.zeros((n_samples, self.n_classes))
-            onehot[np.arange(n_samples), targets.astype(int)] = 1.0
-            self._onehot = onehot
-        self._in_left = np.zeros(n_samples, dtype=bool)
-        rows = np.arange(n_samples)
+    root_order = None
+    if n_samples >= min_samples_split and depth_limit > 0:
         # Presort once, then keep the order table feature-major (d, n)
         # so each feature's presorted rows stay contiguous in memory.
-        order = (
-            np.ascontiguousarray(
-                np.argsort(features, axis=0, kind="stable").T
-            )
-            if n_samples
-            else np.zeros((features.shape[1], 0), dtype=np.int64)
+        root_order = np.ascontiguousarray(
+            np.argsort(features, axis=0, kind="stable").T
         )
-        return self._build(rows, order, 0)
-
-    def _build(self, rows: np.ndarray, order: np.ndarray, depth: int) -> _Node:
-        node_targets = self._targets[rows]
-        node = _Node(prediction=self._leaf_value(node_targets))
-        if (
-            depth >= self.max_depth
-            or len(node_targets) < self.min_samples_split
-        ):
-            return node
-        impurity = self._node_impurity(node_targets)
-        if impurity < 1e-12:
-            return node
-        split = self._best_split(order, impurity)
-        if split is None:
-            return node
-        feature, threshold, _ = split
-        node.feature, node.threshold = feature, threshold
-        goes_left = self._features_t[feature, rows] <= threshold
-        left_rows, right_rows = rows[goes_left], rows[~goes_left]
-        # Partition every feature's presorted rows by left-membership;
-        # boolean gathers keep the stable tie order without re-sorting.
-        self._in_left[left_rows] = True
-        selected = self._in_left[order]
-        n_features = order.shape[0]
-        left_order = order[selected].reshape(n_features, len(left_rows))
-        right_order = order[~selected].reshape(n_features, len(right_rows))
-        self._in_left[left_rows] = False
-        node.left = self._build(left_rows, left_order, depth + 1)
-        node.right = self._build(right_rows, right_order, depth + 1)
-        return node
-
-
-def _tree_depth(node: _Node) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(_tree_depth(node.left), _tree_depth(node.right))
-
-
-#: Flattened tree: (feature, threshold, left, right, predictions) arrays.
-#: ``feature[i] == -1`` marks a leaf; predictions is (n_nodes, pred_dim).
-FlatTree = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _flatten_tree(root: _Node) -> FlatTree:
-    """Linearize a node tree into parallel arrays for batched routing."""
-    feature: List[int] = []
-    threshold: List[float] = []
-    left: List[int] = []
-    right: List[int] = []
-    predictions: List[np.ndarray] = []
-    stack = [root]
-    indices = {id(root): 0}
-    nodes: List[_Node] = []
+    # Depth-first, left child first: nodes are numbered (and draw their
+    # candidate features) in pre-order.  Each entry is (rows, order,
+    # depth, the parent whose right child it is, or -1).
+    stack = [(np.arange(n_samples), root_order, 0, -1)]
     while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if not node.is_leaf:
-            for child in (node.right, node.left):
-                indices[id(child)] = len(indices)
-                stack.append(child)
-    # Re-walk in discovery order so child indices are already assigned.
-    by_index = sorted(nodes, key=lambda n: indices[id(n)])
-    for node in by_index:
-        predictions.append(node.prediction)
-        if node.is_leaf:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
+        rows, order, depth, right_of = stack.pop()
+        index = len(node_feature)
+        if right_of >= 0:
+            node_right[right_of] = index
+        node_feature.append(-1)
+        node_threshold.append(0.0)
+        node_left.append(-1)
+        node_right.append(-1)
+        m = len(rows)
+        if classification:
+            if m == 1:
+                # One row: its one-hot row is the class distribution.
+                node_value.append(onehot[rows[0]])
+                continue
+            counts = np.bincount(targets[rows], minlength=n_classes)
+            value = counts / (m or 1)
+            node_value.append(value)
+            if order is None:
+                continue
+            impurity = 1.0 - np.add.reduce(value * value)
+        elif m == 1:
+            # The mean of one row, as ``np.add.reduce`` (which starts
+            # from 0.0, so -0.0 reads 0.0) divided by one computes it.
+            node_value.append(0.0 + targets[rows[0]])
+            continue
         else:
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            left.append(indices[id(node.left)])
-            right.append(indices[id(node.right)])
+            node_targets = targets[rows]
+            mean = np.add.reduce(node_targets) / m if m else 0.0
+            node_value.append(mean)
+            if order is None:
+                continue
+            # ``ndarray.var``'s own arithmetic, reusing the mean.
+            deviation = node_targets - mean
+            impurity = np.add.reduce(deviation * deviation) / m
+        if impurity < 1e-12:
+            continue
+        split = _best_split(order, m, impurity)
+        if split is None:
+            continue
+        feature, threshold = split
+        node_feature[index] = feature
+        node_threshold[index] = threshold
+        node_left[index] = index + 1
+        column = features_t[feature]
+        goes_left = column[rows] <= threshold
+        left_rows, right_rows = rows[goes_left], rows[~goes_left]
+        child_depth = depth + 1
+        deeper = child_depth < depth_limit
+        split_left = deeper and len(left_rows) >= min_samples_split
+        split_right = deeper and len(right_rows) >= min_samples_split
+        left_order = right_order = None
+        if split_left or split_right:
+            # Partition every feature's presorted rows by the same
+            # comparison; boolean gathers keep the stable tie order
+            # without re-sorting.  A child that cannot split gets none.
+            selected = column[order] <= threshold
+            if split_left:
+                left_order = order[selected].reshape(n_features, -1)
+            if split_right:
+                right_order = order[~selected].reshape(n_features, -1)
+        stack.append((right_rows, right_order, child_depth, index))
+        stack.append((left_rows, left_order, child_depth, -1))
+    if classification:
+        predictions = np.vstack(node_value)
+    else:
+        predictions = np.array(node_value, dtype=np.float64)[:, None]
     return (
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.vstack(predictions),
+        np.array(node_feature, dtype=np.int64),
+        np.array(node_threshold, dtype=np.float64),
+        np.array(node_left, dtype=np.int64),
+        np.array(node_right, dtype=np.int64),
+        predictions,
     )
+
+
+def _tree_depth(flat: FlatTree) -> int:
+    """Depth of a flat pre-order tree (a lone leaf has depth 0)."""
+    feature, _, left, right, _ = flat
+    depth = np.zeros(len(feature), dtype=np.int64)
+    # Pre-order: every parent precedes its children.
+    for node in np.flatnonzero(feature >= 0):
+        depth[left[node]] = depth[right[node]] = depth[node] + 1
+    return int(depth.max())
 
 
 def _predict_batch(
@@ -346,7 +332,18 @@ def _route_rows(flat: FlatTree, features: np.ndarray) -> np.ndarray:
         # Depth-0 tree (or empty query): tile the root leaf value
         # instead of routing -- the leaf-only fast path.
         return np.repeat(predictions[:1], n, axis=0)
-    at = np.zeros(n, dtype=np.int64)
+    return predictions[_leaf_indices(feature, threshold, left, right, features)]
+
+
+def _leaf_indices(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    features: np.ndarray,
+) -> np.ndarray:
+    """The leaf each row reaches in a flat tree, all rows level by level."""
+    at = np.zeros(len(features), dtype=np.int64)
     active = np.flatnonzero(feature[at] >= 0)
     while active.size:
         nodes = at[active]
@@ -355,7 +352,7 @@ def _route_rows(flat: FlatTree, features: np.ndarray) -> np.ndarray:
         )
         at[active] = np.where(goes_left, left[nodes], right[nodes])
         active = active[feature[at[active]] >= 0]
-    return predictions[at]
+    return at
 
 
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
@@ -374,8 +371,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.root_: Optional[_Node] = None
-        self._flat: Optional[FlatTree] = None
+        self.tree_: Optional[FlatTree] = None
 
     def fit(
         self,
@@ -392,27 +388,24 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             probabilities = probabilities / probabilities.sum()
             idx = rng.choice(len(features), size=len(features), p=probabilities)
             features, encoded = features[idx], encoded[idx]
-        builder = _TreeBuilder(
-            "classification",
+        self.tree_ = _grow_tree(
+            features,
+            encoded,
+            len(self.classes_),
             self.max_depth,
             self.min_samples_split,
             self.min_samples_leaf,
             self.max_features,
             np.random.default_rng(self.seed),
-            n_classes=len(self.classes_),
         )
-        self.root_ = builder.build(features, encoded)
-        self._flat = _flatten_tree(self.root_)
         return self
 
     def predict_proba(
         self, features: np.ndarray, block_rows: Optional[int] = None
     ) -> np.ndarray:
-        self._require_fitted("root_")
+        self._require_fitted("tree_")
         features, _ = check_arrays(features)
-        if self._flat is None:  # e.g. unpickled from an older snapshot
-            self._flat = _flatten_tree(self.root_)
-        return _predict_batch(self._flat, features, block_rows=block_rows)
+        return _predict_batch(self.tree_, features, block_rows=block_rows)
 
     def predict(
         self, features: np.ndarray, block_rows: Optional[int] = None
@@ -423,8 +416,8 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
 
     @property
     def depth(self) -> int:
-        self._require_fitted("root_")
-        return _tree_depth(self.root_)
+        self._require_fitted("tree_")
+        return _tree_depth(self.tree_)
 
 
 class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
@@ -443,33 +436,30 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.root_: Optional[_Node] = None
-        self._flat: Optional[FlatTree] = None
+        self.tree_: Optional[FlatTree] = None
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTreeRegressor":
         features, targets = check_arrays(features, targets)
-        builder = _TreeBuilder(
-            "regression",
+        self.tree_ = _grow_tree(
+            features,
+            targets.astype(np.float64),
+            None,
             self.max_depth,
             self.min_samples_split,
             self.min_samples_leaf,
             self.max_features,
             np.random.default_rng(self.seed),
         )
-        self.root_ = builder.build(features, targets.astype(np.float64))
-        self._flat = _flatten_tree(self.root_)
         return self
 
     def predict(
         self, features: np.ndarray, block_rows: Optional[int] = None
     ) -> np.ndarray:
-        self._require_fitted("root_")
+        self._require_fitted("tree_")
         features, _ = check_arrays(features)
-        if self._flat is None:
-            self._flat = _flatten_tree(self.root_)
-        return _predict_batch(self._flat, features, block_rows=block_rows)[:, 0]
+        return _predict_batch(self.tree_, features, block_rows=block_rows)[:, 0]
 
     @property
     def depth(self) -> int:
-        self._require_fitted("root_")
-        return _tree_depth(self.root_)
+        self._require_fitted("tree_")
+        return _tree_depth(self.tree_)

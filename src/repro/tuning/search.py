@@ -224,7 +224,10 @@ def tune_estimator(
 ) -> Tuple[Any, Trial]:
     """Tune an estimator factory against a holdout split.
 
-    Returns ``(fitted_best_estimator, best_trial)``.  The estimator's own
+    Returns ``(best_estimator, best_trial)``, the estimator being the
+    winning configuration *unfitted*: callers fit it on the data they
+    score (the pipeline fits it on the full training split), so a fit
+    here would be thrown away.  The estimator's own
     ``score_predictions`` (accuracy or R^2) on the holdout is the
     objective, matching how REIN tunes each model with Optuna before the
     scenario runs.  Trials fit through :func:`repro.ml.base.fit_predict`,
@@ -242,6 +245,4 @@ def tune_estimator(
 
     study = Study(space, seed=seed)
     best = study.optimize(objective, n_trials)
-    winner = factory(**best.params)
-    winner.fit(x_train, y_train)
-    return winner, best
+    return factory(**best.params), best

@@ -6,13 +6,16 @@ ML kernels exactly as they were before the vectorization pass:
 - a CART builder whose ``_best_split`` re-argsorts every candidate
   feature at every node;
 - per-row recursive tree prediction;
-- naive O(n*m*d) pairwise squared distances by full broadcasting.
+- naive O(n*m*d) pairwise squared distances by full broadcasting;
+- the recursive isolation-tree builder over ``_IsoNode`` objects and its
+  ``id()``-keyed flatten, from before isolation trees were grown flat.
 
 They exist for two reasons and must not be "improved":
 
 1. the property suite proves the vectorized kernels in
-   :mod:`repro.ml.tree` and :mod:`repro.ml.neighbors` produce *exactly*
-   the same trees and predictions (and distances to 1e-12) as these;
+   :mod:`repro.ml.tree`, :mod:`repro.ml.forest` and
+   :mod:`repro.ml.neighbors` produce *exactly* the same trees and
+   predictions (and distances to 1e-12) as these;
 2. the kernel microbenchmarks (``benchmarks/test_kernel_speed.py``)
    measure speedups against them, so the committed ``BENCH_kernels.json``
    numbers stay comparable PR over PR.
@@ -23,12 +26,62 @@ They exist for two reasons and must not be "improved":
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_arrays
-from repro.ml.tree import _Node, _resolve_max_features
+from repro.ml.forest import _average_path_length
+from repro.ml.tree import FlatTree, _resolve_max_features
+
+
+@dataclass
+class _Node:
+    """A tree node; leaves carry a prediction, internal nodes a split."""
+
+    prediction: np.ndarray  # class distribution or [mean]
+    feature: int = -1
+    threshold: float = 0.0
+    left: Optional["_Node"] = None
+    right: Optional["_Node"] = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def flatten_preorder(root: _Node) -> FlatTree:
+    """Lay a node tree out as :data:`repro.ml.tree.FlatTree` arrays in
+    pre-order (left subtree before right), the layout the flat builder
+    writes, so two trees compare array by array."""
+    feature: List[int] = []
+    threshold: List[float] = []
+    left: List[int] = []
+    right: List[int] = []
+    predictions: List[np.ndarray] = []
+
+    def visit(node: _Node) -> None:
+        index = len(feature)
+        predictions.append(node.prediction)
+        feature.append(-1 if node.is_leaf else node.feature)
+        threshold.append(0.0 if node.is_leaf else node.threshold)
+        left.append(-1)
+        right.append(-1)
+        if not node.is_leaf:
+            left[index] = len(feature)
+            visit(node.left)
+            right[index] = len(feature)
+            visit(node.right)
+
+    visit(root)
+    return (
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        np.vstack(predictions),
+    )
 
 
 class _ReferenceTreeBuilder:
@@ -255,9 +308,145 @@ class ReferenceDecisionTreeRegressor(BaseEstimator, RegressorMixin):
         )
 
 
+def reference_forest(forest, features: np.ndarray, targets: np.ndarray):
+    """Fit an unfitted ``RandomForest{Regressor,Classifier}`` as its own
+    ``fit`` does -- the same bootstrap draws and per-tree seeds -- but
+    grow every tree with the frozen reference builder.  Prediction stays
+    the forest's own (soft voting or the sequential mean)."""
+    features, targets = check_arrays(features, targets)
+    if isinstance(forest, RegressorMixin):
+        tree_class = ReferenceDecisionTreeRegressor
+        targets = targets.astype(np.float64)
+    else:
+        tree_class = ReferenceDecisionTreeClassifier
+        targets = forest._encode_labels(targets)
+    rng = np.random.default_rng(forest.seed)
+    n_samples = len(features)
+    forest.trees_ = []
+    for t in range(forest.n_estimators):
+        idx = rng.integers(0, n_samples, size=n_samples)
+        tree = tree_class(
+            max_depth=forest.max_depth,
+            min_samples_leaf=forest.min_samples_leaf,
+            max_features=forest.max_features,
+            seed=forest.seed * 1000 + t,
+        )
+        forest.trees_.append(tree.fit(features[idx], targets[idx]))
+    return forest
+
+
 def reference_pairwise_sq_distances(
     queries: np.ndarray, reference: np.ndarray
 ) -> np.ndarray:
     """Naive squared Euclidean distances by full (n, m, d) broadcasting."""
     deltas = queries[:, None, :] - reference[None, :, :]
     return np.sum(deltas * deltas, axis=2)
+
+
+# ----------------------------------------------------------------------
+# Isolation trees
+# ----------------------------------------------------------------------
+@dataclass
+class _IsoNode:
+    feature: int = -1
+    threshold: float = 0.0
+    size: int = 0
+    left: Optional["_IsoNode"] = None
+    right: Optional["_IsoNode"] = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def reference_build_iso_tree(
+    features: np.ndarray, depth: int, max_depth: int, rng: np.random.Generator
+) -> _IsoNode:
+    """The original recursive isolation-tree builder."""
+    n_samples = len(features)
+    if depth >= max_depth or n_samples <= 1:
+        return _IsoNode(size=n_samples)
+    # Pick a random feature with spread; give up after a few tries.
+    for _ in range(5):
+        feature = int(rng.integers(0, features.shape[1]))
+        lo, hi = features[:, feature].min(), features[:, feature].max()
+        if hi > lo:
+            break
+    else:
+        return _IsoNode(size=n_samples)
+    threshold = float(rng.uniform(lo, hi))
+    goes_left = features[:, feature] <= threshold
+    node = _IsoNode(feature=feature, threshold=threshold, size=n_samples)
+    node.left = reference_build_iso_tree(
+        features[goes_left], depth + 1, max_depth, rng
+    )
+    node.right = reference_build_iso_tree(
+        features[~goes_left], depth + 1, max_depth, rng
+    )
+    return node
+
+
+def reference_flatten_iso_tree(root: _IsoNode):
+    """The original isolation-tree flatten: discovery-order indices
+    found by an ``id()``-keyed re-walk; a leaf's path value is its depth
+    plus ``c(size)``."""
+    feature: List[int] = []
+    threshold: List[float] = []
+    left: List[int] = []
+    right: List[int] = []
+    path_value: List[float] = []
+    stack = [(root, 0)]
+    order: List[_IsoNode] = []
+    depths: List[int] = []
+    indices = {id(root): 0}
+    while stack:
+        node, depth = stack.pop()
+        order.append(node)
+        depths.append(depth)
+        if not node.is_leaf:
+            for child in (node.right, node.left):
+                indices[id(child)] = len(indices)
+                stack.append((child, depth + 1))
+    ranked = sorted(range(len(order)), key=lambda i: indices[id(order[i])])
+    for i in ranked:
+        node, depth = order[i], depths[i]
+        if node.is_leaf:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            path_value.append(depth + _average_path_length(node.size))
+        else:
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            left.append(indices[id(node.left)])
+            right.append(indices[id(node.right)])
+            path_value.append(0.0)
+    return (
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        np.asarray(path_value, dtype=np.float64),
+    )
+
+
+def reference_isolation_forest(forest, features: np.ndarray):
+    """Fit an unfitted ``IsolationForest`` as its own ``fit`` did before
+    trees were grown flat: the same subsample draws from the shared
+    generator, each followed by the recursive builder, then the flatten
+    and the contamination threshold.  Scoring stays the forest's own."""
+    features, _ = check_arrays(features)
+    rng = np.random.default_rng(forest.seed)
+    n_samples = len(features)
+    psi = min(forest.max_samples, n_samples)
+    max_depth = int(np.ceil(np.log2(max(psi, 2))))
+    roots = []
+    for _ in range(forest.n_estimators):
+        idx = rng.choice(n_samples, size=psi, replace=False)
+        roots.append(reference_build_iso_tree(features[idx], 0, max_depth, rng))
+    forest.subsample_size_ = psi
+    forest.trees_ = [reference_flatten_iso_tree(root) for root in roots]
+    scores = forest.score_samples(features)
+    forest.threshold_ = float(np.quantile(scores, 1.0 - forest.contamination))
+    return forest

@@ -23,8 +23,10 @@ Two families, both hypothesis-driven:
 - **kernel equivalence**: the vectorized CART builder and batched
   predictors in :mod:`repro.ml.tree` produce *exactly* the trees and
   predictions of the frozen scalar reference implementations in
-  :mod:`oracles.ml`, and the blocked distance kernel matches
-  the naive broadcast within 1e-12.
+  :mod:`oracles.ml`, also on hostile targets (signed zeros, subnormals,
+  overflowing squares, infinities) and inside random forests; isolation
+  forests score exactly as with the frozen recursive builder; and the
+  blocked distance kernel matches the naive broadcast within 1e-12.
 """
 
 import json
@@ -49,6 +51,11 @@ from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.columnar import ColumnView, normalized_column
 from repro.dataset.encoding import TableEncoder, encode_supervised
 from repro.dataset.table import coerce_float, is_missing
+from repro.ml.forest import (
+    IsolationForest,
+    RandomForestClassifier,
+    RandomForestRegressor,
+)
 from repro.ml.neighbors import _pairwise_sq_distances
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.repository.store import encode_cell_value
@@ -59,6 +66,9 @@ from oracles.table import reference_diff_cells
 from oracles.ml import (
     ReferenceDecisionTreeClassifier,
     ReferenceDecisionTreeRegressor,
+    flatten_preorder,
+    reference_forest,
+    reference_isolation_forest,
     reference_pairwise_sq_distances,
 )
 
@@ -116,17 +126,67 @@ tree_params = st.fixed_dictionaries(
 )
 
 
-def _trees_identical(a, b) -> bool:
-    if a.is_leaf != b.is_leaf:
-        return False
-    if not np.array_equal(a.prediction, b.prediction):
-        return False
-    if a.is_leaf:
-        return True
-    if a.feature != b.feature or a.threshold != b.threshold:
-        return False
-    return _trees_identical(a.left, b.left) and _trees_identical(
-        a.right, b.right
+#: Regression targets built to break bit-exactness: signed zeros and
+#: subnormals beside ordinary values (so that nodes still split);
+#: magnitudes whose squares, or sums of squares, overflow; infinities.
+#: The last two leave some split positions' impurity NaN.
+TINY_TARGETS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.5, -2.0]
+)
+HUGE_TARGETS = np.array([1e300, -1e300, 1e154, -1e154, 1.5])
+HOSTILE_TARGETS = np.concatenate([TINY_TARGETS, HUGE_TARGETS, [math.inf, -math.inf]])
+
+
+@st.composite
+def hostile_fits(draw, classes=False, forest=False):
+    """A feature matrix, targets and tree (or forest) parameters whose
+    trees hold one-row and duplicate-row nodes, constant targets and
+    nodes of more than 128 rows (numpy's pairwise-summation block).
+
+    Everything is derived from one drawn seed, so the examples spread
+    evenly over sizes, target styles and parameters instead of
+    clustering on the smallest choices.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.choice([1, 2, 3, 5, 9, 40, 129, 200, 260]))
+    d = int(rng.integers(1, 5))
+    matrix = np.round(rng.normal(scale=3.0, size=(n, d)), rng.integers(0, 2))
+    if rng.random() < 0.5:
+        matrix[n // 2 :] = matrix[: n - n // 2]  # duplicate rows
+    if rng.random() < 0.25:
+        matrix = matrix * 5e-324  # adjacent subnormal split values
+    style = rng.choice(["tiny", "huge", "mixed", "constant", "normal"])
+    if classes:
+        n_classes = 1 if style == "constant" else int(rng.integers(2, 6))
+        targets = rng.integers(0, n_classes, size=n)
+    elif style == "constant":
+        targets = np.full(n, rng.choice(HOSTILE_TARGETS))
+    elif style == "normal":
+        targets = rng.normal(size=n)
+    else:
+        pool = {"tiny": TINY_TARGETS, "huge": HUGE_TARGETS}.get(style, HOSTILE_TARGETS)
+        targets = rng.choice(pool, size=n)
+    params = {
+        "max_depth": [None, 0, 1, 2, 4, 10][rng.integers(0, 6)],
+        "min_samples_leaf": int(rng.integers(1, 5)),
+        "max_features": [None, "sqrt", 1][rng.integers(0, 3)],
+        "seed": int(rng.integers(0, 10_000)),
+    }
+    if forest:
+        params["n_estimators"] = int(rng.integers(1, 5))
+    else:
+        params["min_samples_split"] = int(rng.integers(2, 5))
+    return matrix, targets, params
+
+
+def _trees_identical(flat, root) -> bool:
+    """Every node's feature, threshold and prediction bits and its child
+    links agree, the reference tree laid out in the same pre-order."""
+    return all(
+        ours.dtype == theirs.dtype
+        and ours.shape == theirs.shape
+        and ours.tobytes() == theirs.tobytes()
+        for ours, theirs in zip(flat, flatten_preorder(root))
     )
 
 
@@ -494,7 +554,7 @@ def test_classifier_tree_and_predictions_match_reference(
     targets = rng.integers(0, 2 + n_extra_classes, size=len(matrix))
     ours = DecisionTreeClassifier(**params).fit(matrix, targets)
     reference = ReferenceDecisionTreeClassifier(**params).fit(matrix, targets)
-    assert _trees_identical(ours.root_, reference.root_)
+    assert _trees_identical(ours.tree_, reference.root_)
     assert np.array_equal(
         ours.predict_proba(matrix), reference.predict_proba(matrix)
     )
@@ -508,7 +568,7 @@ def test_regressor_tree_and_predictions_match_reference(matrix, params):
     targets = rng.normal(size=len(matrix))
     ours = DecisionTreeRegressor(**params).fit(matrix, targets)
     reference = ReferenceDecisionTreeRegressor(**params).fit(matrix, targets)
-    assert _trees_identical(ours.root_, reference.root_)
+    assert _trees_identical(ours.tree_, reference.root_)
     assert np.array_equal(ours.predict(matrix), reference.predict(matrix))
 
 
@@ -524,7 +584,80 @@ def test_weighted_classifier_fit_matches_reference(matrix, params):
     reference = ReferenceDecisionTreeClassifier(**params).fit(
         matrix, targets, sample_weight=weights
     )
-    assert _trees_identical(ours.root_, reference.root_)
+    assert _trees_identical(ours.tree_, reference.root_)
+
+
+_STUMP = {"max_depth": None, "min_samples_split": 2, "min_samples_leaf": 1,
+          "max_features": None, "seed": 0}
+
+
+@given(hostile_fits())
+# A one-row leaf holding -0.0 (the reference's mean reads 0.0).
+@example((np.array([[0.0], [1.0]]), np.array([-0.0, 5.0]), _STUMP))
+# A split whose impurity decrease is NaN (inf - inf): never taken.
+@example((np.array([[2.0], [1.0]]), np.array([math.inf, -1e300]), _STUMP))
+@settings(max_examples=60, deadline=None)
+def test_regressor_tree_matches_reference_on_hostile_targets(fit):
+    matrix, targets, params = fit
+    with np.errstate(all="ignore"):
+        ours = DecisionTreeRegressor(**params).fit(matrix, targets)
+        reference = ReferenceDecisionTreeRegressor(**params).fit(matrix, targets)
+        assert _trees_identical(ours.tree_, reference.root_)
+        assert ours.predict(matrix).tobytes() == reference.predict(matrix).tobytes()
+
+
+@given(hostile_fits(classes=True))
+@settings(max_examples=40, deadline=None)
+def test_classifier_tree_matches_reference_on_hostile_nodes(fit):
+    matrix, targets, params = fit
+    ours = DecisionTreeClassifier(**params).fit(matrix, targets)
+    reference = ReferenceDecisionTreeClassifier(**params).fit(matrix, targets)
+    assert _trees_identical(ours.tree_, reference.root_)
+    assert ours.predict_proba(matrix).tobytes() == (
+        reference.predict_proba(matrix).tobytes()
+    )
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_forests_match_a_forest_of_reference_trees(classify, data):
+    matrix, targets, params = data.draw(hostile_fits(classify, forest=True))
+    forest_class = RandomForestClassifier if classify else RandomForestRegressor
+    with np.errstate(all="ignore"):
+        ours = forest_class(**params).fit(matrix, targets)
+        reference = reference_forest(forest_class(**params), matrix, targets)
+        for tree, reference_tree in zip(ours.trees_, reference.trees_):
+            assert _trees_identical(tree.tree_, reference_tree.root_)
+        assert ours.predict(matrix).tobytes() == (
+            reference.predict(matrix).tobytes()
+        )
+        if classify:
+            assert ours.predict_proba(matrix).tobytes() == (
+                reference.predict_proba(matrix).tobytes()
+            )
+
+
+@given(
+    feature_matrices(max_rows=60, max_cols=4),
+    st.integers(1, 6),
+    st.integers(2, 64),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=50, deadline=None)
+def test_isolation_forest_matches_reference_builder(
+    matrix, n_estimators, max_samples, seed
+):
+    params = dict(n_estimators=n_estimators, max_samples=max_samples, seed=seed)
+    ours = IsolationForest(**params).fit(matrix)
+    reference = reference_isolation_forest(IsolationForest(**params), matrix)
+    assert ours.threshold_ == reference.threshold_
+    for block_rows in (None, 7):
+        assert ours.score_samples(matrix, block_rows).tobytes() == (
+            reference.score_samples(matrix, block_rows).tobytes()
+        )
+        assert ours.predict(matrix, block_rows).tobytes() == (
+            reference.predict(matrix, block_rows).tobytes()
+        )
 
 
 @given(feature_matrices(max_rows=25, max_cols=5), st.integers(0, 10_000))

@@ -119,6 +119,10 @@ class TestTuneEstimator:
             n_trials=8,
             seed=0,
         )
+        # The winner comes back unfitted; its caller fits it.
+        with pytest.raises(RuntimeError):
+            model.predict(features[80:])
+        model.fit(features[:80], labels[:80])
         assert model.score(features[80:], labels[80:]) > 0.8
         assert 1 <= trial.params["n_neighbors"] <= 15
 
