@@ -2,7 +2,7 @@
 fingerprints and cell diffs vs the frozen per-cell references, plus the
 warm artifact cache against a cold end-to-end run.
 
-Six measurements, all against honest workloads:
+Eight measurements, all against honest workloads:
 
 - **tree fit+predict**: both builders train on the one-hot-heavy matrix
   produced by actually encoding a generated benchmark dataset (the
@@ -35,9 +35,19 @@ Six measurements, all against honest workloads:
   a conservative floor under the measured margin (about 3x: Soccer's
   error rate leaves some 49,000 cells for ``values_equal``); the pass
   that rebuilds both tables' views is reported beside it.
+- **dBoost**: the whole detector on Soccer at 5,300 rows, against the
+  same detector with the frozen mixture EM of :mod:`oracles.detectors`
+  (``np.logaddexp.reduce`` rows, the final log-likelihood computed
+  twice).  dBoost runs four times per Soccer detection suite: alone and
+  inside Min-K, MaxEntropy and Meta.  Bar: >= 1.4x, cells identical.
+- **isolation detect**: the IF detector on the same table, against the
+  two-pass original (``fit`` scores the training matrix for its
+  threshold, ``predict`` scores it again; ``oracles.ml``).  Bar: >=
+  1.5x, cells identical.
 - **warm cache end-to-end**: an ML detector suite (featurization-bound
-  ED2) run cold then warm on the same artifact cache.  Bar: >= 2x, and
-  the warm run's payloads must be byte-identical to an uncached run's.
+  ED2) run cold then warm on the same artifact cache; the warm run reads
+  one detection-unit entry.  Bar: >= 2x, and the warm run's payloads
+  must be byte-identical to an uncached run's.
 
 The combined numbers land in ``BENCH_kernels.json`` at the repo root so
 they stay diffable PR over PR.
@@ -47,6 +57,7 @@ import json
 import math
 import os
 import time
+from unittest import mock
 
 import numpy as np
 from conftest import bench_dataset, emit
@@ -54,8 +65,11 @@ from conftest import bench_dataset, emit
 from repro.benchmark import run_detection_suite
 from repro.cache import ArtifactCache, cache_scope, table_fingerprint
 from repro.dataset.encoding import TableEncoder
+from repro.detectors import dboost
+from repro.detectors.dboost import DBoostDetector
 from repro.detectors.ml_detectors import ED2Detector
-from repro.ml.forest import RandomForestRegressor
+from repro.detectors.simple import IFDetector
+from repro.ml.forest import IsolationForest, RandomForestRegressor
 from repro.ml.neighbors import _pairwise_sq_distances
 from repro.ml.tree import DecisionTreeClassifier
 from repro.observability import write_bench_snapshot
@@ -63,10 +77,12 @@ from repro.repair.imputers import MissForestMixRepair
 from repro.reporting import render_table
 
 from oracles.cache import reference_table_fingerprint
+from oracles.detectors import reference_mixture_outliers
 from oracles.table import reference_diff_cells
 from oracles.ml import (
     ReferenceDecisionTreeClassifier,
     reference_forest,
+    reference_isolation_fit_predict,
     reference_pairwise_sq_distances,
 )
 
@@ -339,6 +355,63 @@ def test_diff_cells_at_least_twice_as_fast():
     )
 
 
+def _detector_speedup(name, detector, reference_patch, bar):
+    """Best-of-3 seconds of one detector on Soccer, live and with its
+    frozen kernel patched in (alternating); asserts identical cells."""
+    dataset = bench_dataset("Soccer", n_rows=DIFF_ROWS)
+    context = dataset.context(seed=0)
+
+    def live():
+        return detector.detect(context).cells
+
+    def reference():
+        with mock.patch.object(*reference_patch):
+            return detector.detect(context).cells
+
+    assert live() == reference()
+    best = {"reference": math.inf, "live": math.inf}
+    for _ in range(3):
+        for variant, run in (("reference", reference), ("live", live)):
+            best[variant] = min(best[variant], _best_of(run, reps=1))
+    speedup = best["reference"] / best["live"]
+    _RESULTS[f"{name}_reference_seconds"] = round(best["reference"], 4)
+    _RESULTS[f"{name}_seconds"] = round(best["live"], 4)
+    _RESULTS[f"{name}_speedup"] = round(speedup, 2)
+    emit(
+        f"kernel_{name}_speed",
+        render_table(
+            ["detector", "seconds", "speedup"],
+            [
+                ["frozen kernel", round(best["reference"], 3), 1.0],
+                ["live", round(best["live"], 3), round(speedup, 2)],
+            ],
+            title=f"{detector.name} detect, Soccer n={dataset.dirty.n_rows}",
+        ),
+    )
+    assert speedup >= bar, (
+        f"expected >= {bar}x {name}, got {speedup:.2f}x "
+        f"(reference {best['reference']:.3f}s, live {best['live']:.3f}s)"
+    )
+
+
+def test_dboost_at_least_1_4_times_faster():
+    _detector_speedup(
+        "dboost",
+        DBoostDetector(),
+        (dboost, "_mixture_outliers", reference_mixture_outliers),
+        bar=1.4,
+    )
+
+
+def test_isolation_detect_at_least_1_5_times_faster():
+    _detector_speedup(
+        "isolation_detect",
+        IFDetector(),
+        (IsolationForest, "fit_predict", reference_isolation_fit_predict),
+        bar=1.5,
+    )
+
+
 def _detection_payloads(runs) -> str:
     stripped = []
     for run in runs:
@@ -409,6 +482,8 @@ def test_write_kernel_snapshot():
         "knn_distances_speedup",
         "table_fingerprint_speedup",
         "diff_cells_speedup",
+        "dboost_speedup",
+        "isolation_detect_speedup",
         "cache_warm_speedup",
     }
     missing = required - _RESULTS.keys()
@@ -429,6 +504,8 @@ def test_write_kernel_snapshot():
             "fingerprint_rows": FINGERPRINT_ROWS,
             "diff_dataset": "Soccer",
             "diff_rows": DIFF_ROWS,
+            "detector_dataset": "Soccer",
+            "detector_rows": DIFF_ROWS,
             "cache_workload": "ED2 detection suite",
             "cache_rows": CACHE_ROWS,
             "rounds": 3,

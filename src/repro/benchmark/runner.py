@@ -24,6 +24,12 @@ a unit attempts, how a success and a failure become its run, and which
 context its failure records carry; :func:`_execute_unit` and
 :func:`_quarantine_unit` wrap that in deadline, retry and quarantine
 handling for every stage alike.
+
+Under an installed artifact cache, :func:`_execute_unit` also memoizes
+whole detection and repair units (:data:`DETECTION_UNIT_KIND`,
+:data:`REPAIR_UNIT_KIND`): each is keyed by everything its run is
+computed from, and a hit replays the stored checkpoint payload exactly
+as a resume does -- no tool runs and nothing is validated or scored.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import zlib
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -48,7 +55,14 @@ from typing import (
 
 import numpy as np
 
-from repro.cache.keys import artifact_key, table_fingerprint
+from repro.cache.keys import (
+    artifact_key,
+    canonical_config,
+    config_fingerprint,
+    source_digest,
+    table_fingerprint,
+    table_identity,
+)
 from repro.cache.store import current_cache
 from repro.context import CleaningContext
 from repro.datagen.benchmark_dataset import BenchmarkDataset
@@ -71,7 +85,7 @@ from repro.observability.telemetry import current_telemetry, telemetry_scope
 from repro.parallel.engine import block_spans, execute_plan
 from repro.parallel.plan import ExecutionPlan, StageAdapter, UnitSpec
 from repro.repair.base import RepairMethod, RepairResult
-from repro.repository.store import nan_guard
+from repro.repository.store import decode_payload, encode_payload, nan_guard
 from repro.resilience.checkpoint import (
     SuiteCheckpoint,
     scores_from_payload,
@@ -125,12 +139,24 @@ class _StageShared:
     """
 
     stage: ClassVar[str]
+    #: Cache kind of the stage's memoized units and the run type its
+    #: entries hold; None: units are never memoized.
+    memo_kind: ClassVar[Optional[str]] = None
+    run_type: ClassVar[Any] = None
 
     dataset: BenchmarkDataset
     deadline_seconds: Optional[float]
     retry: Optional[RetryPolicy]
     clock: Optional[Callable[[], float]]
     sleep: Callable[[float], None]
+    #: Suite part of every unit memo key (:func:`_suite_memo_key`); None
+    #: when no cache is installed or the suite has no exact identity.
+    memo_suite: Optional[str] = field(default=None, kw_only=True)
+
+    def provenance(self, spec: UnitSpec) -> Optional[Dict[str, Any]]:
+        """Per-unit part of the unit's memo key: what, besides the
+        suite, its run is computed from.  None: never memoized."""
+        return None
 
     def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
         """Context kwargs of the unit's failure records and unit span;
@@ -152,9 +178,126 @@ class _StageShared:
         raise NotImplementedError
 
 
+#: Cache kinds of one detection and one repair unit's run: its
+#: checkpoint payload, keyed by everything the run is computed from.
+DETECTION_UNIT_KIND = "benchmark/detection_unit@v1"
+REPAIR_UNIT_KIND = "benchmark/repair_unit@v1"
+
+
+def _suite_memo_key(dataset: BenchmarkDataset) -> Optional[str]:
+    """The suite part of every unit memo key, or None (no memo).
+
+    It names the exact identity of the dirty and clean tables (exact,
+    not the fingerprint: ``None``, NaN and ``"NA"`` cells survive into
+    repaired payloads), the sorted error cells, the cleaning signals,
+    the task, and the digest of the package sources and numpy version --
+    so an edit to any tool or scoring code can never serve a stale unit.
+    """
+    tables = [table_identity(dataset.dirty), table_identity(dataset.clean)]
+    signals = canonical_config([
+        dataset.constraints, dataset.fds, dataset.patterns,
+        dataset.knowledge_base, dataset.key_columns,
+    ])
+    if None in tables or signals is None:
+        return None
+    return config_fingerprint({
+        "tables": tables,
+        "errors": _cell_list(sorted(dataset.error_cells)),
+        "signals": signals,
+        "target": dataset.target,
+        "task": dataset.task,
+        "source": source_digest(),
+        "numpy": np.__version__,
+    })
+
+
+def _cell_list(cells: Sequence[Cell]) -> List[List[Any]]:
+    return [[int(row), str(column)] for row, column in cells]
+
+
+def _cells_digest(cells: Sequence[Cell]) -> str:
+    """Digest of a sorted cell tuple (a repair unit's detections)."""
+    return config_fingerprint({"cells": _cell_list(cells)})
+
+
+def _unit_memo_key(shared: _StageShared, spec: UnitSpec) -> Optional[str]:
+    """The unit's memo key: its stage's kind, the suite part and the
+    unit's provenance; None when the unit is not memoized."""
+    if shared.memo_suite is None:
+        return None
+    provenance = shared.provenance(spec)
+    if provenance is None:
+        return None
+    return artifact_key(shared.memo_kind, [shared.memo_suite], provenance)
+
+
+@dataclass(frozen=True)
+class _Replayed:
+    """An attempt's value that is a memoized unit's whole run."""
+
+    run: Any
+
+
+class _UnitMemo:
+    """One unit's memo entry: read at most once, written after a run.
+
+    The entry's one array is the payload text the checkpoint store would
+    write for the run, zlib-compressed.  Failed runs are never stored,
+    and a stored run slower than the unit's deadline reads as a miss:
+    the budget decides, not the cache.
+    """
+
+    def __init__(self, shared: _StageShared, cache: Any, key: str) -> None:
+        self.shared, self.cache, self.key = shared, cache, key
+        self.read = False
+
+    @classmethod
+    def open(
+        cls, shared: _StageShared, spec: UnitSpec
+    ) -> Optional["_UnitMemo"]:
+        cache = current_cache()
+        key = None if cache is None else _unit_memo_key(shared, spec)
+        return None if key is None else cls(shared, cache, key)
+
+    def within_budget(self, run: Any) -> bool:
+        budget = self.shared.deadline_seconds
+        return budget is None or run.runtime_seconds <= budget
+
+    def load(self) -> Optional[Any]:
+        """The stored run, once; None on a miss or an unusable entry."""
+        if self.read:
+            return None
+        self.read = True
+        entry = self.cache.get(self.key)
+        if entry is None or "payload" not in entry.arrays:
+            return None
+        try:
+            text = zlib.decompress(entry.arrays["payload"].tobytes())
+            payload = decode_payload(text.decode("utf-8"))
+            run = self.shared.run_type.from_payload(payload)
+        except (zlib.error, ValueError, KeyError, TypeError):
+            return None
+        return run if self.within_budget(run) else None
+
+    def store(self, run: Any) -> None:
+        if run.failed or not self.within_budget(run):
+            return
+        # Level 1 shrinks a repaired table's JSON about fourfold for a
+        # few milliseconds: a warm run reads a quarter of the bytes.
+        blob = zlib.compress(encode_payload(run.to_payload()).encode(), 1)
+        self.cache.put(
+            self.key, {"payload": np.frombuffer(blob, dtype=np.uint8)}
+        )
+
+
 def _execute_unit(shared: _StageShared, spec: UnitSpec) -> Any:
     """Run one unit under a fresh per-unit deadline and the suite's
-    retry policy; every stage adapter's ``execute``."""
+    retry policy; every stage adapter's ``execute``.
+
+    A memoized unit (:class:`_UnitMemo`) first reads its entry inside
+    the guarded attempt, so the unit span covers the read; a hit is the
+    unit's run, with the stored ``runtime_seconds`` as a resume has.
+    """
     failure_context = shared.failure_context(spec)
     deadline = None
     if shared.deadline_seconds is not None:
@@ -164,8 +307,16 @@ def _execute_unit(shared: _StageShared, spec: UnitSpec) -> Any:
     context = shared.dataset.context(
         seed=failure_context["seed"], deadline=deadline, clock=shared.clock
     )
+    memo = _UnitMemo.open(shared, spec)
+
+    def attempt() -> Any:
+        run = memo.load() if memo is not None else None
+        return _Replayed(run) if run is not None else shared.attempt(
+            spec, context
+        )
+
     guarded = guarded_call(
-        lambda: shared.attempt(spec, context),
+        attempt,
         method=spec.method,
         stage=shared.stage,
         deadline=deadline,
@@ -174,9 +325,14 @@ def _execute_unit(shared: _StageShared, spec: UnitSpec) -> Any:
         sleep=shared.sleep,
         **failure_context,
     )
-    if guarded.ok:
-        return shared.succeeded(spec, guarded.value)
-    return shared.failed(spec, guarded.failure)
+    if not guarded.ok:
+        return shared.failed(spec, guarded.failure)
+    if isinstance(guarded.value, _Replayed):
+        return guarded.value.run
+    run = shared.succeeded(spec, guarded.value)
+    if memo is not None:
+        memo.store(run)
+    return run
 
 
 def _quarantine_unit(shared: _StageShared, spec: UnitSpec, reason: str) -> Any:
@@ -260,11 +416,21 @@ class _DetectionShared(_StageShared):
     """
 
     stage: ClassVar[str] = "detection"
+    memo_kind: ClassVar[Optional[str]] = DETECTION_UNIT_KIND
+    run_type: ClassVar[Any] = DetectionRun
 
     detectors: Tuple[Detector, ...]
     seed: int
     profiles: Tuple[Any, ...] = ()
     profile_seconds: Tuple[float, ...] = ()
+
+    def provenance(self, spec: UnitSpec) -> Optional[Dict[str, Any]]:
+        if "block" in spec.params:  # a partial view, never a whole run
+            return None
+        method = canonical_config(self.detectors[spec.params["position"]])
+        if method is None:
+            return None
+        return {"detector": spec.method, "method": method, "seed": self.seed}
 
     def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
         return {"dataset": self.dataset.name, "seed": self.seed}
@@ -426,6 +592,9 @@ def run_detection_suite(
         seed=seed,
         profiles=tuple(profiles),
         profile_seconds=tuple(profile_seconds),
+        memo_suite=(
+            _suite_memo_key(dataset) if current_cache() is not None else None
+        ),
     )
     units = [
         UnitSpec(
@@ -576,10 +745,25 @@ class _RepairShared(_StageShared):
     """
 
     stage: ClassVar[str] = "repair"
+    memo_kind: ClassVar[Optional[str]] = REPAIR_UNIT_KIND
+    run_type: ClassVar[Any] = RepairRun
 
     repairs: Tuple[RepairMethod, ...]
     detections: Dict[str, Tuple[Cell, ...]]
     seed: int
+
+    def provenance(self, spec: UnitSpec) -> Optional[Dict[str, Any]]:
+        method = canonical_config(self.repairs[spec.params["position"]])
+        if method is None:
+            return None
+        detector = spec.params["detector"]
+        return {
+            "detector": detector,
+            "repair": spec.method,
+            "method": method,
+            "seed": self.seed,
+            "detections": _cells_digest(self.detections[detector]),
+        }
 
     def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
         return {
@@ -654,6 +838,9 @@ def run_repair_suite(
             for name, cells in detections_by_detector.items()
         },
         seed=seed,
+        memo_suite=(
+            _suite_memo_key(dataset) if current_cache() is not None else None
+        ),
     )
     units = []
     for detector_name in sorted(detections_by_detector):

@@ -10,9 +10,12 @@ from repro.cache.keys import (
     array_fingerprint,
     artifact_key,
     canonical_cell,
+    canonical_config,
     config_fingerprint,
+    source_digest,
     table_block_fingerprint,
     table_fingerprint,
+    table_identity,
 )
 from repro.cache.store import (
     ArtifactCache,
@@ -30,9 +33,12 @@ __all__ = [
     "artifact_key",
     "cache_scope",
     "canonical_cell",
+    "canonical_config",
     "config_fingerprint",
     "current_cache",
     "install_cache",
+    "source_digest",
     "table_block_fingerprint",
     "table_fingerprint",
+    "table_identity",
 ]

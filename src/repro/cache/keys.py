@@ -28,14 +28,24 @@ cells (numpy scalars, arbitrary objects) go through
 :func:`canonical_cell`.  Two tables share a fingerprint exactly when
 their cells' canonical JSON is equal (``tests/oracles/cache.py`` is that
 per-cell reference); unlike JSON, ``inf`` and ``-inf`` cells hash too.
+
+Keys that must name *exactly* what a computation read use the finer
+forms below: :func:`table_identity` (a table's type tags and raw bits,
+so missing markers stay apart), :func:`canonical_config` (a method's
+class and configuration, equal in every process) and
+:func:`source_digest` (the package's own code).
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import hashlib
 import json
 import math
-from typing import Any, Iterator, Mapping, Sequence
+import types
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -135,13 +145,162 @@ def table_fingerprint(table: Table) -> str:
         json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     )
     for name in table.schema.names:
-        for part in _column_parts(table.column_view(name)):
-            digest.update(len(part).to_bytes(8, "little"))
-            digest.update(part)
+        _framed(digest, _column_parts(table.column_view(name)))
     result = digest.hexdigest()
     if token is not None:
         table.__dict__["_fingerprint_memo"] = (token, result)
     return result
+
+
+def _framed(digest: "hashlib._Hash", parts: Iterable[bytes]) -> None:
+    """Feed each part to ``digest`` behind its 8-byte length."""
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+
+
+def _identity_parts(view: ColumnView) -> Iterator[bytes]:
+    """A column's exact cells: tags, raw 8-byte lane, strings."""
+    strings = view.strings
+    yield view.tags.tobytes()
+    yield view.bits.astype("<i8").tobytes()
+    yield np.fromiter(map(len, strings), "<i8", len(strings)).tobytes()
+    yield "".join(strings).encode("utf-8", "surrogatepass")
+
+
+def table_identity(table: Table) -> Optional[str]:
+    """Exact SHA-256 identity of a table's schema and cells, or None.
+
+    Finer than :func:`table_fingerprint`: it hashes each column view as
+    it is -- type tags, the 8-byte lane (raw float bits, int and bool
+    values, string indices) and the distinct strings -- so ``None``,
+    NaN and ``"NA"`` differ, as do ``-0.0`` and ``0.0``, ``1`` and
+    ``True``, and NaN payloads.  That is the identity a tool's output
+    can depend on.  Other cells (numpy scalars, arbitrary objects) have
+    no exact byte form: a table holding one has no identity.  Memoized
+    on the table like the fingerprint.
+    """
+    token = getattr(table, "_mutation_count", None)
+    memo = table.__dict__.get("_identity_memo")
+    if memo is not None and token is not None and memo[0] == token:
+        return memo[1]
+    digest = hashlib.sha256()
+    header = {
+        "schema": [[c.name, c.kind] for c in table.schema.columns],
+        "n_rows": table.n_rows,
+    }
+    digest.update(
+        json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    )
+    result: Optional[str] = None
+    views = [table.column_view(name) for name in table.schema.names]
+    if not any((view.tags == KIND_OTHER).any() for view in views):
+        for view in views:
+            _framed(digest, _identity_parts(view))
+        result = digest.hexdigest()
+    if token is not None:
+        table.__dict__["_identity_memo"] = (token, result)
+    return result
+
+
+#: The package whose sources :func:`source_digest` covers.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over every Python source of the ``repro`` package (its
+    relative paths and bytes), computed once per process.
+
+    Keys that name it go stale with any edit to the package, so a cache
+    entry can never outlive the code that computed it.
+    """
+    digest = hashlib.sha256()
+    paths = sorted(
+        (path.relative_to(_PACKAGE_ROOT).as_posix(), path)
+        for path in _PACKAGE_ROOT.rglob("*.py")
+    )
+    for relative, path in paths:
+        _framed(digest, (relative.encode(), path.read_bytes()))
+    return digest.hexdigest()
+
+
+class _NotCanonical(Exception):
+    """A value with no canonical configuration form."""
+
+
+def _qualified(obj: Any) -> str:
+    """``module:qualname`` of a package-level class or function."""
+    module = getattr(obj, "__module__", None) or ""
+    qualname = getattr(obj, "__qualname__", "")
+    if not (module == "repro" or module.startswith("repro.")):
+        raise _NotCanonical(obj)
+    if "<" in qualname:  # <lambda>, <locals>: not importable by name
+        raise _NotCanonical(obj)
+    return f"{module}:{qualname}"
+
+
+def _canonical(value: Any) -> Any:
+    kind = type(value)
+    if value is None or kind in (bool, int, str):
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else ["float", repr(value)]
+    if kind in (list, tuple):
+        return [kind.__name__, [_canonical(v) for v in value]]
+    if kind in (set, frozenset):
+        items = [_canonical(v) for v in value]
+        return [kind.__name__, sorted(items, key=_json_text)]
+    if kind is dict:
+        items = [[_canonical(k), _canonical(v)] for k, v in value.items()]
+        return ["dict", sorted(items, key=lambda kv: _json_text(kv[0]))]
+    if kind is functools.partial:
+        return [
+            "partial",
+            _canonical(value.func),
+            _canonical(value.args),
+            _canonical(value.keywords),
+        ]
+    if isinstance(value, type):
+        return ["class", _qualified(value)]
+    if kind is types.FunctionType:
+        return ["function", _qualified(value)]
+    if isinstance(value, enum.Enum):
+        return ["enum", _qualified(kind), value.name]
+    state = getattr(value, "__dict__", None)
+    if state is None:
+        raise _NotCanonical(value)
+    # Trailing-underscore attributes are fitted state (the sklearn
+    # convention): a run overwrites them, they configure nothing.
+    config = {k: v for k, v in state.items() if not k.endswith("_")}
+    return ["object", _qualified(kind), _canonical(config)]
+
+
+def _json_text(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_config(value: Any) -> Optional[Any]:
+    """A JSON form naming exactly what configures ``value``, or None.
+
+    Scalars stay themselves (non-finite floats become tagged strings);
+    containers become ``[type, items]`` with sets and dicts sorted by
+    the canonical text of their items; a class or function is its
+    ``module:qualname``; a ``functools.partial`` its function and
+    arguments; any other object its class plus the canonical form of
+    its instance attributes (fitted, ``_``-suffixed ones excluded) --
+    which recurses into nested detectors and factories.  Classes and
+    functions must be importable from the ``repro`` package, whose
+    sources :func:`source_digest` covers: a lambda, a ``<locals>``
+    function, anything defined elsewhere, or an object without
+    attributes (a numpy generator, say) has no canonical form.  No
+    address or hash-seed-dependent order enters it, so it is equal in
+    every process.
+    """
+    try:
+        return _canonical(value)
+    except (_NotCanonical, RecursionError):  # RecursionError: a cycle
+        return None
 
 
 def table_block_fingerprint(table: Table, start: int, stop: int) -> str:

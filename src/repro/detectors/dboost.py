@@ -53,6 +53,46 @@ def _histogram_outliers(
     return flagged
 
 
+def _component_log_probs(
+    x: np.ndarray,
+    weights: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+) -> np.ndarray:
+    """Each value's log density under each weighted mixture component.
+
+    The expression ``log(w + 1e-12) - 0.5 * log(2 pi v) - 0.5 * (x - m)
+    ** 2 / v``, evaluated in Python's order, with the (n, k) steps done
+    in place in one buffer.
+    """
+    offset = (
+        np.log(weights[None, :] + 1e-12)
+        - 0.5 * np.log(2 * np.pi * variances[None, :])
+    )
+    out = np.subtract(x[:, None], means[None, :])
+    np.square(out, out=out)
+    np.multiply(0.5, out, out=out)
+    np.divide(out, variances[None, :], out=out)
+    return np.subtract(offset, out, out=out)
+
+
+def _logsumexp_rows(log_probs: np.ndarray) -> np.ndarray:
+    """``np.logaddexp.reduce(log_probs, axis=1)``, bit for bit.
+
+    Over two or more columns the reduction folds them left to right;
+    chaining ``np.logaddexp`` over whole columns does the same steps in
+    the same order, without the reduction's per-row inner loop over a
+    handful of columns.  One column is left to the reduction, which
+    starts from logaddexp's identity (it turns ``-0.0`` into ``0.0``).
+    """
+    if log_probs.shape[1] < 2:
+        return np.logaddexp.reduce(log_probs, axis=1)
+    total = log_probs[:, 0]
+    for j in range(1, log_probs.shape[1]):
+        total = np.logaddexp(total, log_probs[:, j])
+    return total
+
+
 def _mixture_outliers(
     values: np.ndarray,
     threshold: float,
@@ -68,30 +108,24 @@ def _mixture_outliers(
     variances = np.full(n_components, finite.var() / n_components + 1e-9)
     weights = np.full(n_components, 1.0 / n_components)
     for _ in range(25):
-        log_probs = (
-            np.log(weights[None, :] + 1e-12)
-            - 0.5 * np.log(2 * np.pi * variances[None, :])
-            - 0.5 * (finite[:, None] - means[None, :]) ** 2 / variances[None, :]
+        log_probs = _component_log_probs(finite, weights, means, variances)
+        log_norm = _logsumexp_rows(log_probs)
+        resp = np.exp(
+            np.subtract(log_probs, log_norm[:, None], out=log_probs),
+            out=log_probs,
         )
-        log_norm = np.logaddexp.reduce(log_probs, axis=1)
-        resp = np.exp(log_probs - log_norm[:, None])
         total = resp.sum(axis=0) + 1e-10
         weights = total / len(finite)
         means = resp.T @ finite / total
         variances = (
             resp.T @ (finite[:, None] - means[None, :]) ** 2
         ).diagonal() / total + 1e-9
-    def loglik(x: np.ndarray) -> np.ndarray:
-        log_probs = (
-            np.log(weights[None, :] + 1e-12)
-            - 0.5 * np.log(2 * np.pi * variances[None, :])
-            - 0.5 * (x[:, None] - means[None, :]) ** 2 / variances[None, :]
-        )
-        return np.logaddexp.reduce(log_probs, axis=1)
-    cut = np.quantile(loglik(finite), threshold)
+    # ``finite`` is ``values[valid]``: score it once.
+    scores = _logsumexp_rows(
+        _component_log_probs(finite, weights, means, variances)
+    )
     flagged = np.zeros(len(values), dtype=bool)
-    valid = ~np.isnan(values)
-    flagged[valid] = loglik(values[valid]) < cut
+    flagged[~np.isnan(values)] = scores < np.quantile(scores, threshold)
     return flagged
 
 

@@ -182,8 +182,7 @@ class IFDetector(Detector):
                 contamination=self.contamination,
                 seed=self.seed,
             )
-            forest.fit(filled[:, None])
-            flagged = forest.predict(filled[:, None]) == -1
+            flagged = forest.fit_predict(filled[:, None]) == -1
             for i in np.flatnonzero(flagged & ~missing):
                 cells.add((int(i), column))
         return cells

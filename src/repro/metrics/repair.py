@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.dataset.table import Cell, Table, coerce_float, values_equal
+from repro.dataset.table import Cell, Table
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,12 @@ def repair_scores_categorical(
         columns = clean.schema.categorical_names
     allowed = set(columns)
     errors = {cell for cell in actual_errors if cell[1] in allowed}
-    changed = dirty.diff_cells(
-        repaired, [name for name in dirty.column_names if name in allowed]
-    )
-    correctly = {
-        (row, col)
-        for row, col in changed
-        if values_equal(repaired.get_cell(row, col), clean.get_cell(row, col))
-    }
+    scored = [name for name in dirty.column_names if name in allowed]
+    changed = dirty.diff_cells(repaired, scored)
+    # A changed cell is correct when its repaired value equals the clean
+    # one: ``values_equal(repaired, clean)``, the relation and argument
+    # order ``repaired.diff_cells(clean)`` negates.
+    correctly = changed - repaired.diff_cells(clean, scored)
     repaired_count = len(changed)
     correct_count = len(correctly)
     total_errors = len(errors)

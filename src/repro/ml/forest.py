@@ -262,6 +262,22 @@ class IsolationForest(BaseEstimator):
         self.threshold_: float = 0.5
 
     def fit(self, features: np.ndarray) -> "IsolationForest":
+        self._fit_scores(features)
+        return self
+
+    def fit_predict(
+        self, features: np.ndarray, block_rows: Optional[int] = None
+    ) -> np.ndarray:
+        """``fit(features).predict(features, block_rows)``, bit for bit,
+        scoring the training matrix once: the scores that set
+        ``threshold_`` are the ones ``predict`` would compute."""
+        scores = self._fit_scores(features, block_rows)
+        return np.where(scores > self.threshold_, -1, 1)
+
+    def _fit_scores(
+        self, features: np.ndarray, block_rows: Optional[int] = None
+    ) -> np.ndarray:
+        """Grow the trees, set ``threshold_``; return the training scores."""
         features, _ = check_arrays(features)
         if features.shape[1] == 0:
             raise ValueError("isolation forest needs at least one feature")
@@ -274,11 +290,11 @@ class IsolationForest(BaseEstimator):
         for _ in range(self.n_estimators):
             idx = rng.choice(n_samples, size=psi, replace=False)
             self.trees_.append(_grow_iso_tree(features[idx], max_depth, rng))
-        scores = self.score_samples(features)
+        scores = self.score_samples(features, block_rows=block_rows)
         self.threshold_ = float(
             np.quantile(scores, 1.0 - self.contamination)
         )
-        return self
+        return scores
 
     def _score_rows(self, features: np.ndarray, c_norm: float) -> np.ndarray:
         n = len(features)

@@ -156,6 +156,32 @@ def _untag_infinity(obj: Dict[str, Any]) -> Any:
     return obj
 
 
+def encode_payload(payload: Dict[str, Any]) -> str:
+    """A unit payload's stored JSON text (see :meth:`CheckpointStore.put`).
+
+    Most payloads hold no NaN and no infinity and encode as they are;
+    only one that fails ``allow_nan=False`` pays for the sanitizing walk
+    over every value (a repaired table's cells included), which leaves
+    NaN-free payloads unchanged, so the text is the same either way.
+    """
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:  # a NaN or an infinity
+        pass
+    clean = sanitize_payload(payload)
+    try:
+        return json.dumps(clean, sort_keys=True, allow_nan=False)
+    except ValueError:  # an infinity: tag it and encode again
+        return json.dumps(
+            _tag_infinities(clean), sort_keys=True, allow_nan=False
+        )
+
+
+def decode_payload(text: str) -> Dict[str, Any]:
+    """The payload :func:`encode_payload` wrote, infinities restored."""
+    return json.loads(text, object_hook=_untag_infinity)
+
+
 class CheckpointStore:
     """Per-unit experiment checkpoints enabling resumable suite runs.
 
@@ -249,14 +275,7 @@ class CheckpointStore:
         replaces it) and becomes durable at the next :meth:`commit`
         (automatic every ``commit_interval`` pending units).
         """
-        clean = sanitize_payload(payload)
-        try:
-            text = json.dumps(clean, sort_keys=True, allow_nan=False)
-        except ValueError:  # an infinity: tag it and encode again
-            text = json.dumps(
-                _tag_infinities(clean), sort_keys=True, allow_nan=False
-            )
-        self._batch[(run_id, unit)] = text
+        self._batch[(run_id, unit)] = encode_payload(payload)
         if len(self._batch) >= self.commit_interval:
             self.commit()
 
@@ -272,7 +291,7 @@ class CheckpointStore:
             if row is None:
                 return None
             text = row[0]
-        return json.loads(text, object_hook=_untag_infinity)
+        return decode_payload(text)
 
     def _keys(self, run_id: Optional[str]) -> Set[Tuple[str, str]]:
         """Committed and pending ``(run_id, unit)`` keys of one or all runs."""

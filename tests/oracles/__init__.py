@@ -3,7 +3,7 @@
 Production code carries one vectorized implementation per cleaning
 kernel.  The scalar originals they replaced live here as test code:
 ``oracles.ml``, ``oracles.detectors``, ``oracles.constraints``,
-``oracles.repair`` and ``oracles.table``.  The property suites call them directly; whole-run
+``oracles.repair``, ``oracles.metrics`` and ``oracles.table``.  The property suites call them directly; whole-run
 comparisons (checkpoint stores, the cleaning-kernel benchmarks) route
 the public API through them with :func:`reference_kernels`, which
 patches every row of :data:`KERNELS` for the duration of a block.
@@ -32,6 +32,7 @@ from oracles.detectors import (
     reference_iqr_detect,
     reference_katara_align_column,
     reference_katara_violations,
+    reference_mixture_outliers,
     reference_mv_detect,
     reference_pair_feature_matrix,
     reference_sd_detect,
@@ -52,6 +53,7 @@ from repro.repair.holistic import HoloCleanRepair
 #: instance as their first argument).
 KERNELS: Tuple[Tuple[Any, str, Callable[..., Any]], ...] = (
     (dboost, "_histogram_outliers", reference_histogram_outliers),
+    (dboost, "_mixture_outliers", reference_mixture_outliers),
     (MVDetector, "_detect", reference_mv_detect),
     (SDDetector, "_detect", reference_sd_detect),
     (IQRDetector, "_detect", reference_iqr_detect),

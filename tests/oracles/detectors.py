@@ -4,7 +4,9 @@ This module preserves the *original* scalar implementations of the
 detector hot paths exactly as they were before the cleaning-stage
 vectorization pass (mirroring :mod:`oracles.ml`):
 
-- dBoost histogram scoring by a per-value Python bin-assignment loop;
+- dBoost histogram scoring by a per-value Python bin-assignment loop,
+  and its Gaussian-mixture EM with ``np.logaddexp.reduce`` over the
+  components and the final log-likelihood computed twice;
 - ZeroER candidate-pair enumeration by nested Python loops inside each
   block, and pair featurization by one Python call per pair that
   re-derives character trigram sets from scratch;
@@ -41,7 +43,7 @@ import numpy as np
 from repro.dataset.table import Table, coerce_float, is_missing
 
 # ----------------------------------------------------------------------
-# dBoost: histogram scoring
+# dBoost: histogram scoring and mixture EM
 # ----------------------------------------------------------------------
 
 
@@ -61,6 +63,48 @@ def reference_histogram_outliers(
             continue
         bin_index = int(np.clip(np.searchsorted(edges, value) - 1, 0, n_bins - 1))
         flagged[i] = rare_bins[bin_index]
+    return flagged
+
+
+def reference_mixture_outliers(
+    values: np.ndarray,
+    threshold: float,
+    n_components: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Original mixture EM: ``logaddexp.reduce`` rows, scored twice."""
+    finite = values[~np.isnan(values)]
+    if len(finite) < max(8, n_components * 3):
+        return np.zeros(len(values), dtype=bool)
+    # Tiny 1-D EM.
+    means = np.quantile(finite, np.linspace(0.2, 0.8, n_components))
+    variances = np.full(n_components, finite.var() / n_components + 1e-9)
+    weights = np.full(n_components, 1.0 / n_components)
+    for _ in range(25):
+        log_probs = (
+            np.log(weights[None, :] + 1e-12)
+            - 0.5 * np.log(2 * np.pi * variances[None, :])
+            - 0.5 * (finite[:, None] - means[None, :]) ** 2 / variances[None, :]
+        )
+        log_norm = np.logaddexp.reduce(log_probs, axis=1)
+        resp = np.exp(log_probs - log_norm[:, None])
+        total = resp.sum(axis=0) + 1e-10
+        weights = total / len(finite)
+        means = resp.T @ finite / total
+        variances = (
+            resp.T @ (finite[:, None] - means[None, :]) ** 2
+        ).diagonal() / total + 1e-9
+    def loglik(x: np.ndarray) -> np.ndarray:
+        log_probs = (
+            np.log(weights[None, :] + 1e-12)
+            - 0.5 * np.log(2 * np.pi * variances[None, :])
+            - 0.5 * (x[:, None] - means[None, :]) ** 2 / variances[None, :]
+        )
+        return np.logaddexp.reduce(log_probs, axis=1)
+    cut = np.quantile(loglik(finite), threshold)
+    flagged = np.zeros(len(values), dtype=bool)
+    valid = ~np.isnan(values)
+    flagged[valid] = loglik(values[valid]) < cut
     return flagged
 
 

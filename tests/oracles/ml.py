@@ -450,3 +450,9 @@ def reference_isolation_forest(forest, features: np.ndarray):
     scores = forest.score_samples(features)
     forest.threshold_ = float(np.quantile(scores, 1.0 - forest.contamination))
     return forest
+
+
+def reference_isolation_fit_predict(forest, features, block_rows=None):
+    """The two-pass original: ``fit`` scores the training matrix to set
+    ``threshold_``, then ``predict`` scores it again."""
+    return forest.fit(features).predict(features, block_rows)

@@ -12,18 +12,26 @@ pooled.
 import dataclasses
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.benchmark import evaluate_scenarios, run_detection_suite, run_scenario
+from repro.benchmark import (
+    evaluate_scenarios,
+    run_detection_suite,
+    run_repair_suite,
+    run_scenario,
+)
 from repro.benchmark import runner
+from repro.benchmark.controller import BenchmarkController
 from repro.cache import (
     CACHE_SCHEMA_VERSION,
     ArtifactCache,
     artifact_key,
     cache_scope,
     canonical_cell,
+    canonical_config,
     config_fingerprint,
     current_cache,
     install_cache,
@@ -33,15 +41,22 @@ from repro.cache.store import _ACTIVE
 from repro.datagen import generate
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.encoding import TableEncoder, encode_supervised
-from repro.detectors import MVDetector, SDDetector
+from repro.detectors import Detector, MinKDetector, MVDetector, SDDetector
 from repro.detectors.features import combined_features
 from repro.ml import base as ml_base
 from repro.ml.base import BaseEstimator, ClassifierMixin, fit_predict
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.observability import Telemetry, telemetry_scope
 from repro.parallel import ProcessPoolExecutor, null_sleep
-from repro.repair import MissForestMixRepair
+from repro.parallel.plan import UnitSpec
+from repro.repair import (
+    GroundTruthRepair,
+    MeanModeImputeRepair,
+    MissForestMixRepair,
+    RepairMethod,
+)
 from repro.resilience import SuiteCheckpoint
+from repro.service.jobs import strip_timing
 
 
 def _table(cells=None):
@@ -677,6 +692,277 @@ class TestScenarioUnitMemo:
             assert len(splits) == 2
             assert run_scenario("S1", dataset.dirty, dataset, "DT") == reference
             assert len(splits) == 2
+
+
+# ----------------------------------------------------------------------
+# Memoized detection and repair units
+# ----------------------------------------------------------------------
+def _memo_dataset():
+    """Beers with a ``None`` dirty cell (a variation flips it to "NA")."""
+    dataset = generate("Beers", n_rows=40, seed=1)
+    dataset.dirty.set_cell(1, "style", None)
+    return dataset
+
+
+def _memo_detectors(sigmas=3.0, nested_sigmas=3.0):
+    nested = [MVDetector(), SDDetector(nested_sigmas)]
+    return [MVDetector(), SDDetector(sigmas), MinKDetector(base_detectors=nested)]
+
+
+def _memo_detect(dataset, detectors=None, **guards):
+    detectors = _memo_detectors() if detectors is None else detectors
+    return run_detection_suite(dataset, detectors, sleep=null_sleep, **guards)
+
+
+def _memo_repair(dataset, detections, repairs=None, **guards):
+    repairs = repairs or [GroundTruthRepair(), MeanModeImputeRepair()]
+    return run_repair_suite(
+        dataset, detections, repairs, sleep=null_sleep, **guards
+    )
+
+
+def _unit_entries(cache):
+    """Keys of the detection and repair unit entries in ``cache``."""
+    reader = ArtifactCache(cache.root)
+    return {
+        key for key in cache.entries()
+        if set(reader.get(key).arrays) == {"payload"}
+    }
+
+
+def _timeless(runs):
+    return json.dumps(
+        [strip_timing(run.to_payload()) for run in runs], sort_keys=True
+    )
+
+
+class _ManualClock:
+    """A clock that moves only when a test moves it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def unit_memo_keys():
+    """The memo key of every detector and repair method the controller
+    offers for Beers and Adult (module level: fresh interpreters run it)."""
+    keys = {}
+    controller = BenchmarkController()
+    guards = dict(deadline_seconds=None, retry=None, clock=None,
+                  sleep=null_sleep)
+    for name in ("Beers", "Adult"):
+        dataset = generate(name, n_rows=40, seed=0)
+        suite = runner._suite_memo_key(dataset)
+        detectors = tuple(controller.applicable_detectors(dataset))
+        detection = runner._DetectionShared(
+            dataset=dataset, detectors=detectors, seed=0, memo_suite=suite,
+            **guards,
+        )
+        for position, detector in enumerate(detectors):
+            spec = UnitSpec(position, "unit", detector.name,
+                            {"position": position})
+            keys[f"{name}/{detector.name}"] = runner._unit_memo_key(
+                detection, spec
+            )
+        repairs = tuple(controller.applicable_repairs(dataset))
+        cells = tuple(sorted(dataset.error_cells))
+        repair = runner._RepairShared(
+            dataset=dataset, repairs=repairs, detections={"GT": cells},
+            seed=0, memo_suite=suite, **guards,
+        )
+        for position, method in enumerate(repairs):
+            spec = UnitSpec(position, "unit", method.name,
+                            {"detector": "GT", "position": position})
+            keys[f"{name}/GT+{method.name}"] = runner._unit_memo_key(
+                repair, spec
+            )
+    return keys
+
+
+class TestUnitMemo:
+    """Detection and repair units are memoized by their exact inputs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count tool runs, repair validations and scoring calls."""
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(Detector, "detect")
+        count(RepairMethod, "repair")
+        for name in ("detection_scores", "validate_repair_result",
+                     "repair_scores_categorical", "repair_rmse"):
+            count(runner, name)
+        return calls
+
+    def test_repeated_suite_hits_and_runs_nothing(self, tmp_path, calls):
+        dataset = _memo_dataset()
+        detections = {"GT": dataset.error_cells}
+
+        def suite():
+            return _memo_detect(dataset) + _memo_repair(dataset, detections)
+
+        reference = _timeless(suite())
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            cold = suite()
+            assert len(_unit_entries(cache)) == 5
+            calls.clear()
+            hits, misses = cache.hits, cache.misses
+            warm = suite()
+        assert calls == [], "a hit runs no tool and scores nothing"
+        assert (cache.hits - hits, cache.misses - misses) == (5, 0)
+        assert _timeless(cold) == reference and _timeless(warm) == reference
+        # A hit replays the stored runtimes, as a resume does.
+        assert [r.runtime_seconds for r in warm] == [
+            r.runtime_seconds for r in cold
+        ]
+
+    def test_each_key_input_misses(self, tmp_path, monkeypatch):
+        dataset = _memo_dataset()
+        adult = generate("Adult", n_rows=40, seed=1)
+        detections = {"GT": dataset.error_cells}
+        replace = dataclasses.replace
+
+        def edit(table, row, column, value):
+            table = table.copy()
+            table.set_cell(row, column, value)
+            return table
+
+        error = next(
+            (row, "name") for row in range(dataset.dirty.n_rows)
+            if (row, "name") not in dataset.error_cells
+        )
+        # name -> (suite keywords, stages it reaches, expected new entries)
+        variations = {
+            "dirty None -> NA": dict(dataset=replace(
+                dataset, dirty=edit(dataset.dirty, 1, "style", "NA"))),
+            "clean cell": dict(dataset=replace(
+                dataset, clean=edit(dataset.clean, 2, "name", "x"))),
+            "error cell": dict(dataset=replace(dataset, cells_by_type={
+                **dataset.cells_by_type, "extra": {error}})),
+            "constraints": dict(dataset=replace(
+                dataset, constraints=adult.constraints[:1])),
+            "fds": dict(dataset=replace(dataset, fds=dataset.fds[:1])),
+            "patterns": dict(dataset=replace(
+                dataset, patterns=dataset.patterns[:1])),
+            "knowledge base": dict(dataset=replace(
+                dataset, knowledge_base=None)),
+            "key columns": dict(dataset=replace(dataset, key_columns=[])),
+            "target": dict(dataset=replace(dataset, target="brewery")),
+            "task": dict(dataset=replace(dataset, task="clustering")),
+            "seed": dict(seed=1),
+            "method params": dict(detectors=_memo_detectors(sigmas=2.5)),
+            "nested base detector": dict(
+                detectors=_memo_detectors(nested_sigmas=2.5)),
+            "detections": dict(detections={
+                "GT": set(sorted(dataset.error_cells)[1:])}),
+            "source digest": dict(source="patched"),
+        }
+        expected = {"method params": 1, "nested base detector": 1,
+                    "detections": 2}
+
+        def run(dataset=dataset, seed=0, detectors=None,
+                detections=detections, source=None):
+            if source is not None:
+                monkeypatch.setattr(runner, "source_digest", lambda: source)
+            _memo_detect(dataset, detectors, seed=seed)
+            _memo_repair(dataset, detections, seed=seed)
+            monkeypatch.undo()
+
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            run()
+            assert len(_unit_entries(cache)) == 5
+            run()
+            assert len(_unit_entries(cache)) == 5, "a repeated suite hits"
+            for name, change in variations.items():
+                before = len(_unit_entries(cache))
+                run(**change)
+                after = len(_unit_entries(cache))
+                assert after - before == expected.get(name, 5), name
+                run(**change)
+                assert len(_unit_entries(cache)) == after, name
+
+    def test_failed_and_over_deadline_runs_are_never_stored(
+        self, tmp_path, monkeypatch
+    ):
+        dataset = _memo_dataset()
+        cache = ArtifactCache(str(tmp_path / "art"))
+        original = SDDetector._detect
+        clock, runs = _ManualClock(), []
+
+        def crash(self, context):
+            raise RuntimeError("tool crashed")
+
+        def slow(self, context):
+            runs.append(1)
+            cells = original(self, context)
+            clock.now += 10.0
+            return cells
+
+        with cache_scope(cache):
+            monkeypatch.setattr(SDDetector, "_detect", crash)
+            (run,) = _memo_detect(dataset, [SDDetector()])
+            assert run.failed and _unit_entries(cache) == set()
+
+            monkeypatch.setattr(SDDetector, "_detect", slow)
+            budget = dict(clock=clock, deadline_seconds=5.0)
+            (run,) = _memo_detect(dataset, [SDDetector()], **budget)
+            assert not run.failed and run.runtime_seconds == 10.0
+            assert _unit_entries(cache) == set(), "over its deadline"
+
+            # Stored without a deadline, the run is a miss under one.
+            (run,) = _memo_detect(dataset, [SDDetector()], clock=clock)
+            assert len(_unit_entries(cache)) == 1 and len(runs) == 2
+            (run,) = _memo_detect(dataset, [SDDetector()], **budget)
+            assert len(runs) == 3, "a stored run over budget is a miss"
+            (run,) = _memo_detect(dataset, [SDDetector()], clock=clock)
+            assert len(runs) == 3 and run.runtime_seconds == 10.0
+
+    def test_non_canonical_methods_are_never_stored(self, tmp_path):
+        class LocalSD(SDDetector):
+            pass
+
+        hooked = SDDetector()
+        hooked.hook = lambda values: values
+        imputer = MissForestMixRepair()
+        imputer.numeric_factory = lambda: DecisionTreeRegressor()
+        cyclic = SDDetector()
+        cyclic.parent = cyclic
+        dataset = _memo_dataset()
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            runs = _memo_detect(dataset, [LocalSD(), hooked, cyclic])
+            assert not any(run.failed for run in runs)
+            gt = GroundTruthRepair()
+            gt.hook = hooked.hook
+            (run,) = _memo_repair(dataset, {"GT": dataset.error_cells}, [gt])
+            assert not run.failed
+        assert _unit_entries(cache) == set()
+        for method in (LocalSD(), hooked, cyclic, imputer, gt):
+            assert canonical_config(method) is None
+
+    def test_unit_keys_equal_in_fresh_interpreters(self, monkeypatch):
+        keys = unit_memo_keys()
+        assert len(keys) > 40
+        assert all(isinstance(key, str) for key in keys.values()), keys
+        # A spawned interpreter gets its own string-hash seed.
+        monkeypatch.setenv("PYTHONHASHSEED", "4321")
+        for method in ("fork", "spawn"):
+            with multiprocessing.get_context(method).Pool(1) as pool:
+                assert pool.apply(unit_memo_keys) == keys, method
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,9 @@ Two families, both hypothesis-driven:
   fingerprint is its ``block_view``'s;
 - **cell diffs**: on the same hostile columns plus infinities and
   numbers beside their text, the typed ``Table.diff_cells`` equals the
-  per-cell ``values_equal`` reference in :mod:`oracles.table`;
+  per-cell ``values_equal`` reference in :mod:`oracles.table`, and
+  categorical repair scores built on it equal the per-cell scoring in
+  :mod:`oracles.metrics`;
 - **column views**: on the same hostile columns, every consumer of the
   memoized ``ColumnView`` (codec, ``normalized_column``, ``as_float``,
   ``missing_mask``, ``table_to_payload``) equals its per-cell
@@ -25,7 +27,8 @@ Two families, both hypothesis-driven:
   predictions of the frozen scalar reference implementations in
   :mod:`oracles.ml`, also on hostile targets (signed zeros, subnormals,
   overflowing squares, infinities) and inside random forests; isolation
-  forests score exactly as with the frozen recursive builder; and the
+  forests score exactly as with the frozen recursive builder, and
+  ``fit_predict`` equals ``fit`` then ``predict``; and the
   blocked distance kernel matches the naive broadcast within 1e-12.
 """
 
@@ -51,6 +54,7 @@ from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.columnar import ColumnView, normalized_column
 from repro.dataset.encoding import TableEncoder, encode_supervised
 from repro.dataset.table import coerce_float, is_missing
+from repro.metrics.repair import repair_scores_categorical
 from repro.ml.forest import (
     IsolationForest,
     RandomForestClassifier,
@@ -62,12 +66,14 @@ from repro.repository.store import encode_cell_value
 from repro.resilience.checkpoint import table_to_payload
 
 from oracles.cache import reference_table_fingerprint
+from oracles.metrics import reference_repair_scores_categorical
 from oracles.table import reference_diff_cells
 from oracles.ml import (
     ReferenceDecisionTreeClassifier,
     ReferenceDecisionTreeRegressor,
     flatten_preorder,
     reference_forest,
+    reference_isolation_fit_predict,
     reference_isolation_forest,
     reference_pairwise_sq_distances,
 )
@@ -429,6 +435,47 @@ def test_diff_cells_matches_per_cell_reference(pair):
     assert a.diff_cells(a) == set()
 
 
+@st.composite
+def repair_scoring_triples(draw):
+    """Dirty, repaired and clean versions of one hostile table (each
+    cell kept, aliased or redrawn), some error cells and a column pick."""
+    dirty = draw(hostile_tables(cell=diff_cell))
+
+    def version():
+        return Table(dirty.schema, {
+            name: [
+                draw(st.one_of(
+                    st.just(v), st.sampled_from(_aliases(v)), diff_cell
+                ))
+                for v in dirty.column(name)
+            ]
+            for name in dirty.column_names
+        })
+
+    repaired, clean = version(), version()
+    cells = [(i, n) for n in dirty.column_names for i in range(dirty.n_rows)]
+    errors = draw(st.sets(st.sampled_from(cells))) if cells else set()
+    columns = draw(st.one_of(
+        st.none(), st.lists(st.sampled_from(dirty.column_names), unique=True)
+    ))
+    return dirty, repaired, clean, errors, columns
+
+
+@given(repair_scoring_triples())
+@example((_hostile([None, "a", 1.0]), _hostile(["NA", "b", "1.0"]),
+          _hostile([math.nan, "b", 1]), {(0, "c0"), (1, "c0")}, None))
+@example((_hostile([-0.0, math.inf]), _hostile([0.0, "inf"]),
+          _hostile([0.0, math.inf]), set(), ["c0"]))
+@settings(max_examples=200, deadline=None)
+def test_repair_scores_match_per_cell_reference(triple):
+    dirty, repaired, clean, errors, columns = triple
+    got = repair_scores_categorical(dirty, repaired, clean, errors, columns)
+    want = reference_repair_scores_categorical(
+        dirty, repaired, clean, errors, columns
+    )
+    assert got == want
+
+
 # ----------------------------------------------------------------------
 # Column views
 # ----------------------------------------------------------------------
@@ -658,6 +705,54 @@ def test_isolation_forest_matches_reference_builder(
         assert ours.predict(matrix, block_rows).tobytes() == (
             reference.predict(matrix, block_rows).tobytes()
         )
+
+
+#: Finite features with duplicates, signed zeros, subnormals and
+#: magnitudes near the float64 limit.
+hostile_feature = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0]),
+)
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 3),
+    st.data(),
+    st.integers(1, 6),
+    st.integers(1, 64),
+    st.integers(0, 10_000),
+    st.one_of(st.none(), st.integers(1, 9)),
+)
+@settings(max_examples=60, deadline=None)
+def test_isolation_fit_predict_is_fit_then_predict(
+    n_rows, n_cols, data, n_estimators, max_samples, seed, block_rows
+):
+    flat = data.draw(
+        st.lists(hostile_feature, min_size=n_rows * n_cols,
+                 max_size=n_rows * n_cols)
+    )
+    matrix = np.array(flat, dtype=np.float64).reshape(n_rows, n_cols)
+    params = dict(n_estimators=n_estimators, max_samples=max_samples, seed=seed)
+
+    def outcome(fn):
+        try:
+            with np.errstate(all="ignore"):
+                return fn()
+        except OverflowError as exc:  # a span wider than the float range
+            return type(exc)
+
+    once, twice = IsolationForest(**params), IsolationForest(**params)
+    flags = outcome(lambda: once.fit_predict(matrix, block_rows))
+    expected = outcome(
+        lambda: reference_isolation_fit_predict(twice, matrix, block_rows)
+    )
+    if not isinstance(expected, np.ndarray):
+        assert flags is expected
+        return
+    assert flags.dtype == expected.dtype
+    assert flags.tobytes() == expected.tobytes()
+    assert once.threshold_ == twice.threshold_
 
 
 @given(feature_matrices(max_rows=25, max_cols=5), st.integers(0, 10_000))

@@ -8,8 +8,10 @@ The cache's acceptance properties under fault injection:
   run converges to byte-identical results;
 - a cached run's checkpoint store is byte-identical to an uncached
   serial run's, for any worker count, cold or warm cache -- including a
-  pipeline whose model fits are memoized (MISS-Mix repair, S1-S5 and a
-  tuned scenario run), also after its scenario-unit entries are torn;
+  detect -> repair -> model pipeline whose detection, repair and
+  scenario units and model fits are memoized (two detectors, MISS-Mix
+  repairs, S1-S5 and a tuned scenario run), also after its unit entries
+  are torn;
 - a torn scenario-unit entry (or every entry) falls back to a recompute
   with a bit-identical score and rewrites the entry.
 
@@ -24,9 +26,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.benchmark import evaluate_scenarios, run_repair_suite, run_scenario
+from repro.benchmark import (
+    evaluate_scenarios,
+    run_detection_suite,
+    run_repair_suite,
+    run_scenario,
+)
 from repro.cache import ArtifactCache, cache_scope
 from repro.datagen import generate
+from repro.detectors import MVDetector, SDDetector
 from repro.ml.tree import DecisionTreeClassifier
 from repro.parallel import ProcessPoolExecutor, null_sleep
 from repro.repair import MissForestMixRepair
@@ -84,16 +92,26 @@ def _evaluate(store_path, cache, executor=None, resume=False):
 
 
 def _pipeline(store_path, cache, executor=None):
-    """A MISS-Mix repair, S1-S5 on its output and one tuned scenario run:
+    """Detect -> repair -> model: two detectors, MISS-Mix on their
+    detections and on the ground truth's, S1-S5 on the ground-truth
+    repair and one tuned scenario run -- every memoized unit kind and
     every site whose model fit -> predict the cache memoizes."""
     dataset = generate("Beers", n_rows=60, seed=4)
     with SuiteCheckpoint.open(store_path, "run", resume=False) as ckpt:
         with cache_scope(cache):
-            (repair,) = run_repair_suite(
-                dataset, {"GT": dataset.error_cells}, [MissForestMixRepair()],
+            detections = run_detection_suite(
+                dataset, [MVDetector(), SDDetector()],
                 checkpoint=ckpt, clock=StepClock(), sleep=null_sleep,
                 executor=executor,
             )
+            detected = {run.detector: run.result.cells for run in detections}
+            repairs = run_repair_suite(
+                dataset, {"GT": dataset.error_cells, **detected},
+                [MissForestMixRepair()],
+                checkpoint=ckpt, clock=StepClock(), sleep=null_sleep,
+                executor=executor,
+            )
+            (repair,) = [run for run in repairs if run.detector == "GT"]
             variant = repair.result.repaired
             evaluate_scenarios(
                 dataset, variant, repair.strategy, "DT",
@@ -114,6 +132,15 @@ def _unit_entries(cache):
     return [
         key for key in cache.entries()
         if set(reader.get(key).arrays) == {"y_test", "predictions"}
+    ]
+
+
+def _memo_entries(cache):
+    """Keys of the detection and repair unit entries (one payload)."""
+    reader = ArtifactCache(cache.root)
+    return [
+        key for key in cache.entries()
+        if set(reader.get(key).arrays) == {"payload"}
     ]
 
 
@@ -274,7 +301,9 @@ class TestCachedUncachedStoreEquivalence:
             if run == "torn":
                 units = _unit_entries(cache)
                 assert len(units) == 11  # S1-S5 x 2 seeds + the tuned run
-                for key in units:
+                memos = _memo_entries(cache)
+                assert len(memos) == 5  # 2 detection + 3 repair units
+                for key in units + memos:
                     _tear(cache, key)
             entries = cache.entries()
             store = str(tmp_path / f"{run}.sqlite")
@@ -284,6 +313,7 @@ class TestCachedUncachedStoreEquivalence:
                 assert cache.entries() == entries, "a warm run writes nothing"
         assert cache.stats()["hits"] > 0
         assert len(_unit_entries(ArtifactCache(cache.root))) == 11
+        assert _memo_entries(cache) == memos, "torn unit entries rewritten"
 
     def test_scores_are_real_numbers_not_placeholders(self, tmp_path):
         evaluation = _evaluate(

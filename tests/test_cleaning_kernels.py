@@ -1,6 +1,6 @@
 """Property suite: vectorized cleaning kernels == frozen scalar references.
 
-The cleaning-stage hot paths (dBoost histogram scoring, duplicate
+The cleaning-stage hot paths (dBoost histogram scoring and mixture EM, duplicate
 blocking + pair features, KATARA alignment, FD/DC checking, Baran and
 HoloClean candidate scoring) were rewritten on numpy with a hard
 contract: **bit-identical outputs** to the scalar implementations
@@ -44,7 +44,12 @@ from repro.detectors import (
     NadeefDetector,
     ZeroERDetector,
 )
-from repro.detectors.dboost import _histogram_outliers
+from repro.detectors.dboost import (
+    _component_log_probs,
+    _histogram_outliers,
+    _logsumexp_rows,
+    _mixture_outliers,
+)
 from repro.detectors.duplicates import (
     _duplicate_cells,
     _enumerate_block_pairs,
@@ -73,6 +78,7 @@ from oracles.detectors import (
     reference_build_blocks,
     reference_enumerate_block_pairs,
     reference_histogram_outliers,
+    reference_mixture_outliers,
     reference_pair_feature_matrix,
 )
 
@@ -182,6 +188,97 @@ class TestHistogramKernel:
         want = reference_histogram_outliers(array, threshold, n_bins)
         assert got.dtype == want.dtype == np.bool_
         assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# dBoost: mixture EM
+# ----------------------------------------------------------------------
+class TestMixtureKernel:
+    @given(
+        st.integers(0, 30),
+        st.integers(1, 4),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_row_log_sum_exp_matches_reduce(self, n_rows, n_cols, data):
+        elements = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([-np.inf, np.inf, -0.0, 0.0, -745.2, 709.8]),
+        )
+        flat = data.draw(
+            st.lists(elements, min_size=n_rows * n_cols,
+                     max_size=n_rows * n_cols)
+        )
+        log_probs = np.array(flat, dtype=np.float64).reshape(n_rows, n_cols)
+        with np.errstate(all="ignore"):
+            got = _logsumexp_rows(log_probs)
+            want = np.logaddexp.reduce(log_probs, axis=1)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(
+        st.lists(st.floats(allow_nan=True), min_size=0, max_size=30),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(allow_nan=False),
+                st.floats(min_value=1e-12, max_value=1e12),
+            ),
+            min_size=1, max_size=3,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_component_log_likelihoods_match_expression(self, xs, components):
+        x = np.array(xs, dtype=np.float64)
+        weights, means, variances = (
+            np.array(column, dtype=np.float64) for column in zip(*components)
+        )
+        with np.errstate(all="ignore"):
+            got = _component_log_probs(x, weights, means, variances)
+            want = (
+                np.log(weights[None, :] + 1e-12)
+                - 0.5 * np.log(2 * np.pi * variances[None, :])
+                - 0.5 * (x[:, None] - means[None, :]) ** 2 / variances[None, :]
+            )
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(
+        st.lists(numeric_cell, min_size=0, max_size=60),
+        st.floats(min_value=0.005, max_value=0.05),
+        st.integers(min_value=2, max_value=3),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, values, threshold, n_components, cluster):
+        array = np.array(
+            [
+                np.nan if v is None or not math.isfinite(float(v)) else float(v)
+                for v in values
+            ],
+            dtype=float,
+        )
+        if cluster:  # two tight modes, the shape the EM is meant for
+            array = np.round(array / 1e5) * 10.0 + array / 1e6
+        rng = np.random.default_rng(0)
+        with np.errstate(all="ignore"):
+            got = _mixture_outliers(array, threshold, n_components, rng)
+            want = reference_mixture_outliers(
+                array, threshold, n_components, rng
+            )
+        assert got.dtype == want.dtype == np.bool_
+        assert np.array_equal(got, want)
+
+    def test_soccer_columns_match_reference(self):
+        dataset = generate("Soccer", n_rows=400, seed=2)
+        for column in dataset.dirty.schema.numerical_names:
+            values = dataset.dirty.as_float(column)
+            for n_components in (2, 3):
+                got = _mixture_outliers(values, 0.02, n_components, None)
+                want = reference_mixture_outliers(
+                    values, 0.02, n_components, None
+                )
+                assert np.array_equal(got, want), (column, n_components)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmark import (
     evaluate_scenarios,
@@ -35,7 +37,12 @@ from repro.resilience import (
     unit_key,
 )
 from repro.repository import CheckpointStore
-from repro.repository.store import nan_guard
+from repro.repository.store import (
+    _tag_infinities,
+    encode_payload,
+    nan_guard,
+    sanitize_payload,
+)
 from repro.resilience.checkpoint import SuiteCheckpoint
 
 from chaos_doubles import CrashingDetector
@@ -338,6 +345,30 @@ class TestCheckpointStore:
             )
         with CheckpointStore(path) as store:
             assert store.get("r", "u") == payload
+
+    @given(st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+            st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]),
+        ),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3),
+            st.tuples(children, children),
+            st.dictionaries(st.text(max_size=3), children, max_size=3),
+        ),
+        max_leaves=12,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_encoded_text_is_the_sanitized_encoding(self, value):
+        # The walk is skipped when a payload needs none: same text.
+        clean = sanitize_payload({"value": value})
+        try:
+            want = json.dumps(clean, sort_keys=True, allow_nan=False)
+        except ValueError:
+            want = json.dumps(
+                _tag_infinities(clean), sort_keys=True, allow_nan=False
+            )
+        assert encode_payload({"value": value}) == want
 
     def test_suite_checkpoint_open_resume_semantics(self, tmp_path):
         path = str(tmp_path / "ckpt.sqlite")
