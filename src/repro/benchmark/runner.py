@@ -25,11 +25,18 @@ context its failure records carry; :func:`_execute_unit` and
 :func:`_quarantine_unit` wrap that in deadline, retry and quarantine
 handling for every stage alike.
 
-Under an installed artifact cache, :func:`_execute_unit` also memoizes
-whole detection and repair units (:data:`DETECTION_UNIT_KIND`,
-:data:`REPAIR_UNIT_KIND`): each is keyed by everything its run is
-computed from, and a hit replays the stored checkpoint payload exactly
-as a resume does -- no tool runs and nothing is validated or scored.
+Under an installed artifact cache, whole units are memoized: detection
+and repair units hold their checkpoint payload
+(:data:`DETECTION_UNIT_KIND`, :data:`REPAIR_UNIT_KIND`), each keyed by
+everything its run is computed from, and supervised scenario units hold
+``y_test`` and the predictions (:data:`SCENARIO_UNIT_KIND`).  The
+driver reads them: each adapter's ``lookup`` hook (:func:`_lookup_unit`)
+runs inside :func:`~repro.parallel.execute_plan`, next to the checkpoint
+loads, and a hit is finalized like an executed unit -- no tool runs,
+nothing is validated, and detection and repair hits are not rescored.
+Workers never read memo entries: only misses reach
+:func:`_execute_unit`, which stores a successful run under the key the
+driver looked up.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -82,8 +90,9 @@ from repro.benchmark.scenarios import Scenario, scenario as get_scenario
 from repro.ml.base import fit_predict
 from repro.ml.model_zoo import build_model, get_spec
 from repro.observability.telemetry import current_telemetry, telemetry_scope
+from repro.observability.trace import UNIT
 from repro.parallel.engine import block_spans, execute_plan
-from repro.parallel.plan import ExecutionPlan, StageAdapter, UnitSpec
+from repro.parallel.plan import ExecutionPlan, MemoRead, StageAdapter, UnitSpec
 from repro.repair.base import RepairMethod, RepairResult
 from repro.repository.store import decode_payload, encode_payload, nan_guard
 from repro.resilience.checkpoint import (
@@ -96,7 +105,12 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.deadline import Deadline
 from repro.resilience.failures import FailureRecord
-from repro.resilience.guards import CircuitBreaker, RetryPolicy, guarded_call
+from repro.resilience.guards import (
+    CircuitBreaker,
+    RetryPolicy,
+    guarded_call,
+    unit_span_attrs,
+)
 from repro.resilience.validation import validate_repair_result
 
 
@@ -135,7 +149,7 @@ class _StageShared:
     """Per-suite context shipped to every unit of one stage (picklable).
 
     Holds the guard fields all stages share; subclasses add their own
-    context and the four per-stage hooks below.
+    context and the per-stage hooks below.
     """
 
     stage: ClassVar[str]
@@ -176,6 +190,46 @@ class _StageShared:
         """The unit's run from a failure record (guard failure or
         quarantine skip)."""
         raise NotImplementedError
+
+    def within_budget(self, run: Any) -> bool:
+        budget = self.deadline_seconds
+        return budget is None or run.runtime_seconds <= budget
+
+    def read_memo(self, spec: UnitSpec) -> Optional[MemoRead]:
+        """The unit's memo key and, on a hit, its stored run (None: the
+        unit is not memoized).
+
+        The entry's one array is the payload text the checkpoint store
+        would write for the run, zlib-compressed.  A stored run slower
+        than the unit's deadline reads as a miss: the budget decides,
+        not the cache.
+        """
+        cache = current_cache()
+        key = None if cache is None else _unit_memo_key(self, spec)
+        if key is None:
+            return None
+        entry = cache.get(key)
+        if entry is None or "payload" not in entry.arrays:
+            return MemoRead(key)
+        try:
+            text = zlib.decompress(entry.arrays["payload"].tobytes())
+            payload = decode_payload(text.decode("utf-8"))
+            run = self.run_type.from_payload(payload)
+        except (zlib.error, ValueError, KeyError, TypeError):
+            return MemoRead(key)
+        if not self.within_budget(run):
+            return MemoRead(key)
+        return MemoRead(key, run, payload)
+
+    def remember(self, key: str, run: Any) -> None:
+        """Store a run under its memo key; failed runs never are."""
+        cache = current_cache()
+        if cache is None or run.failed or not self.within_budget(run):
+            return
+        # Level 1 shrinks a repaired table's JSON about fourfold for a
+        # few milliseconds: a warm run reads a quarter of the bytes.
+        blob = zlib.compress(encode_payload(run.to_payload()).encode(), 1)
+        cache.put(key, {"payload": np.frombuffer(blob, dtype=np.uint8)})
 
 
 #: Cache kinds of one detection and one repair unit's run: its
@@ -231,72 +285,38 @@ def _unit_memo_key(shared: _StageShared, spec: UnitSpec) -> Optional[str]:
     return artifact_key(shared.memo_kind, [shared.memo_suite], provenance)
 
 
-@dataclass(frozen=True)
-class _Replayed:
-    """An attempt's value that is a memoized unit's whole run."""
+def _lookup_unit(shared: _StageShared, spec: UnitSpec) -> Optional[MemoRead]:
+    """Every stage adapter's ``lookup``: the driver's memo read.
 
-    run: Any
-
-
-class _UnitMemo:
-    """One unit's memo entry: read at most once, written after a run.
-
-    The entry's one array is the payload text the checkpoint store would
-    write for the run, zlib-compressed.  Failed runs are never stored,
-    and a stored run slower than the unit's deadline reads as a miss:
-    the budget decides, not the cache.
+    A hit books the ``unit`` span an executed unit books (same name and
+    attributes, plus ``memo="hit"``), so the ledger still shows every
+    unit of the plan.
     """
-
-    def __init__(self, shared: _StageShared, cache: Any, key: str) -> None:
-        self.shared, self.cache, self.key = shared, cache, key
-        self.read = False
-
-    @classmethod
-    def open(
-        cls, shared: _StageShared, spec: UnitSpec
-    ) -> Optional["_UnitMemo"]:
-        cache = current_cache()
-        key = None if cache is None else _unit_memo_key(shared, spec)
-        return None if key is None else cls(shared, cache, key)
-
-    def within_budget(self, run: Any) -> bool:
-        budget = self.shared.deadline_seconds
-        return budget is None or run.runtime_seconds <= budget
-
-    def load(self) -> Optional[Any]:
-        """The stored run, once; None on a miss or an unusable entry."""
-        if self.read:
-            return None
-        self.read = True
-        entry = self.cache.get(self.key)
-        if entry is None or "payload" not in entry.arrays:
-            return None
-        try:
-            text = zlib.decompress(entry.arrays["payload"].tobytes())
-            payload = decode_payload(text.decode("utf-8"))
-            run = self.shared.run_type.from_payload(payload)
-        except (zlib.error, ValueError, KeyError, TypeError):
-            return None
-        return run if self.within_budget(run) else None
-
-    def store(self, run: Any) -> None:
-        if run.failed or not self.within_budget(run):
-            return
-        # Level 1 shrinks a repaired table's JSON about fourfold for a
-        # few milliseconds: a warm run reads a quarter of the bytes.
-        blob = zlib.compress(encode_payload(run.to_payload()).encode(), 1)
-        self.cache.put(
-            self.key, {"payload": np.frombuffer(blob, dtype=np.uint8)}
+    telemetry = current_telemetry()
+    if telemetry is None:
+        return shared.read_memo(spec)
+    tracer = telemetry.tracer
+    started = tracer.clock()
+    read = shared.read_memo(spec)
+    if read is not None and read.run is not None:
+        context = shared.failure_context(spec)
+        span = tracer.record(
+            f"{shared.stage}:{spec.method}", UNIT, started,
+            **unit_span_attrs(shared.stage, spec.method, context),
+            outcome="ok", memo="hit",
         )
+        telemetry.count("units.ok")
+        telemetry.observe("unit.compute_seconds", span.duration_seconds)
+    return read
 
 
 def _execute_unit(shared: _StageShared, spec: UnitSpec) -> Any:
     """Run one unit under a fresh per-unit deadline and the suite's
     retry policy; every stage adapter's ``execute``.
 
-    A memoized unit (:class:`_UnitMemo`) first reads its entry inside
-    the guarded attempt, so the unit span covers the read; a hit is the
-    unit's run, with the stored ``runtime_seconds`` as a resume has.
+    Memo hits never get here (the driver resolved them through
+    :func:`_lookup_unit`); a successful run is stored under the key the
+    driver looked it up under (``spec.memo``).
     """
     failure_context = shared.failure_context(spec)
     deadline = None
@@ -307,16 +327,8 @@ def _execute_unit(shared: _StageShared, spec: UnitSpec) -> Any:
     context = shared.dataset.context(
         seed=failure_context["seed"], deadline=deadline, clock=shared.clock
     )
-    memo = _UnitMemo.open(shared, spec)
-
-    def attempt() -> Any:
-        run = memo.load() if memo is not None else None
-        return _Replayed(run) if run is not None else shared.attempt(
-            spec, context
-        )
-
     guarded = guarded_call(
-        attempt,
+        lambda: shared.attempt(spec, context),
         method=spec.method,
         stage=shared.stage,
         deadline=deadline,
@@ -327,11 +339,9 @@ def _execute_unit(shared: _StageShared, spec: UnitSpec) -> Any:
     )
     if not guarded.ok:
         return shared.failed(spec, guarded.failure)
-    if isinstance(guarded.value, _Replayed):
-        return guarded.value.run
     run = shared.succeeded(spec, guarded.value)
-    if memo is not None:
-        memo.store(run)
+    if spec.memo is not None:
+        shared.remember(spec.memo, run)
     return run
 
 
@@ -497,9 +507,12 @@ def _merge_detection_blocks(
     cells: FrozenSet[Cell] = frozenset()
     if record is None:
         cells = cells.union(*(run.result.cells for run in runs))
-    return shared.scored(
+    run = shared.scored(
         spec, DetectionResult(spec.method, cells, runtime), record
     )
+    if spec.memo is not None:
+        shared.remember(spec.memo, run)
+    return run
 
 
 _DETECTION_ADAPTER = StageAdapter(
@@ -509,6 +522,7 @@ _DETECTION_ADAPTER = StageAdapter(
     from_payload=DetectionRun.from_payload,
     quarantine_skip=_quarantine_unit,
     merge_blocks=_merge_detection_blocks,
+    lookup=_lookup_unit,
 )
 
 
@@ -762,7 +776,15 @@ class _RepairShared(_StageShared):
             "repair": spec.method,
             "method": method,
             "seed": self.seed,
-            "detections": _cells_digest(self.detections[detector]),
+            "detections": self.detection_digests[detector],
+        }
+
+    @cached_property
+    def detection_digests(self) -> Dict[str, str]:
+        """One digest per detection set, shared by its repair units."""
+        return {
+            name: _cells_digest(cells)
+            for name, cells in self.detections.items()
         }
 
     def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
@@ -799,6 +821,7 @@ _REPAIR_ADAPTER = StageAdapter(
     to_payload=RepairRun.to_payload,
     from_payload=RepairRun.from_payload,
     quarantine_skip=_quarantine_unit,
+    lookup=_lookup_unit,
 )
 
 
@@ -906,6 +929,8 @@ def run_scenario(
     model_params: Optional[Dict[str, object]] = None,
     sample_rows: Optional[int] = None,
     tune_trials: Optional[int] = None,
+    *,
+    memo_key: Optional[str] = None,
 ) -> float:
     """Train/test one model under one scenario; return its metric.
 
@@ -920,9 +945,20 @@ def run_scenario(
     Under an installed artifact cache a supervised unit's ``y_test`` and
     predictions are memoized by provenance (:data:`SCENARIO_UNIT_KIND`):
     a hit rescores them without splitting, encoding, tuning or fitting.
+    A caller that already looked the unit up and missed (the model
+    stage's driver) passes its ``memo_key``: the unit is computed and
+    stored under it without a second read.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
+    if memo_key is None:
+        memo_key = _scenario_unit_key(
+            scenario, variant_table, dataset, model_name, seed,
+            test_fraction, kept_rows, model_params, sample_rows, tune_trials,
+        )
+        value = _replay_scenario_unit(memo_key, dataset.task)
+        if value is not None:
+            return value
     task = dataset.task
     if task is None:
         raise ValueError(f"dataset {dataset.name} has no associated ML task")
@@ -960,21 +996,8 @@ def run_scenario(
 
     target = dataset.target
     assert target is not None
-    stratify = None
-    if task == "classification":
-        stratify = [str(v) for v in clean.column(target)]
-    cache = current_cache()
-    key = None if cache is None else _scenario_unit_key(
-        scenario, variant_table, dataset, model_name, seed, test_fraction,
-        kept_rows, model_params, sample_rows, tune_trials, stratify,
-    )
-    if key is not None:
-        entry = cache.get(key)
-        if entry is not None and _UNIT_ARRAYS <= entry.arrays.keys():
-            return _supervised_score(
-                task, entry.arrays["y_test"], entry.arrays["predictions"]
-            )
     mapping = _aligned_rows(variant_table, clean, kept_rows)
+    stratify = _stratify_labels(dataset)
     train_idx, test_idx = train_test_split(
         clean.n_rows, test_fraction, rng=rng, stratify=stratify
     )
@@ -1006,12 +1029,14 @@ def run_scenario(
     else:
         model = build_model(task, model_name, **(model_params or {}))
     predictions = fit_predict(model, x_train, y_train, x_test)
+    cache = current_cache()
     if (
-        key is not None
+        memo_key is not None
+        and cache is not None
         and isinstance(predictions, np.ndarray)
         and not predictions.dtype.hasobject
     ):
-        cache.put(key, {"y_test": y_test, "predictions": predictions})
+        cache.put(memo_key, {"y_test": y_test, "predictions": predictions})
     return _supervised_score(task, y_test, predictions)
 
 
@@ -1023,20 +1048,27 @@ SCENARIO_UNIT_KIND = "benchmark/scenario_unit@v1"
 _UNIT_ARRAYS = frozenset({"y_test", "predictions"})
 
 
+def _stratify_labels(dataset: BenchmarkDataset) -> Optional[List[str]]:
+    """A classification split's stratification labels (None otherwise)."""
+    if dataset.task != "classification":
+        return None
+    return [str(v) for v in dataset.clean.column(dataset.target)]
+
+
 def _scenario_unit_key(
     scenario: Scenario,
     variant_table: Table,
     dataset: BenchmarkDataset,
     model_name: str,
     seed: int,
-    test_fraction: float,
-    kept_rows: Optional[Sequence[int]],
-    model_params: Optional[Dict[str, object]],
-    sample_rows: Optional[int],
-    tune_trials: Optional[int],
-    stratify: Optional[List[str]],
-) -> str:
-    """Provenance key of one supervised unit.
+    test_fraction: float = 0.25,
+    kept_rows: Optional[Sequence[int]] = None,
+    model_params: Optional[Dict[str, object]] = None,
+    sample_rows: Optional[int] = None,
+    tune_trials: Optional[int] = None,
+) -> Optional[str]:
+    """Provenance key of one supervised unit; None without an installed
+    cache or for a task that is not supervised.
 
     It names what the unit is computed from -- the variant and clean
     tables (memoized fingerprints), the split, the encoding settings and
@@ -1045,6 +1077,10 @@ def _scenario_unit_key(
     because ``str`` tells apart cells that the table fingerprint merges
     (``None`` and NaN, ``float32`` and ``float64`` payloads).
     """
+    if current_cache() is None or dataset.task not in (
+        "classification", "regression"
+    ):
+        return None
     tuned = tune_trials is not None and tune_trials > 0
     model = build_model(
         dataset.task, model_name, **({} if tuned else model_params or {})
@@ -1061,7 +1097,7 @@ def _scenario_unit_key(
                 None if kept_rows is None else [int(i) for i in kept_rows]
             ),
             "sample_rows": sample_rows,
-            "stratify": stratify,
+            "stratify": _stratify_labels(dataset),
             "target": dataset.target,
             "task": dataset.task,
             "max_categories": SUPERVISED_MAX_CATEGORIES,
@@ -1072,6 +1108,20 @@ def _scenario_unit_key(
             "params": model.get_params(),
             "tune_trials": tune_trials if tuned else None,
         },
+    )
+
+
+def _replay_scenario_unit(key: Optional[str], task: str) -> Optional[float]:
+    """The metric rescored from a unit's stored ``y_test`` and
+    predictions; None on a miss or without a key."""
+    cache = current_cache()
+    if key is None or cache is None:
+        return None
+    entry = cache.get(key)
+    if entry is None or not _UNIT_ARRAYS <= entry.arrays.keys():
+        return None
+    return _supervised_score(
+        task, entry.arrays["y_test"], entry.arrays["predictions"]
     )
 
 
@@ -1235,6 +1285,30 @@ class _ScenarioShared(_StageShared):
             "seed": spec.params["seed"],
         }
 
+    def read_memo(self, spec: UnitSpec) -> Optional[MemoRead]:
+        try:
+            key = _scenario_unit_key(
+                get_scenario(spec.params["scenario"]),
+                self.variant_table,
+                self.dataset,
+                self.model_name,
+                spec.params["seed"],
+                kept_rows=self.kept_rows,
+                sample_rows=self.sample_rows,
+            )
+        except (KeyError, ValueError, TypeError):
+            return None  # the attempt raises it again, under the guard
+        if key is None:
+            return None
+        value = _replay_scenario_unit(key, self.dataset.task)
+        if value is None:
+            return MemoRead(key)
+        run = ScenarioRun(value)
+        return MemoRead(key, run, run.to_payload())
+
+    def remember(self, key: str, run: Any) -> None:
+        """Nothing: the attempt stored ``y_test`` and the predictions."""
+
     def attempt(self, spec: UnitSpec, context: CleaningContext) -> float:
         return run_scenario(
             spec.params["scenario"],
@@ -1244,6 +1318,7 @@ class _ScenarioShared(_StageShared):
             seed=spec.params["seed"],
             kept_rows=self.kept_rows,
             sample_rows=self.sample_rows,
+            memo_key=spec.memo,
         )
 
     def succeeded(self, spec: UnitSpec, value: float) -> ScenarioRun:
@@ -1259,6 +1334,7 @@ _SCENARIO_ADAPTER = StageAdapter(
     to_payload=ScenarioRun.to_payload,
     from_payload=ScenarioRun.from_payload,
     quarantine_skip=_quarantine_unit,
+    lookup=_lookup_unit,
 )
 
 

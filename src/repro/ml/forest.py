@@ -6,6 +6,7 @@ it is a generic model; the IF outlier *detector* of Table 1 wraps it.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -220,7 +221,14 @@ def _grow_iso_tree(
             node_left.append(-1)
             path_value.append(depth + _average_path_length(n_samples))
             continue
-        threshold = float(rng.uniform(lo, hi))
+        lo, hi = float(lo), float(hi)
+        if math.isfinite(hi - lo):
+            threshold = float(rng.uniform(lo, hi))
+        else:
+            # ``uniform`` rejects a span past the float range; draw the
+            # same one double and split without forming the span.
+            share = rng.random()
+            threshold = lo * (1.0 - share) + hi * share
         goes_left = subset[:, feature] <= threshold
         node_feature.append(feature)
         node_threshold.append(threshold)

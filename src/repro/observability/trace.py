@@ -148,6 +148,15 @@ class Tracer:
             span.end = end  # foreign/double finish: close it regardless
         return span
 
+    def record(
+        self, name: str, category: str, start: float, **attrs: Any
+    ) -> Span:
+        """A span that began at ``start`` (a reading of :attr:`clock`)
+        and ends now, nested under the currently open span."""
+        span = self.begin(name, category, **attrs)
+        span.start = start
+        return self.finish(span)
+
     @contextmanager
     def span(self, name: str, category: str, **attrs: Any) -> Iterator[Span]:
         opened = self.begin(name, category, **attrs)

@@ -7,6 +7,10 @@ plan's canonical order, replaying circuit-breaker bookkeeping unit by
 unit -- so the merged output is identical to a serial run regardless of
 worker count or completion order.
 
+Memo hits never reach an executor: :func:`execute_plan` reads each
+unit's memo entry in the driver, next to its checkpoint load, and only
+misses are dispatched.
+
 Two executors:
 
 - :class:`SerialExecutor` -- in-process, canonical order; the reference
@@ -532,6 +536,15 @@ def execute_plan(
       stored sub-units of a blocked unit are loaded too (intra-unit
       resume).  Nothing loaded is dispatched -- workers never touch the
       store;
+    - **memo reads**: every other unit whose method is not quarantined
+      is looked up once through the adapter's ``lookup`` hook, before a
+      blocked unit expands (blocked and unblocked runs share entries).
+      A hit is put among the executed runs as one sub-unit, so it is
+      finalized exactly like a run a worker returned; its decoded
+      payload is what gets checkpointed.  Only misses are dispatched,
+      each carrying the key its run is stored under (``spec.memo``) --
+      workers never read memo entries, and a plan without misses
+      packs nothing and starts no pool;
     - **finalization order**: executed sub-units buffer until their
       canonical turn, so sub-unit ``i`` is always finalized before
       ``i+1``;
@@ -575,21 +588,16 @@ def execute_plan(
     # (unit, first sub-unit, stop); first == stop -> loaded from the store.
     groups: List[Tuple[UnitSpec, int, int]] = []
 
+    executed: Dict[int, Any] = {}
+    # Decoded checkpoint payloads of memo hits, written as they are.
+    hit_payloads: Dict[int, Dict[str, Any]] = {}
+    transports: Dict[int, Any] = {}
+    received_at: Dict[int, float] = {}
+    state = {"next": 0, "group": 0}
+
     def load(key: str) -> Any:
         payload = checkpoint.get(key) if checkpoint is not None else None
         return adapter.from_payload(payload) if payload is not None else None
-
-    for spec in plan.units:
-        first = len(subunits)
-        results[spec.index] = load(spec.key)
-        if results[spec.index] is None:
-            for sub in _sub_units(spec, first):
-                subunits.append(sub)
-                sub_runs.append(load(sub.key) if spec.blocks else None)
-        groups.append((spec, first, len(subunits)))
-    n = len(subunits)
-    cached = [run is not None for run in sub_runs]
-    pending = [sub for sub in subunits if not cached[sub.index]]
 
     def should_execute(spec: UnitSpec) -> bool:
         return not (
@@ -598,13 +606,40 @@ def execute_plan(
             and breaker.is_quarantined(spec.method)
         )
 
-    executed: Dict[int, Any] = {}
-    transports: Dict[int, Any] = {}
-    received_at: Dict[int, float] = {}
-    state = {"next": 0, "group": 0}
+    for spec in plan.units:
+        first = len(subunits)
+        results[spec.index] = load(spec.key)
+        if results[spec.index] is not None:
+            groups.append((spec, first, first))
+            continue
+        read = None
+        if adapter.lookup is not None and should_execute(spec):
+            read = adapter.lookup(plan.shared, spec)
+        if read is not None:
+            spec = replace(spec, memo=read.key)
+            if read.run is not None:
+                # A hit is the whole unit's run: one sub-unit, already
+                # executed, finalized like any other.
+                spec = replace(spec, blocks=())
+                executed[first] = read.run
+                hit_payloads[first] = read.payload
+        for sub in _sub_units(spec, first):
+            subunits.append(sub)
+            sub_runs.append(load(sub.key) if spec.blocks else None)
+        groups.append((spec, first, len(subunits)))
+    n = len(subunits)
+    cached = [run is not None for run in sub_runs]
+    pending = [
+        sub for sub in subunits
+        if not cached[sub.index] and sub.index not in executed
+    ]
 
-    def checkpoint_put(spec: UnitSpec, run: Any) -> None:
-        checkpoint.put(spec.key, adapter.to_payload(run))
+    def checkpoint_put(
+        spec: UnitSpec, run: Any, payload: Optional[Dict[str, Any]] = None
+    ) -> None:
+        checkpoint.put(
+            spec.key, adapter.to_payload(run) if payload is None else payload
+        )
         if telemetry is not None:
             telemetry.count("checkpoint.puts")
 
@@ -673,7 +708,7 @@ def execute_plan(
                             spec.method, breaker.reason(spec.method)
                         )
             if checkpoint is not None:
-                checkpoint_put(spec, run)
+                checkpoint_put(spec, run, hit_payloads.pop(index, None))
         else:
             return False  # waiting on an out-of-order completion
         sub_runs[index] = run

@@ -10,8 +10,8 @@ scenario, seed) combinations the checkpoint layer keys by.  An
   stage-specific parameters needed to execute it);
 - the :class:`StageAdapter` supplies the stage's behaviour as
   module-level functions (execute a unit, serialize/deserialize its run
-  object, build a quarantine-skip run, fold row-block runs), so the
-  whole plan can cross a process boundary;
+  object, build a quarantine-skip run, fold row-block runs, read the
+  unit's memo entry), so the whole plan can cross a process boundary;
 - ``shared`` carries the per-suite context every unit needs (the
   dataset, the tool pool, guard parameters) exactly once.
 
@@ -44,6 +44,9 @@ class UnitSpec:
             unit whole.  Each span executes as a sub-unit whose params
             carry ``"block": (start, stop)``, and the adapter's
             ``merge_blocks`` folds the span runs back into the unit's run.
+        memo: the memo key the driver looked the unit up under (set by
+            :func:`~repro.parallel.engine.execute_plan` from the
+            adapter's ``lookup``); a miss stores its run there.
     """
 
     index: int
@@ -51,6 +54,18 @@ class UnitSpec:
     method: str
     params: Dict[str, Any] = field(default_factory=dict)
     blocks: Tuple[Tuple[int, int], ...] = ()
+    memo: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class MemoRead:
+    """What a stage adapter's ``lookup`` found for one unit: its memo
+    ``key`` and, on a hit, the stored ``run`` with the checkpoint
+    ``payload`` it was decoded from (None on a miss)."""
+
+    key: str
+    run: Any = None
+    payload: Optional[Dict[str, Any]] = None
 
 
 def run_failure(run: Any) -> Optional[Any]:
@@ -83,6 +98,10 @@ class StageAdapter:
         merge_blocks: ``(shared, spec, runs) -> run`` -- fold the runs of
             a blocked unit's row spans (canonical span order) into the
             whole-unit run; required only when units carry ``blocks``.
+        lookup: ``(shared, spec) -> Optional[MemoRead]`` -- read the
+            unit's memo entry (None: the unit is not memoized).  Only
+            :func:`~repro.parallel.engine.execute_plan` calls it, in the
+            driver, so a hit is never dispatched to a worker.
 
     A run that exposes ``runtime_seconds`` reports it as the unit's
     honest elapsed time in the observability ledger's ``unit_finalized``
@@ -96,6 +115,7 @@ class StageAdapter:
     quarantine_skip: Callable[[Any, UnitSpec, str], Any]
     failure_of: Callable[[Any], Optional[Any]] = run_failure
     merge_blocks: Optional[Callable[[Any, UnitSpec, List[Any]], Any]] = None
+    lookup: Optional[Callable[[Any, UnitSpec], Optional[MemoRead]]] = None
 
 
 @dataclass(frozen=True)

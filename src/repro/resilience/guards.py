@@ -177,6 +177,22 @@ class GuardedResult:
         return self.failure is None
 
 
+def unit_span_attrs(
+    stage: str, method: str, failure_context: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Attributes of a unit's ``unit`` span: its stage, its method and
+    the scalar entries of its failure context."""
+    return {
+        "stage": stage,
+        "method": method,
+        **{
+            key: value
+            for key, value in failure_context.items()
+            if isinstance(value, (str, int, float, bool))
+        },
+    }
+
+
 def guarded_call(
     fn: Callable[[], Any],
     method: str,
@@ -217,12 +233,8 @@ def guarded_call(
     unit_span = None
     if telemetry is not None:
         unit_span = telemetry.tracer.begin(
-            f"{stage}:{method}", UNIT, stage=stage, method=method,
-            **{
-                key: value
-                for key, value in failure_context.items()
-                if isinstance(value, (str, int, float, bool))
-            },
+            f"{stage}:{method}", UNIT,
+            **unit_span_attrs(stage, method, failure_context),
         )
 
     def book(outcome: str, elapsed: float, retries: int) -> None:

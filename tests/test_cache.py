@@ -954,6 +954,42 @@ class TestUnitMemo:
         for method in (LocalSD(), hooked, cyclic, imputer, gt):
             assert canonical_config(method) is None
 
+    def test_repair_keys_digest_each_detection_set_once(self, monkeypatch):
+        """A repair unit's key names a digest of its detection set; the
+        suite digests each set once, and the keys stay those of the
+        per-unit formula."""
+        dataset = _memo_dataset()
+        suite = runner._suite_memo_key(dataset)
+        cells = tuple(sorted(dataset.error_cells))
+        detections = {"GT": cells, "half": cells[::2]}
+        repairs = (GroundTruthRepair(), MeanModeImputeRepair())
+        digests = []
+        original = runner._cells_digest
+        monkeypatch.setattr(
+            runner, "_cells_digest",
+            lambda cells: digests.append(1) or original(cells),
+        )
+        shared = runner._RepairShared(
+            dataset=dataset, repairs=repairs, detections=detections, seed=0,
+            memo_suite=suite, deadline_seconds=None, retry=None, clock=None,
+            sleep=null_sleep,
+        )
+        for detector, flagged in detections.items():
+            for position, method in enumerate(repairs):
+                spec = UnitSpec(position, "unit", method.name,
+                                {"detector": detector, "position": position})
+                expected = artifact_key(runner.REPAIR_UNIT_KIND, [suite], {
+                    "detector": detector,
+                    "repair": method.name,
+                    "method": canonical_config(method),
+                    "seed": 0,
+                    "detections": config_fingerprint({
+                        "cells": [[int(r), str(c)] for r, c in flagged]
+                    }),
+                })
+                assert runner._unit_memo_key(shared, spec) == expected
+        assert len(digests) == len(detections)
+
     def test_unit_keys_equal_in_fresh_interpreters(self, monkeypatch):
         keys = unit_memo_keys()
         assert len(keys) > 40

@@ -42,6 +42,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.benchmark.runner import DetectionRun, RepairRun, ScenarioRun
 from repro.cache import (
     ArtifactCache,
     array_fingerprint,
@@ -54,6 +55,8 @@ from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.columnar import ColumnView, normalized_column
 from repro.dataset.encoding import TableEncoder, encode_supervised
 from repro.dataset.table import coerce_float, is_missing
+from repro.detectors.base import DetectionResult
+from repro.metrics.detection import DetectionScores
 from repro.metrics.repair import repair_scores_categorical
 from repro.ml.forest import (
     IsolationForest,
@@ -62,7 +65,12 @@ from repro.ml.forest import (
 )
 from repro.ml.neighbors import _pairwise_sq_distances
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
-from repro.repository.store import encode_cell_value
+from repro.repair.base import RepairResult
+from repro.repository.store import (
+    decode_payload,
+    encode_cell_value,
+    encode_payload,
+)
 from repro.resilience.checkpoint import table_to_payload
 
 from oracles.cache import reference_table_fingerprint
@@ -735,21 +743,10 @@ def test_isolation_fit_predict_is_fit_then_predict(
     matrix = np.array(flat, dtype=np.float64).reshape(n_rows, n_cols)
     params = dict(n_estimators=n_estimators, max_samples=max_samples, seed=seed)
 
-    def outcome(fn):
-        try:
-            with np.errstate(all="ignore"):
-                return fn()
-        except OverflowError as exc:  # a span wider than the float range
-            return type(exc)
-
     once, twice = IsolationForest(**params), IsolationForest(**params)
-    flags = outcome(lambda: once.fit_predict(matrix, block_rows))
-    expected = outcome(
-        lambda: reference_isolation_fit_predict(twice, matrix, block_rows)
-    )
-    if not isinstance(expected, np.ndarray):
-        assert flags is expected
-        return
+    with np.errstate(all="ignore"):
+        flags = once.fit_predict(matrix, block_rows)
+        expected = reference_isolation_fit_predict(twice, matrix, block_rows)
     assert flags.dtype == expected.dtype
     assert flags.tobytes() == expected.tobytes()
     assert once.threshold_ == twice.threshold_
@@ -771,3 +768,53 @@ def test_blocked_distances_match_reference(reference_matrix, seed):
     r_norms = (reference_matrix**2).sum(axis=1)
     scale = np.maximum(q_norms[:, None] + r_norms[None, :], 1.0)
     assert np.all(np.abs(ours - naive) / scale < 1e-12)
+
+
+#: Floats a memoized run may carry, NaN and both infinities included.
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+stored_cell = st.one_of(
+    st.none(), any_float, st.text(alphabet="abcxyz019 ._-\"\\", max_size=8)
+)
+
+
+@st.composite
+def memoized_runs(draw):
+    """A run of every memoized type, scores and cells hostile."""
+    scores = DetectionScores(
+        draw(any_float), draw(any_float), draw(any_float),
+        *draw(st.tuples(*[st.integers(0, 10 ** 6)] * 3)),
+    )
+    cells = draw(st.frozensets(st.tuples(
+        st.integers(0, 10 ** 6), st.text(max_size=4)
+    ), max_size=6))
+    detection = DetectionRun(
+        "SD", DetectionResult("SD", cells, draw(any_float)), scores
+    )
+    table = draw(small_tables())
+    for name in table.schema.names:
+        for row in range(table.n_rows):
+            table.set_cell(row, name, draw(stored_cell))
+    metadata = draw(st.dictionaries(
+        st.text(max_size=4), st.one_of(any_float, st.text(max_size=4)),
+        max_size=3,
+    ))
+    repair = RepairRun(
+        "SD", "GT", RepairResult("GT", table, draw(any_float), metadata),
+        *draw(st.tuples(*[any_float] * 4)),
+    )
+    return [detection, repair, ScenarioRun(draw(any_float))]
+
+
+@given(memoized_runs())
+@settings(max_examples=60, deadline=None)
+def test_memoized_payload_text_survives_decoding(runs):
+    """The driver checkpoints a memo hit from its decoded payload: that
+    payload must encode to the stored text, which is also what the run
+    it decodes to would encode to."""
+    for run in runs:
+        text = encode_payload(run.to_payload())
+        payload = decode_payload(text)
+        assert encode_payload(payload) == text
+        replayed = type(run).from_payload(payload)
+        assert encode_payload(replayed.to_payload()) == text

@@ -7,8 +7,10 @@ type it targets; we check recall on the planted cells and sane precision.
 import numpy as np
 import pytest
 
+from repro.benchmark.runner import run_detection_suite
 from repro.constraints import ColumnPattern, FunctionalDependency
 from repro.context import CleaningContext
+from repro.datagen import generate
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.detectors import (
     CleanLabDetector,
@@ -111,6 +113,17 @@ def test_outlier_detectors_find_planted_outliers(detector):
     scores = detection_scores(detected.cells, result.error_cells)
     assert scores.recall > 0.8, f"{detector.name} recall {scores.recall}"
     assert scores.precision > 0.4, f"{detector.name} precision {scores.precision}"
+
+
+def test_if_unit_on_a_column_spanning_the_float_range_succeeds():
+    # Every isolation split of this column spans more than the float
+    # range, which ``Generator.uniform`` rejects with OverflowError.
+    dataset = generate("SmartFactory", n_rows=40, seed=0)
+    column = dataset.dirty.schema.numerical_names[0]
+    for row in range(dataset.dirty.n_rows):
+        dataset.dirty.set_cell(row, column, (-1.7e308, 1.7e308)[row % 2])
+    (run,) = run_detection_suite(dataset, [IFDetector(seed=1)])
+    assert not run.failed, run.failure
 
 
 def test_outlier_detectors_ignore_clean_data():

@@ -592,6 +592,50 @@ def test_dataplane_lint_flags_shared_in_dispatch_iterable(tmp_path):
     assert "iterable references the shared context" in violations[0]
 
 
+_DRIVER_LOOKUP = (
+    "def execute_plan(plan, executor):\n"
+    "    for spec in plan.units:\n"
+    "        read = plan.adapter.lookup(plan.shared, spec)\n"
+)
+
+_RUNNER_HOOK = (
+    "def _lookup_unit(shared, spec):\n"
+    "    return None\n"
+    "ADAPTER = StageAdapter(stage='model', lookup=_lookup_unit)\n"
+)
+
+
+def _lookup_tree(tmp_path, runner_src):
+    _dataplane_tree(tmp_path, engine_src=_ENGINE_OK + _DRIVER_LOOKUP)
+    runner = tmp_path / "repro" / "benchmark" / "runner.py"
+    runner.parent.mkdir(parents=True, exist_ok=True)
+    runner.write_text(runner_src)
+    return check_dataplane.check_tree(tmp_path)
+
+
+def test_dataplane_lint_accepts_lookups_in_the_driver(tmp_path):
+    assert _lookup_tree(tmp_path, _RUNNER_HOOK) == []
+
+
+@pytest.mark.parametrize("call,message", [
+    ("adapter.lookup(shared, spec)", "adapter lookup outside execute_plan"),
+    ("plan.adapter.lookup(shared, spec)",
+     "adapter lookup outside execute_plan"),
+    ("_lookup_unit(shared, spec)", "_lookup_unit() is a stage adapter's"),
+])
+def test_dataplane_lint_flags_lookups_outside_the_driver(
+    tmp_path, call, message
+):
+    violations = _lookup_tree(
+        tmp_path,
+        _RUNNER_HOOK + f"def _execute_unit(shared, spec, plan, adapter):\n"
+        f"    return {call}\n",
+    )
+    assert len(violations) == 1, "\n".join(violations)
+    assert "runner.py:5" in violations[0]
+    assert message in violations[0]
+
+
 def test_dataplane_lint_flags_missing_dispatch_module(tmp_path):
     segments = tmp_path / "repro" / "dataplane" / "segments.py"
     segments.parent.mkdir(parents=True)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: keep the shared-memory data plane leak-free and zero-copy.
 
-Two invariants, both easy to break silently in review:
+Three invariants, all easy to break silently in review:
 
 1. **Segment lifecycle**: ``SharedMemory(create=True)`` allocates a
    named ``/dev/shm`` file that outlives the process unless someone
@@ -22,6 +22,14 @@ Two invariants, both easy to break silently in review:
    anything plan-scoped either (``PLAN_SCOPED_NAMES``: the plan, its
    adapter, its shipment) -- it would be stale for every later plan;
    plan-scoped data rides the per-plan task header.
+
+3. **Memo hits resolve in the driver**: a stage adapter's ``lookup``
+   hook is called only by ``execute_plan`` (``LOOKUP_CALLER``), next to
+   the checkpoint loads.  A lookup anywhere else -- inside a unit, in a
+   worker -- would read entries the driver already read, or dispatch a
+   hit to a pool.  Flagged: ``<...adapter>.lookup(...)`` outside that
+   function, and any direct call of a function some ``StageAdapter(...)``
+   registers as its ``lookup=``.
 
 Intentional exceptions live in ``ALLOWLIST`` as ``(module, lineno-name)``
 entries with the reason recorded next to each.  The tier-1 suite asserts
@@ -58,6 +66,9 @@ PLAN_SCOPED_NAMES = {"plan", "adapter", "shipment"}
 
 #: Pool methods whose iterable is a per-task pickle stream.
 DISPATCH_METHODS = {"imap", "imap_unordered", "map", "map_async", "starmap"}
+
+#: (module, top-level function) of the one caller of adapter lookups.
+LOOKUP_CALLER = ("repro/parallel/engine.py", "execute_plan")
 
 # (module, function-name) pairs allowed to break the rules.  Each entry
 # must document why.
@@ -201,8 +212,62 @@ def check_dispatch(src_root: Path) -> List[str]:
     return violations
 
 
+def _calls_by_function(tree: ast.Module) -> Iterator[Tuple[str, ast.Call]]:
+    """Every call with the top-level function it sits in ('' outside)."""
+    for node in tree.body:
+        owner = (
+            node.name
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else ""
+        )
+        for call in _calls(node):
+            yield owner, call
+
+
+def check_lookups(src_root: Path) -> List[str]:
+    """Rule 3: adapter ``lookup`` hooks are called by the driver only."""
+    trees = [
+        (path, relative, ast.parse(path.read_text(), filename=str(path)))
+        for path, relative in _iter_sources(src_root)
+    ]
+    hooks = {
+        keyword.value.id
+        for _, _, tree in trees
+        for call in _calls(tree)
+        if isinstance(call.func, ast.Name) and call.func.id == "StageAdapter"
+        for keyword in call.keywords
+        if keyword.arg == "lookup" and isinstance(keyword.value, ast.Name)
+    }
+    violations: List[str] = []
+    for path, relative, tree in trees:
+        for owner, call in _calls_by_function(tree):
+            func = call.func
+            if isinstance(func, ast.Name) and func.id in hooks:
+                violations.append(
+                    f"{path}:{call.lineno}: {func.id}() is a stage "
+                    f"adapter's lookup hook; only execute_plan calls it, "
+                    f"through the adapter"
+                )
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr == "lookup"
+                and _references(func.value, {"adapter"})
+                and (relative, owner) != LOOKUP_CALLER
+            ):
+                violations.append(
+                    f"{path}:{call.lineno}: adapter lookup outside "
+                    f"execute_plan; memo hits resolve in the driver, next "
+                    f"to the checkpoint loads"
+                )
+    return violations
+
+
 def check_tree(src_root: Path) -> List[str]:
-    return check_creates(src_root) + check_dispatch(src_root)
+    return (
+        check_creates(src_root)
+        + check_dispatch(src_root)
+        + check_lookups(src_root)
+    )
 
 
 def main(argv: List[str]) -> int:
