@@ -64,6 +64,7 @@ from typing import (
 import numpy as np
 
 from repro.cache.keys import (
+    ConfigTemplate,
     artifact_key,
     canonical_config,
     config_fingerprint,
@@ -951,10 +952,13 @@ def run_scenario(
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if memo_key is None:
+    if memo_key is None and current_cache() is not None:
+        template = _scenario_key_template(
+            dataset, model_name, test_fraction, kept_rows, model_params,
+            sample_rows, tune_trials,
+        )
         memo_key = _scenario_unit_key(
-            scenario, variant_table, dataset, model_name, seed,
-            test_fraction, kept_rows, model_params, sample_rows, tune_trials,
+            template, scenario, variant_table, dataset, seed
         )
         value = _replay_scenario_unit(memo_key, dataset.task)
         if value is not None:
@@ -1055,59 +1059,71 @@ def _stratify_labels(dataset: BenchmarkDataset) -> Optional[List[str]]:
     return [str(v) for v in dataset.clean.column(dataset.target)]
 
 
-def _scenario_unit_key(
-    scenario: Scenario,
-    variant_table: Table,
+def _scenario_key_template(
     dataset: BenchmarkDataset,
     model_name: str,
-    seed: int,
     test_fraction: float = 0.25,
     kept_rows: Optional[Sequence[int]] = None,
     model_params: Optional[Dict[str, object]] = None,
     sample_rows: Optional[int] = None,
     tune_trials: Optional[int] = None,
-) -> Optional[str]:
-    """Provenance key of one supervised unit; None without an installed
-    cache or for a task that is not supervised.
+) -> Optional[ConfigTemplate]:
+    """The part of a supervised unit's provenance key that every
+    (scenario, seed) unit of one evaluation shares; None for a task that
+    is not supervised.
 
-    It names what the unit is computed from -- the variant and clean
-    tables (memoized fingerprints), the split, the encoding settings and
-    the model -- not the split tables or matrices built from them, so a
-    hit needs none of those.  The stratification labels are part of it
-    because ``str`` tells apart cells that the table fingerprint merges
-    (``None`` and NaN, ``float32`` and ``float64`` payloads).
+    It names the split, the encoding settings and the model -- not the
+    split tables or matrices built from them, so a hit needs none of
+    those.  The stratification labels are part of it because ``str``
+    tells apart cells that the table fingerprint merges (``None`` and
+    NaN, ``float32`` and ``float64`` payloads).
     """
-    if current_cache() is None or dataset.task not in (
-        "classification", "regression"
-    ):
+    if dataset.task not in ("classification", "regression"):
         return None
     tuned = tune_trials is not None and tune_trials > 0
     model = build_model(
         dataset.task, model_name, **({} if tuned else model_params or {})
     )
     kind = type(model)
+    return ConfigTemplate({
+        "test_fraction": test_fraction,
+        "kept_rows": (
+            None if kept_rows is None else [int(i) for i in kept_rows]
+        ),
+        "sample_rows": sample_rows,
+        "stratify": _stratify_labels(dataset),
+        "target": dataset.target,
+        "task": dataset.task,
+        "max_categories": SUPERVISED_MAX_CATEGORIES,
+        # The zoo name picks the tuning search space: two names may
+        # build the same default model (Ridge and Lasso-like).
+        "model_name": model_name,
+        "model": f"{kind.__module__}.{kind.__qualname__}",
+        "params": model.get_params(),
+        "tune_trials": tune_trials if tuned else None,
+    })
+
+
+def _scenario_unit_key(
+    template: Optional[ConfigTemplate],
+    scenario: Scenario,
+    variant_table: Table,
+    dataset: BenchmarkDataset,
+    seed: int,
+) -> Optional[str]:
+    """Provenance key of one supervised unit: its evaluation's
+    ``template`` plus the variant and clean tables (memoized
+    fingerprints), the scenario and the seed.  None without a
+    template."""
+    if template is None:
+        return None
     return artifact_key(
         SCENARIO_UNIT_KIND,
         [table_fingerprint(variant_table), table_fingerprint(dataset.clean)],
-        {
-            "scenario": [scenario.name, scenario.train, scenario.test],
-            "seed": seed,
-            "test_fraction": test_fraction,
-            "kept_rows": (
-                None if kept_rows is None else [int(i) for i in kept_rows]
-            ),
-            "sample_rows": sample_rows,
-            "stratify": _stratify_labels(dataset),
-            "target": dataset.target,
-            "task": dataset.task,
-            "max_categories": SUPERVISED_MAX_CATEGORIES,
-            # The zoo name picks the tuning search space: two names may
-            # build the same default model (Ridge and Lasso-like).
-            "model_name": model_name,
-            "model": f"{kind.__module__}.{kind.__qualname__}",
-            "params": model.get_params(),
-            "tune_trials": tune_trials if tuned else None,
-        },
+        template.bind(
+            scenario=[scenario.name, scenario.train, scenario.test],
+            seed=seed,
+        ),
     )
 
 
@@ -1285,16 +1301,24 @@ class _ScenarioShared(_StageShared):
             "seed": spec.params["seed"],
         }
 
+    @cached_property
+    def key_template(self) -> Optional[ConfigTemplate]:
+        """The key part every unit of the evaluation shares, built once."""
+        return _scenario_key_template(
+            self.dataset, self.model_name, kept_rows=self.kept_rows,
+            sample_rows=self.sample_rows,
+        )
+
     def read_memo(self, spec: UnitSpec) -> Optional[MemoRead]:
+        if current_cache() is None:
+            return None
         try:
             key = _scenario_unit_key(
+                self.key_template,
                 get_scenario(spec.params["scenario"]),
                 self.variant_table,
                 self.dataset,
-                self.model_name,
                 spec.params["seed"],
-                kept_rows=self.kept_rows,
-                sample_rows=self.sample_rows,
             )
         except (KeyError, ValueError, TypeError):
             return None  # the attempt raises it again, under the guard

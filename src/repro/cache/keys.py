@@ -38,6 +38,7 @@ class and configuration, equal in every process) and
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import hashlib
@@ -45,7 +46,15 @@ import json
 import math
 import types
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Any,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
@@ -355,21 +364,57 @@ def array_fingerprint(array: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def config_fingerprint(config: Mapping[str, Any]) -> str:
-    """SHA-256 hex digest of a JSON-serializable configuration mapping."""
-    text = json.dumps(
-        {str(k): config[k] for k in config},
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
+def _config_text(value: Any) -> str:
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
+
+
+@dataclasses.dataclass(frozen=True)
+class SerializedConfig:
+    """A configuration mapping already in its canonical JSON text."""
+
+    text: str
+
+
+def config_fingerprint(
+    config: Union[Mapping[str, Any], SerializedConfig],
+) -> str:
+    """SHA-256 hex digest of a JSON-serializable configuration mapping."""
+    if isinstance(config, SerializedConfig):
+        text = config.text
+    else:
+        text = _config_text({str(k): config[k] for k in config})
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+class ConfigTemplate:
+    """A configuration whose constant items are serialized once.
+
+    For keys that many units share all but a few items of (a model
+    stage's units differ only in scenario and seed): :meth:`bind` gives
+    the canonical text of the constant items updated with the variable
+    ones, serializing only the variable ones, so that
+    ``artifact_key(kind, tables, template.bind(**variable))`` equals
+    :func:`artifact_key` of the merged mapping.
+    """
+
+    def __init__(self, constant: Mapping[str, Any]) -> None:
+        self._texts = {str(k): _config_text(v) for k, v in constant.items()}
+
+    def bind(self, **variable: Any) -> SerializedConfig:
+        texts = dict(self._texts)
+        texts.update((k, _config_text(v)) for k, v in variable.items())
+        # The text json.dumps(sort_keys=True) gives the merged mapping.
+        return SerializedConfig("{%s}" % ",".join(
+            f"{_config_text(k)}:{texts[k]}" for k in sorted(texts)
+        ))
 
 
 def artifact_key(
     kind: str,
     tables: Sequence[str],
-    config: Mapping[str, Any],
+    config: Union[Mapping[str, Any], SerializedConfig],
 ) -> str:
     """Canonical cache key for one artifact.
 

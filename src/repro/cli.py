@@ -374,9 +374,11 @@ def _cache_session(
 ) -> Iterator[Optional[ArtifactCache]]:
     """Install the artifact cache for one CLI run (when requested).
 
-    On exit the cache's hit/miss/bytes counters are emitted as a
-    ``cache_summary`` ledger event, so a run's cache behaviour is
-    auditable next to its spans and failures.
+    On exit the run's cache counters are emitted as a ``cache_summary``
+    ledger event, so a run's cache behaviour is auditable next to its
+    spans and failures.  They are read from the telemetry's ``cache.*``
+    counters, into which pool workers merge their own: a pooled run
+    books every process's reads and writes, not only the driver's.
     """
     if args.no_cache or args.cache_dir is None:
         yield None
@@ -393,9 +395,11 @@ def _cache_session(
             yield cache
         finally:
             if telemetry is not None:
-                telemetry.event(
-                    "cache_summary", root=cache.root, **cache.stats()
-                )
+                counters = telemetry.metrics.snapshot()["counters"]
+                telemetry.event("cache_summary", root=cache.root, **{
+                    name: counters.get(f"cache.{name}", 0)
+                    for name in cache.stats()
+                })
 
 
 def _print_telemetry(args: argparse.Namespace, telemetry) -> None:

@@ -3,14 +3,28 @@
 A detector consumes a :class:`~repro.context.CleaningContext` and returns
 the set of cells it believes erroneous, plus its runtime -- the two
 quantities Section 6.2 evaluates.
+
+Methods that run other detectors inside their own unit (the Min-K, Max
+Entropy and Metadata-driven ensembles, BoostClean's detector library)
+call them through :func:`nested_cells`, which memoizes each call's cells
+in the artifact cache when one is installed.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Set
+from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
+import numpy as np
+
+from repro.cache.keys import (
+    artifact_key,
+    canonical_config,
+    source_digest,
+    table_identity,
+)
+from repro.cache.store import CacheEntry, current_cache
 from repro.context import CleaningContext
 from repro.dataset.table import Cell, Table
 
@@ -131,3 +145,95 @@ class BlockwiseDetector:
         start: int,
     ) -> Set[Cell]:
         raise NotImplementedError
+
+
+#: Cache kind of one nested detector call's cells (:func:`nested_cells`).
+NESTED_CELLS_KIND = "detector/nested_cells@v1"
+
+
+def nested_cells(
+    detector: Detector, context: CleaningContext
+) -> FrozenSet[Cell]:
+    """The cells ``detector`` flags on ``context``, for a method that
+    runs it inside its own unit.
+
+    This is the one place such a nested ``detect`` call happens.  Under
+    an installed artifact cache the cells are memoized
+    (:data:`NESTED_CELLS_KIND`) under everything the call is computed
+    from (:func:`_nested_key`), so the ensembles of one suite run their
+    shared base-detector pool once per table.  A hit still checks the
+    context's deadline, as ``detect`` would; it skips the detector and
+    its runtime.  Without a cache, or when a key part has no exact form,
+    it is the plain ``detect`` call.  Only successful calls are stored:
+    a raising detector raises to its caller every time.
+    """
+    cache = current_cache()
+    key = None if cache is None else _nested_key(detector, context)
+    if key is None:
+        return detector.detect(context).cells
+    cells = _entry_cells(cache.get(key))
+    if cells is not None:
+        context.check_deadline(f"{detector.name}.detect")
+        return cells
+    cells = detector.detect(context).cells
+    arrays, meta = _cells_entry(cells)
+    cache.put(key, arrays, meta)
+    return cells
+
+
+def _nested_key(
+    detector: Detector, context: CleaningContext
+) -> Optional[str]:
+    """The memo key of one nested call, or None (not memoized).
+
+    It names the exact identity of the dirty and clean tables, the
+    context's cleaning signals and task, its seed, the detector's
+    canonical configuration, the package sources and numpy's version.
+    """
+    if context.clean is None:
+        return None
+    tables = [table_identity(context.dirty), table_identity(context.clean)]
+    signals = canonical_config([
+        context.constraints, context.fds, context.patterns,
+        context.knowledge_base, context.key_columns,
+        context.label_column, context.task,
+    ])
+    method = canonical_config(detector)
+    if None in tables or signals is None or method is None:
+        return None
+    return artifact_key(NESTED_CELLS_KIND, tables, {
+        "signals": signals,
+        "seed": context.seed,
+        "method": method,
+        "source": source_digest(),
+        "numpy": np.__version__,
+    })
+
+
+def _cells_entry(
+    cells: FrozenSet[Cell],
+) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """A cell set as row and column-index arrays (sorted by column, then
+    row, so every process writes the same bytes) with the column names
+    in the meta."""
+    columns = sorted({str(column) for _, column in cells})
+    position = {column: j for j, column in enumerate(columns)}
+    rows = np.fromiter((row for row, _ in cells), np.int64, len(cells))
+    cols = np.fromiter(
+        (position[str(column)] for _, column in cells), np.int64, len(cells)
+    )
+    order = np.lexsort((rows, cols))
+    return {"rows": rows[order], "cols": cols[order]}, {"columns": columns}
+
+
+def _entry_cells(entry: Optional[CacheEntry]) -> Optional[FrozenSet[Cell]]:
+    """The cell set of a nested entry; None for a miss or a malformed
+    entry (which recomputes and rewrites it)."""
+    if entry is None:
+        return None
+    try:
+        rows, cols = entry.arrays["rows"], entry.arrays["cols"]
+        columns = entry.meta["columns"]
+        return frozenset(zip(rows.tolist(), [columns[j] for j in cols.tolist()]))
+    except (KeyError, IndexError, TypeError):
+        return None

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.context import CleaningContext
 from repro.dataset.table import Cell
-from repro.detectors.base import NON_LEARNING, Detector
+from repro.detectors.base import NON_LEARNING, Detector, nested_cells
 from repro.detectors.dboost import DBoostDetector
 from repro.detectors.duplicates import KeyCollisionDetector
 from repro.detectors.fahes import FahesDetector
@@ -77,12 +77,12 @@ class MinKDetector(Detector):
         trusted_cells: Set[Cell] = set()
         active = 0
         for detector in self.base_detectors:
-            result = detector.detect(context)
-            if result.cells:
+            cells = nested_cells(detector, context)
+            if cells:
                 active += 1
             if detector.name in self.trusted:
-                trusted_cells |= set(result.cells)
-            for cell in result.cells:
+                trusted_cells |= cells
+            for cell in cells:
                 votes[cell] = votes.get(cell, 0) + 1
         # Never demand more votes than detectors that actually fired.
         threshold = min(self.k, active) if active else self.k
@@ -135,7 +135,7 @@ class MaxEntropyDetector(Detector):
 
     def _detect(self, context: CleaningContext) -> Set[Cell]:
         results = {
-            detector.name: detector.detect(context).cells
+            detector.name: nested_cells(detector, context)
             for detector in self.base_detectors
         }
         union: Set[Cell] = set()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -41,16 +41,36 @@ def _lower_key(value: Any) -> Optional[str]:
     return None if is_missing(value) else str(value).strip().lower()
 
 
+class _CodePointTable(dict):
+    """A ``str.translate`` table that classifies each code point once,
+    on first sight, with ``classify(char)`` (a replacement string, or
+    None to delete the character)."""
+
+    def __init__(self, classify: Callable[[str], Optional[str]]) -> None:
+        super().__init__()
+        self._classify = classify
+
+    def __missing__(self, code_point: int) -> Optional[str]:
+        value = self[code_point] = self._classify(chr(code_point))
+        return value
+
+
+#: Digits become ``9``, letters ``a``; anything else stays itself.
+_SHAPE_TABLE = _CodePointTable(
+    lambda ch: "9" if ch.isdigit() else "a" if ch.isalpha() else ch
+)
+#: Keeps the digits and deletes everything else.
+_DIGIT_TABLE = _CodePointTable(lambda ch: ch if ch.isdigit() else None)
+
+
 def _shape_of(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch.isdigit():
-            out.append("9")
-        elif ch.isalpha():
-            out.append("a")
-        else:
-            out.append(ch)
-    return "".join(out)
+    """The value's shape: each digit as ``9``, each letter as ``a``."""
+    return text.translate(_SHAPE_TABLE)
+
+
+def _digit_fraction(text: str) -> float:
+    """The share of a non-empty value's characters that are digits."""
+    return len(text.translate(_DIGIT_TABLE)) / len(text)
 
 
 @dataclass(frozen=True)
@@ -207,12 +227,7 @@ def metadata_features_block(
         [0.0 if k is None else float(len(k.split())) for k in keys]
     )
     digit_fraction = np.array(
-        [
-            0.0
-            if not k
-            else sum(ch.isdigit() for ch in k) / len(k)
-            for k in keys
-        ]
+        [0.0 if not k else _digit_fraction(k) for k in keys]
     )
     frequency = np.array(
         [
@@ -246,12 +261,14 @@ def metadata_features(table: Table, column: str) -> np.ndarray:
 
 
 def _combined_features_fresh(table: Table) -> Dict[str, np.ndarray]:
-    return {
-        column: np.hstack(
-            [strategy_features(table, column), metadata_features(table, column)]
-        )
-        for column in table.column_names
-    }
+    features = {}
+    for column in table.column_names:
+        profile = fit_column_profile(table, column)
+        features[column] = np.hstack([
+            strategy_features_block(profile, table),
+            metadata_features_block(profile, table),
+        ])
+    return features
 
 
 def _profile_digest(profile: ColumnProfile) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 from repro.context import CleaningContext
 from repro.dataset.encoding import TableEncoder
 from repro.dataset.table import Cell, Table
-from repro.detectors.base import ML_SUPPORTED, Detector
+from repro.detectors.base import ML_SUPPORTED, Detector, nested_cells
 from repro.detectors.ensembles import default_base_detectors
 from repro.detectors.features import (
     combined_features,
@@ -85,37 +85,40 @@ class MetadataDrivenDetector(Detector):
         table = context.dirty
         rng = context.rng(31)
         detector_cells = [
-            detector.detect(context).cells for detector in self.base_detectors
+            nested_cells(detector, context) for detector in self.base_detectors
         ]
-        all_cells = [
-            (i, column)
-            for column in table.column_names
-            for i in range(table.n_rows)
-        ]
-        cell_index = {cell: pos for pos, cell in enumerate(all_cells)}
-        tool_features = np.zeros((len(all_cells), len(detector_cells)))
+        # Cells are enumerated column-major: position p is row
+        # p % n_rows of column p // n_rows.
+        columns = table.column_names
+        n_rows = table.n_rows
+        n_cells = n_rows * len(columns)
+        offset = {column: j * n_rows for j, column in enumerate(columns)}
+
+        def cell_at(pos: int) -> Cell:
+            column, row = divmod(int(pos), n_rows)
+            return (row, columns[column])
+
+        tool_features = np.zeros((n_cells, len(detector_cells)))
         for j, cells in enumerate(detector_cells):
-            for cell in cells:
-                if cell in cell_index:
-                    tool_features[cell_index[cell], j] = 1.0
-        meta = {
-            column: metadata_features(table, column)
-            for column in table.column_names
-        }
-        meta_matrix = np.vstack(
-            [meta[column][i] for i, column in all_cells]
+            hits = [
+                offset[column] + row
+                for row, column in cells
+                if column in offset and 0 <= row < n_rows
+            ]
+            tool_features[np.asarray(hits, dtype=np.int64), j] = 1.0
+        meta_matrix = np.concatenate(
+            [metadata_features(table, column) for column in columns]
         )
         features = np.hstack([tool_features, meta_matrix])
-        budget = min(self.label_budget, len(all_cells))
-        sample = rng.choice(len(all_cells), size=budget, replace=False)
+        budget = min(self.label_budget, n_cells)
+        sample = rng.choice(n_cells, size=budget, replace=False)
         labels = {
-            int(pos): context.oracle_is_dirty(all_cells[int(pos)])
-            for pos in sample
+            int(pos): context.oracle_is_dirty(cell_at(pos)) for pos in sample
         }
         flags = _train_and_classify(
             features, list(labels), labels, context.seed
         )
-        return {all_cells[pos] for pos in np.flatnonzero(flags)}
+        return {cell_at(pos) for pos in np.flatnonzero(flags)}
 
 
 class RahaDetector(Detector):

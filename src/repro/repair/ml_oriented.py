@@ -17,6 +17,7 @@ import numpy as np
 from repro.context import CleaningContext
 from repro.dataset.encoding import LabelEncoder, TableEncoder
 from repro.dataset.table import Cell, Table
+from repro.detectors.base import nested_cells
 from repro.detectors.simple import IQRDetector, MVDetector, SDDetector
 from repro.metrics.model import f1_score
 from repro.ml.linear import LogisticRegression
@@ -200,7 +201,7 @@ class BoostCleanRepair(MLOrientedRepair):
             if detector is None:
                 cleaned = table.select_rows(train_rows)
             else:
-                detected = detector.detect(context).cells
+                detected = nested_cells(detector, context)
                 train_detected = {
                     (row, col) for row, col in detected if row not in valid_set
                 }

@@ -27,15 +27,18 @@ from oracles.constraints import (
 )
 from oracles.detectors import (
     reference_build_blocks,
+    reference_digit_fraction,
     reference_enumerate_block_pairs,
     reference_histogram_outliers,
     reference_iqr_detect,
     reference_katara_align_column,
     reference_katara_violations,
+    reference_meta_detect,
     reference_mixture_outliers,
     reference_mv_detect,
     reference_pair_feature_matrix,
     reference_sd_detect,
+    reference_shape_of,
 )
 from oracles.repair import reference_baran_repair, reference_holoclean_repair
 from oracles.table import reference_diff_cells
@@ -43,7 +46,8 @@ from repro.cache.store import current_cache
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.fd import FunctionalDependency
 from repro.dataset.table import Table
-from repro.detectors import dboost, duplicates, katara
+from repro.detectors import dboost, duplicates, features, katara
+from repro.detectors.ml_detectors import MetadataDrivenDetector
 from repro.detectors.simple import IQRDetector, MVDetector, SDDetector
 from repro.repair.baran import BaranRepair
 from repro.repair.holistic import HoloCleanRepair
@@ -57,6 +61,9 @@ KERNELS: Tuple[Tuple[Any, str, Callable[..., Any]], ...] = (
     (MVDetector, "_detect", reference_mv_detect),
     (SDDetector, "_detect", reference_sd_detect),
     (IQRDetector, "_detect", reference_iqr_detect),
+    (features, "_shape_of", reference_shape_of),
+    (features, "_digit_fraction", reference_digit_fraction),
+    (MetadataDrivenDetector, "_detect", reference_meta_detect),
     (duplicates, "build_blocks", reference_build_blocks),
     (duplicates, "_enumerate_block_pairs", reference_enumerate_block_pairs),
     (duplicates, "pair_feature_matrix", reference_pair_feature_matrix),

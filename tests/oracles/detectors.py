@@ -13,7 +13,11 @@ vectorization pass (mirroring :mod:`oracles.ml`):
 - KATARA domain/relation checking by per-row membership loops;
 - the whole-table MV, SD and IQR detector bodies, with one
   ``is_missing``/``coerce_float`` call per cell instead of the table's
-  column views.
+  column views;
+- the cell-feature value shape and digit fraction by one
+  ``isdigit``/``isalpha`` call per character;
+- the Metadata-driven detector body, which enumerates every cell into a
+  list and a position dict and stacks one metadata row view per cell.
 
 One deliberate deviation is documented inline:
 :func:`reference_enumerate_block_pairs` iterates blocks in sorted-key
@@ -41,6 +45,8 @@ from typing import Dict, List, Mapping, Sequence, Set, Tuple
 import numpy as np
 
 from repro.dataset.table import Table, coerce_float, is_missing
+from repro.detectors.features import metadata_features
+from repro.detectors.ml_detectors import _train_and_classify
 
 # ----------------------------------------------------------------------
 # dBoost: histogram scoring and mixture EM
@@ -320,3 +326,67 @@ def reference_katara_violations(
                     cells.add((i, col_a))
                     cells.add((i, col_b))
     return cells
+
+
+# ----------------------------------------------------------------------
+# Cell features: per-character shape and digit share
+# ----------------------------------------------------------------------
+
+
+def reference_shape_of(text: str) -> str:
+    """Original per-character shape loop."""
+    out = []
+    for ch in text:
+        if ch.isdigit():
+            out.append("9")
+        elif ch.isalpha():
+            out.append("a")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def reference_digit_fraction(text: str) -> float:
+    """Original per-character digit count."""
+    return sum(ch.isdigit() for ch in text) / len(text)
+
+
+# ----------------------------------------------------------------------
+# Metadata-driven detector: per-cell feature assembly
+# ----------------------------------------------------------------------
+
+
+def reference_meta_detect(detector, context) -> Set[Tuple[int, str]]:
+    """Original body of ``MetadataDrivenDetector._detect``."""
+    if not context.has_ground_truth:
+        return set()
+    table = context.dirty
+    rng = context.rng(31)
+    detector_cells = [
+        base.detect(context).cells for base in detector.base_detectors
+    ]
+    all_cells = [
+        (i, column)
+        for column in table.column_names
+        for i in range(table.n_rows)
+    ]
+    cell_index = {cell: pos for pos, cell in enumerate(all_cells)}
+    tool_features = np.zeros((len(all_cells), len(detector_cells)))
+    for j, cells in enumerate(detector_cells):
+        for cell in cells:
+            if cell in cell_index:
+                tool_features[cell_index[cell], j] = 1.0
+    meta = {
+        column: metadata_features(table, column)
+        for column in table.column_names
+    }
+    meta_matrix = np.vstack([meta[column][i] for i, column in all_cells])
+    features = np.hstack([tool_features, meta_matrix])
+    budget = min(detector.label_budget, len(all_cells))
+    sample = rng.choice(len(all_cells), size=budget, replace=False)
+    labels = {
+        int(pos): context.oracle_is_dirty(all_cells[int(pos)])
+        for pos in sample
+    }
+    flags = _train_and_classify(features, list(labels), labels, context.seed)
+    return {all_cells[pos] for pos in np.flatnonzero(flags)}

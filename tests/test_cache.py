@@ -25,6 +25,7 @@ from repro.benchmark import (
 )
 from repro.benchmark import runner
 from repro.benchmark.controller import BenchmarkController
+from repro.benchmark.scenarios import scenario as get_scenario
 from repro.cache import (
     CACHE_SCHEMA_VERSION,
     ArtifactCache,
@@ -40,7 +41,11 @@ from repro.cache import (
 from repro.cache.store import _ACTIVE
 from repro.datagen import generate
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
-from repro.dataset.encoding import TableEncoder, encode_supervised
+from repro.dataset.encoding import (
+    SUPERVISED_MAX_CATEGORIES,
+    TableEncoder,
+    encode_supervised,
+)
 from repro.detectors import Detector, MinKDetector, MVDetector, SDDetector
 from repro.detectors.features import combined_features
 from repro.ml import base as ml_base
@@ -678,6 +683,64 @@ class TestScenarioUnitMemo:
         assert cache.hits - hits == len(reference)
         assert np.array(cold).tobytes() == np.array(reference).tobytes()
         assert np.array(warm).tobytes() == np.array(reference).tobytes()
+
+    @pytest.mark.parametrize("name", ["Adult", "Nasa"])
+    def test_model_stage_keys_build_their_constants_once(
+        self, tmp_path, monkeypatch, name
+    ):
+        """Every unit of one evaluation shares one key template: the
+        stratification labels and the model's parameters are built once,
+        and each key equals the per-unit formula."""
+        dataset = generate(name, n_rows=60, seed=2)
+        kept = list(range(dataset.dirty.n_rows))
+        built = []
+        for attribute in ("_stratify_labels", "build_model"):
+            original = getattr(runner, attribute)
+            monkeypatch.setattr(
+                runner, attribute,
+                lambda *a, _f=original, _n=attribute, **k:
+                    built.append(_n) or _f(*a, **k),
+            )
+        shared = runner._ScenarioShared(
+            dataset=dataset, deadline_seconds=None, retry=None, clock=None,
+            sleep=null_sleep, variant_table=dataset.dirty,
+            variant_name="dirty", model_name="DT", kept_rows=tuple(kept),
+            sample_rows=20,
+        )
+        model = DecisionTreeClassifier if name == "Adult" else DecisionTreeRegressor
+        with cache_scope(ArtifactCache(str(tmp_path / "art"))):
+            for scenario in ("S1", "S3", "S4"):
+                for seed in range(3):
+                    spec = UnitSpec(0, "unit", "dirty:DT",
+                                    {"scenario": scenario, "seed": seed})
+                    got = shared.read_memo(spec).key
+                    s = get_scenario(scenario)
+                    expected = artifact_key(
+                        runner.SCENARIO_UNIT_KIND,
+                        [table_fingerprint(dataset.dirty),
+                         table_fingerprint(dataset.clean)],
+                        {
+                            "scenario": [s.name, s.train, s.test],
+                            "seed": seed,
+                            "test_fraction": 0.25,
+                            "kept_rows": kept,
+                            "sample_rows": 20,
+                            "stratify": (
+                                [str(v) for v in
+                                 dataset.clean.column(dataset.target)]
+                                if dataset.task == "classification" else None
+                            ),
+                            "target": dataset.target,
+                            "task": dataset.task,
+                            "max_categories": SUPERVISED_MAX_CATEGORIES,
+                            "model_name": "DT",
+                            "model": f"{model.__module__}.{model.__qualname__}",
+                            "params": model().get_params(),
+                            "tune_trials": None,
+                        },
+                    )
+                    assert got == expected, (scenario, seed)
+        assert sorted(built) == ["_stratify_labels", "build_model"]
 
     def test_incomplete_entry_recomputes_and_rewrites(self, tmp_path, splits):
         dataset = generate("SmartFactory", n_rows=80, seed=2)

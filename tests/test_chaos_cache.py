@@ -13,7 +13,10 @@ The cache's acceptance properties under fault injection:
   repairs, S1-S5 and a tuned scenario run), also after its unit entries
   are torn;
 - a torn scenario-unit entry (or every entry) falls back to a recompute
-  with a bit-identical score and rewrites the entry.
+  with a bit-identical score and rewrites the entry;
+- the ensembles' nested base-detector entries: stores (timing stripped)
+  are identical uncached, cold, warm and with torn nested entries, and a
+  run killed while publishing one resumes to the same store.
 
 Kills are injected at the cache's ``_finalize`` boundary (the exact
 window a real worker death would hit between write and publish),
@@ -34,11 +37,18 @@ from repro.benchmark import (
 )
 from repro.cache import ArtifactCache, cache_scope
 from repro.datagen import generate
-from repro.detectors import MVDetector, SDDetector
+from repro.detectors import (
+    MaxEntropyDetector,
+    MetadataDrivenDetector,
+    MinKDetector,
+    MVDetector,
+    SDDetector,
+)
 from repro.ml.tree import DecisionTreeClassifier
 from repro.parallel import ProcessPoolExecutor, null_sleep
 from repro.repair import MissForestMixRepair
 from repro.resilience import SuiteCheckpoint
+from repro.service.jobs import strip_timing
 
 pytestmark = pytest.mark.chaos
 
@@ -322,3 +332,67 @@ class TestCachedUncachedStoreEquivalence:
         )
         scores = np.asarray(evaluation.scores["S4"], dtype=float)
         assert np.isfinite(scores).all()
+
+
+def _ensemble_store(store_path, cache, executor=None, resume=False):
+    """Min-K, MaxEntropy and Meta over the default pool, timing stripped:
+    a nested hit skips the base detectors' clock reads, so stored
+    runtimes legitimately differ."""
+    with SuiteCheckpoint.open(store_path, "run", resume=resume) as ckpt:
+        with cache_scope(cache):
+            run_detection_suite(
+                generate("Beers", n_rows=60, seed=4),
+                [MinKDetector(), MaxEntropyDetector(), MetadataDrivenDetector()],
+                checkpoint=ckpt, clock=StepClock(), sleep=null_sleep,
+                executor=executor,
+            )
+    with SuiteCheckpoint.open(store_path, "run", resume=True) as ckpt:
+        units = sorted(ckpt.completed_units())
+        payload = {unit: strip_timing(ckpt.get(unit)) for unit in units}
+    assert len(payload) == 3
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def _nested_entries(cache):
+    reader = ArtifactCache(cache.root)
+    return [
+        key for key in cache.entries()
+        if set(reader.get(key).arrays) == {"rows", "cols"}
+    ]
+
+
+class TestNestedDetections:
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_store_identical_uncached_cold_warm_torn(self, tmp_path, workers):
+        executor = (
+            ProcessPoolExecutor(workers, start_method="fork") if workers else None
+        )
+        reference = _ensemble_store(str(tmp_path / "ref.sqlite"), None)
+        cache = ArtifactCache(str(tmp_path / "art"))
+        for run in ("cold", "warm", "torn"):
+            if run == "torn":
+                nested = _nested_entries(cache)
+                assert len(nested) == 8  # one per pool member
+                for key in nested + _memo_entries(cache):
+                    _tear(cache, key)
+            store = str(tmp_path / f"{run}.sqlite")
+            assert _ensemble_store(store, cache, executor) == reference, run
+        assert sorted(_nested_entries(cache)) == sorted(nested)
+        # The driver reads the 3 torn unit entries; the units' nested
+        # reads happen in the workers when there are workers.
+        assert cache.stats()["corrupt"] == (3 + 8 if workers is None else 3)
+        if executor is not None:
+            executor.close()
+
+    @pytest.mark.parametrize("kill_on", [1, 5])
+    def test_kill_mid_nested_write_resumes_identical(self, tmp_path, kill_on):
+        reference = _ensemble_store(str(tmp_path / "ref.sqlite"), None)
+        root = str(tmp_path / "art")
+        store = str(tmp_path / "killed.sqlite")
+        with pytest.raises(KeyboardInterrupt):
+            _ensemble_store(store, KillingCache(root, kill_on=kill_on))
+        wreck = ArtifactCache(root)
+        assert len(wreck.debris()) == 1
+        assert len(wreck.entries()) == kill_on - 1
+        resumed = _ensemble_store(store, ArtifactCache(root), resume=True)
+        assert resumed == reference

@@ -34,16 +34,18 @@ from repro.benchmark.runner import run_detection_suite, run_repair_suite
 from repro.cache import ArtifactCache, cache_scope
 from repro.constraints import DenialConstraint, FunctionalDependency, Predicate
 from repro.context import CleaningContext
-from repro.datagen import generate
+from repro.datagen import DATASET_NAMES, generate
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.detectors import (
     DBoostDetector,
     KeyCollisionDetector,
     KnowledgeBase,
+    MetadataDrivenDetector,
     MVDetector,
     NadeefDetector,
     ZeroERDetector,
 )
+from repro.detectors import features
 from repro.detectors.dboost import (
     _component_log_probs,
     _histogram_outliers,
@@ -76,10 +78,13 @@ from oracles.constraints import (
 )
 from oracles.detectors import (
     reference_build_blocks,
+    reference_digit_fraction,
     reference_enumerate_block_pairs,
     reference_histogram_outliers,
+    reference_meta_detect,
     reference_mixture_outliers,
     reference_pair_feature_matrix,
+    reference_shape_of,
 )
 
 # ----------------------------------------------------------------------
@@ -297,6 +302,76 @@ class TestNormalizedColumn:
     @settings(max_examples=60, deadline=None)
     def test_equals_per_row_comprehension(self, values):
         assert normalized_column(values, repr) == [repr(v) for v in values]
+
+
+# ----------------------------------------------------------------------
+# Cell features: code-point tables, one profile fit per column, Meta
+# ----------------------------------------------------------------------
+#: Text mixing ASCII, Latin-1, non-Latin letters, digits that are not
+#: decimal (superscript two), Arabic-Indic digits and separators.
+featurized_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("aZ09 ._-/²٣٤жЖ漢字éßΩ\t"), st.characters()
+    ),
+    max_size=12,
+)
+
+
+def _old_combined_features(table):
+    """The combined features as two separately fitted families."""
+    return {
+        column: np.hstack([
+            features.strategy_features(table, column),
+            features.metadata_features(table, column),
+        ])
+        for column in table.column_names
+    }
+
+
+class TestCellFeatureKernels:
+    @given(featurized_text)
+    @example("²٣ж漢 12ab")
+    @settings(max_examples=200, deadline=None)
+    def test_shape_equals_per_character_loop(self, text):
+        assert features._shape_of(text) == reference_shape_of(text)
+
+    @given(featurized_text.filter(bool))
+    @example("²٣ж漢 12ab")
+    @settings(max_examples=200, deadline=None)
+    def test_digit_fraction_equals_per_character_count(self, text):
+        got = features._digit_fraction(text)
+        want = reference_digit_fraction(text)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_features_bit_identical_on_every_generator(self, name):
+        table = generate(name, n_rows=80, seed=2).dirty
+        live = (
+            features.combined_features(table),
+            {c: features.strategy_features(table, c) for c in table.column_names},
+            {c: features.metadata_features(table, c) for c in table.column_names},
+        )
+        with reference_kernels():
+            frozen = (
+                _old_combined_features(table),
+                {c: features.strategy_features(table, c) for c in table.column_names},
+                {c: features.metadata_features(table, c) for c in table.column_names},
+            )
+        for got, want in zip(live, frozen):
+            assert list(got) == list(want)
+            for column in want:
+                assert got[column].dtype == want[column].dtype
+                assert got[column].tobytes() == want[column].tobytes(), column
+
+    @pytest.mark.parametrize("name", ["Soccer", "Beers", "Adult"])
+    def test_meta_cells_unchanged(self, name):
+        dataset = generate(name, n_rows=300, seed=5)
+        detector = MetadataDrivenDetector()
+        context = dataset.context(seed=2)
+        got = detector._detect(context)
+        assert got == reference_meta_detect(detector, context)
+        assert got, "a Meta run that flags nothing shows nothing"
+        assert all(type(row) is int for row, _ in got)
 
 
 # ----------------------------------------------------------------------

@@ -189,6 +189,34 @@ class TestCliObservability:
         stdout_trace = json.loads(capsys.readouterr().out)
         assert stdout_trace == trace
 
+    def test_pooled_cache_summary_books_every_process(self, tmp_path, capsys):
+        """Workers' cache reads and writes reach the run's summary: a
+        cold pooled run books one put per entry it wrote, a warm one
+        reads them all back and writes nothing."""
+        from repro.cache import ArtifactCache
+        from repro.observability import read_ledger
+
+        root = tmp_path / "cache"
+        summaries = []
+        for run in ("cold", "warm"):
+            events = tmp_path / f"{run}.jsonl"
+            assert main(
+                ["repair", "Beers", "--rows", "80", "--workers", "2",
+                 "--cache-dir", str(root), "--events", str(events), "-q"]
+            ) == 0
+            (summary,) = read_ledger(events, event="cache_summary")
+            summaries.append(summary)
+        capsys.readouterr()
+        cold, warm = summaries
+        entries = ArtifactCache(str(root)).entries()
+        assert cold["puts"] == len(entries) > 8
+        assert cold["misses"] == cold["puts"] and cold["hits"] == 0
+        assert cold["bytes_written"] == sum(
+            path.stat().st_size for path in root.glob("*/*.npz")
+        )
+        assert warm["puts"] == warm["misses"] == 0
+        assert warm["hits"] > 0
+
     def test_trace_rejects_missing_or_corrupt_ledger(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "absent.jsonl")]) == 4
         assert "cannot read ledger" in capsys.readouterr().err

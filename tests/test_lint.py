@@ -14,6 +14,7 @@ import check_clocks  # noqa: E402
 import check_dataplane  # noqa: E402
 import check_exceptions  # noqa: E402
 import check_hot_loops  # noqa: E402
+import check_nested_detect  # noqa: E402
 import check_reachable  # noqa: E402
 import check_rng  # noqa: E402
 import check_service_endpoints  # noqa: E402
@@ -904,3 +905,59 @@ def test_stage_call_lint_cli_exit_codes(tmp_path, capsys):
     assert check_stage_calls.main(["prog", str(tmp_path)]) == 1
     assert "a.py:2" in capsys.readouterr().out
     assert check_stage_calls.main(["prog", str(tmp_path / "nope")]) == 2
+
+
+def test_nested_detector_calls_go_through_the_helper():
+    assert check_nested_detect.check_tree(REPO_ROOT / "src") == []
+
+
+_NESTED_HELPER = (
+    "def nested_cells(detector, context):\n"
+    "    return detector.detect(context).cells\n"
+)
+
+
+def test_nested_detect_lint_flags_direct_calls(tmp_path):
+    _scoped_file(tmp_path, "repro/detectors/base.py", _NESTED_HELPER)
+    _scoped_file(
+        tmp_path, "repro/detectors/ensembles.py",
+        "class Vote:\n"
+        "    def _detect(self, context):\n"
+        "        return [d.detect(context) for d in self.base_detectors]\n",
+    )
+    _scoped_file(
+        tmp_path, "repro/repair/boost.py",
+        "def library(context, detector):\n"
+        "    return detector.detect(context).cells\n",
+    )
+    violations = check_nested_detect.check_tree(tmp_path)
+    assert len(violations) == 2, "\n".join(violations)
+    assert "ensembles.py:3: Vote._detect calls" in violations[0]
+    assert "boost.py:2: library calls" in violations[1]
+
+
+def test_nested_detect_lint_allows_only_the_helper_in_its_module(tmp_path):
+    _scoped_file(tmp_path, "repro/detectors/base.py", _NESTED_HELPER)
+    # The helper's name elsewhere is not the helper.
+    _scoped_file(tmp_path, "repro/repair/other.py", _NESTED_HELPER)
+    # Outside the two trees, detect calls are not nested calls.
+    _scoped_file(
+        tmp_path, "repro/benchmark/runner.py",
+        "def attempt(detector, context):\n"
+        "    return detector.detect(context)\n",
+    )
+    violations = check_nested_detect.check_tree(tmp_path)
+    assert len(violations) == 1, "\n".join(violations)
+    assert "other.py:2: nested_cells calls" in violations[0]
+
+
+def test_nested_detect_lint_cli_exit_codes(tmp_path, capsys):
+    _scoped_file(tmp_path, "repro/detectors/base.py", _NESTED_HELPER)
+    assert check_nested_detect.main(["prog", str(tmp_path)]) == 0
+    _scoped_file(
+        tmp_path, "repro/detectors/meta.py",
+        "CELLS = POOL[0].detect(None)\n",
+    )
+    assert check_nested_detect.main(["prog", str(tmp_path)]) == 1
+    assert "meta.py:1: <module> calls" in capsys.readouterr().out
+    assert check_nested_detect.main(["prog", str(tmp_path / "nope")]) == 2
