@@ -2,7 +2,7 @@
 fingerprints and cell diffs vs the frozen per-cell references, plus the
 warm artifact cache against a cold end-to-end run.
 
-Eight measurements, all against honest workloads:
+Eleven measurements, all against honest workloads:
 
 - **tree fit+predict**: both builders train on the one-hot-heavy matrix
   produced by actually encoding a generated benchmark dataset (the
@@ -36,14 +36,27 @@ Eight measurements, all against honest workloads:
   error rate leaves some 49,000 cells for ``values_equal``); the pass
   that rebuilds both tables' views is reported beside it.
 - **dBoost**: the whole detector on Soccer at 5,300 rows, against the
-  same detector with the frozen mixture EM of :mod:`oracles.detectors`
-  (``np.logaddexp.reduce`` rows, the final log-likelihood computed
-  twice).  dBoost runs four times per Soccer detection suite: alone and
-  inside Min-K, MaxEntropy and Meta.  Bar: >= 1.4x, cells identical.
+  same detector with its frozen configuration search (one mixture EM
+  per mixture configuration) and frozen mixture EM of
+  :mod:`oracles.detectors` (``np.logaddexp.reduce`` rows, the final
+  log-likelihood computed twice).  dBoost runs four times per Soccer
+  detection suite: alone and inside Min-K, MaxEntropy and Meta.  Bar:
+  >= 1.4x, cells identical.
+- **dBoost EM reuse**: the same, with only the frozen configuration
+  search patched in: one EM fit per column and component count against
+  one per mixture configuration.  Bar: >= 1.4x, cells identical.
 - **isolation detect**: the IF detector on the same table, against the
   two-pass original (``fit`` scores the training matrix for its
-  threshold, ``predict`` scores it again; ``oracles.ml``).  Bar: >=
-  1.5x, cells identical.
+  threshold, ``predict`` scores it again) with every tree routed node
+  by node (``oracles.ml``).  Bar: >= 1.5x, cells identical.
+- **isolation 1-D scoring**: ``score_samples`` of the IF detector's
+  one-feature forests on the same table (one per numerical column, 40
+  trees), search against node-by-node routing.  Bar: >= 1.5x, scores
+  identical.
+- **cell features**: ``combined_features`` on the same table, one pass
+  per distinct entry against the two separately fitted feature families
+  per column (``oracles.detectors.reference_column_features``).  Bar:
+  >= 1.5x, matrices identical.
 - **warm cache end-to-end**: an ML detector suite (featurization-bound
   ED2) run cold then warm on the same artifact cache; the warm run reads
   one detection-unit entry.  Bar: >= 2x, and the warm run's payloads
@@ -57,6 +70,7 @@ import json
 import math
 import os
 import time
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -65,7 +79,7 @@ from conftest import bench_dataset, emit
 from repro.benchmark import run_detection_suite
 from repro.cache import ArtifactCache, cache_scope, table_fingerprint
 from repro.dataset.encoding import TableEncoder
-from repro.detectors import dboost
+from repro.detectors import dboost, features
 from repro.detectors.dboost import DBoostDetector
 from repro.detectors.ml_detectors import ED2Detector
 from repro.detectors.simple import IFDetector
@@ -77,12 +91,17 @@ from repro.repair.imputers import MissForestMixRepair
 from repro.reporting import render_table
 
 from oracles.cache import reference_table_fingerprint
-from oracles.detectors import reference_mixture_outliers
+from oracles.detectors import (
+    reference_column_features,
+    reference_dboost_detect_columns,
+    reference_mixture_outliers,
+)
 from oracles.table import reference_diff_cells
 from oracles.ml import (
     ReferenceDecisionTreeClassifier,
     reference_forest,
     reference_isolation_fit_predict,
+    reference_isolation_score_rows,
     reference_pairwise_sq_distances,
 )
 
@@ -355,22 +374,11 @@ def test_diff_cells_at_least_twice_as_fast():
     )
 
 
-def _detector_speedup(name, detector, reference_patch, bar):
-    """Best-of-3 seconds of one detector on Soccer, live and with its
-    frozen kernel patched in (alternating); asserts identical cells."""
-    dataset = bench_dataset("Soccer", n_rows=DIFF_ROWS)
-    context = dataset.context(seed=0)
-
-    def live():
-        return detector.detect(context).cells
-
-    def reference():
-        with mock.patch.object(*reference_patch):
-            return detector.detect(context).cells
-
-    assert live() == reference()
+def _timed_pair(name, live, reference, bar, title, reps=3):
+    """Best-of-``reps`` seconds of a live kernel and its frozen oracle
+    (alternating), recorded as ``<name>_*``; asserts the bar."""
     best = {"reference": math.inf, "live": math.inf}
-    for _ in range(3):
+    for _ in range(reps):
         for variant, run in (("reference", reference), ("live", live)):
             best[variant] = min(best[variant], _best_of(run, reps=1))
     speedup = best["reference"] / best["live"]
@@ -380,12 +388,12 @@ def _detector_speedup(name, detector, reference_patch, bar):
     emit(
         f"kernel_{name}_speed",
         render_table(
-            ["detector", "seconds", "speedup"],
+            ["kernel", "seconds", "speedup"],
             [
-                ["frozen kernel", round(best["reference"], 3), 1.0],
+                ["frozen oracle", round(best["reference"], 3), 1.0],
                 ["live", round(best["live"], 3), round(speedup, 2)],
             ],
-            title=f"{detector.name} detect, Soccer n={dataset.dirty.n_rows}",
+            title=title,
         ),
     )
     assert speedup >= bar, (
@@ -394,12 +402,46 @@ def _detector_speedup(name, detector, reference_patch, bar):
     )
 
 
+def _detector_speedup(name, detector, reference_patches, bar):
+    """Best-of-3 seconds of one detector on Soccer, live and with its
+    frozen kernels patched in (alternating); asserts identical cells."""
+    dataset = bench_dataset("Soccer", n_rows=DIFF_ROWS)
+    context = dataset.context(seed=0)
+
+    def live():
+        return detector.detect(context).cells
+
+    def reference():
+        with ExitStack() as stack:
+            for patch in reference_patches:
+                stack.enter_context(mock.patch.object(*patch))
+            return detector.detect(context).cells
+
+    assert live() == reference()
+    _timed_pair(
+        name, live, reference, bar,
+        title=f"{detector.name} detect, Soccer n={dataset.dirty.n_rows}",
+    )
+
+
+#: dBoost's frozen configuration search, one mixture EM per config.
+_DBOOST_LOOP = (
+    DBoostDetector, "_detect_columns", reference_dboost_detect_columns
+)
+
+
 def test_dboost_at_least_1_4_times_faster():
     _detector_speedup(
         "dboost",
         DBoostDetector(),
-        (dboost, "_mixture_outliers", reference_mixture_outliers),
+        [_DBOOST_LOOP, (dboost, "_mixture_outliers", reference_mixture_outliers)],
         bar=1.4,
+    )
+
+
+def test_dboost_em_reuse_at_least_1_4_times_faster():
+    _detector_speedup(
+        "dboost_em_reuse", DBoostDetector(), [_DBOOST_LOOP], bar=1.4
     )
 
 
@@ -407,8 +449,71 @@ def test_isolation_detect_at_least_1_5_times_faster():
     _detector_speedup(
         "isolation_detect",
         IFDetector(),
-        (IsolationForest, "fit_predict", reference_isolation_fit_predict),
+        [
+            (IsolationForest, "fit_predict", reference_isolation_fit_predict),
+            (IsolationForest, "_score_rows", reference_isolation_score_rows),
+        ],
         bar=1.5,
+    )
+
+
+def test_cell_features_at_least_1_5_times_faster():
+    table = bench_dataset("Soccer", n_rows=DIFF_ROWS).dirty
+
+    def reference():
+        with mock.patch.object(
+            features, "_column_features", reference_column_features
+        ):
+            return features.combined_features(table)
+
+    live, frozen = features.combined_features(table), reference()
+    assert list(live) == list(frozen)
+    assert all(
+        live[name].tobytes() == frozen[name].tobytes() for name in live
+    )
+    _timed_pair(
+        "cell_features",
+        lambda: features.combined_features(table),
+        reference,
+        bar=1.5,
+        title=f"combined_features, Soccer n={table.n_rows}",
+    )
+
+
+def test_isolation_1d_score_at_least_1_5_times_faster():
+    dataset = bench_dataset("Soccer", n_rows=DIFF_ROWS)
+    forests = []
+    for column in dataset.dirty.schema.numerical_names:
+        values = dataset.dirty.as_float(column)
+        missing = np.isnan(values)
+        if missing.all():
+            continue
+        values[missing] = float(np.nanmean(values))
+        forest = IsolationForest(n_estimators=40, seed=0)
+        forest.fit(values[:, None])
+        forests.append((forest, values[:, None]))
+
+    def live():
+        return [forest.score_samples(x) for forest, x in forests]
+
+    def reference():
+        with mock.patch.object(
+            IsolationForest, "_score_rows", reference_isolation_score_rows
+        ):
+            return live()
+
+    assert all(
+        a.tobytes() == b.tobytes() for a, b in zip(live(), reference())
+    )
+    _timed_pair(
+        "isolation_1d_score",
+        live,
+        reference,
+        bar=1.5,
+        title=(
+            f"IF scoring, {len(forests)} one-feature forests of 40 trees, "
+            f"Soccer n={dataset.dirty.n_rows}"
+        ),
     )
 
 
@@ -484,6 +589,9 @@ def test_write_kernel_snapshot():
         "diff_cells_speedup",
         "dboost_speedup",
         "isolation_detect_speedup",
+        "cell_features_speedup",
+        "dboost_em_reuse_speedup",
+        "isolation_1d_score_speedup",
         "cache_warm_speedup",
     }
     missing = required - _RESULTS.keys()

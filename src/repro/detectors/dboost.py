@@ -10,7 +10,7 @@ for precision), and the best configuration's detections are returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -93,16 +93,13 @@ def _logsumexp_rows(log_probs: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mixture_outliers(
-    values: np.ndarray,
-    threshold: float,
-    n_components: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Flag values with low likelihood under a 1-D Gaussian mixture."""
-    finite = values[~np.isnan(values)]
+def _mixture_scores(
+    finite: np.ndarray, n_components: int
+) -> Optional[np.ndarray]:
+    """Each finite value's log-likelihood under a 1-D Gaussian mixture
+    fitted to them by 25 EM steps (None: too few values to fit)."""
     if len(finite) < max(8, n_components * 3):
-        return np.zeros(len(values), dtype=bool)
+        return None
     # Tiny 1-D EM.
     means = np.quantile(finite, np.linspace(0.2, 0.8, n_components))
     variances = np.full(n_components, finite.var() / n_components + 1e-9)
@@ -120,13 +117,36 @@ def _mixture_outliers(
         variances = (
             resp.T @ (finite[:, None] - means[None, :]) ** 2
         ).diagonal() / total + 1e-9
-    # ``finite`` is ``values[valid]``: score it once.
-    scores = _logsumexp_rows(
+    return _logsumexp_rows(
         _component_log_probs(finite, weights, means, variances)
     )
+
+
+def _mixture_cut(
+    values: np.ndarray, scores: Optional[np.ndarray], threshold: float
+) -> np.ndarray:
+    """Flag the finite values whose score is below the ``threshold``
+    quantile of all scores (``scores`` belong to ``values[~isnan]``)."""
     flagged = np.zeros(len(values), dtype=bool)
-    flagged[~np.isnan(values)] = scores < np.quantile(scores, threshold)
+    if scores is not None:
+        flagged[~np.isnan(values)] = scores < np.quantile(scores, threshold)
     return flagged
+
+
+def _mixture_outliers(
+    values: np.ndarray,
+    threshold: float,
+    n_components: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Flag values with low likelihood under a 1-D Gaussian mixture.
+
+    The EM draws nothing from ``rng``; only the final cut depends on
+    ``threshold``, which is why the detector fits once per component
+    count and applies each configuration's cut to the kept scores.
+    """
+    scores = _mixture_scores(values[~np.isnan(values)], n_components)
+    return _mixture_cut(values, scores, threshold)
 
 
 class DBoostDetector(Detector):
@@ -156,17 +176,6 @@ class DBoostDetector(Detector):
             model,
             threshold=float(rng.uniform(0.005, 0.05)),
             n_components=int(rng.integers(2, 4)),
-        )
-
-    def _apply(
-        self, values: np.ndarray, config: _Config, rng: np.random.Generator
-    ) -> np.ndarray:
-        if config.model == "gaussian":
-            return _gaussian_outliers(values, config.threshold)
-        if config.model == "histogram":
-            return _histogram_outliers(values, config.threshold, config.n_bins)
-        return _mixture_outliers(
-            values, config.threshold, config.n_components, rng
         )
 
     @staticmethod
@@ -199,13 +208,28 @@ class DBoostDetector(Detector):
         cells: Set[Cell] = set()
         for column in table.schema.numerical_names:
             values = table.as_float(column)
-            if (~np.isnan(values)).sum() < 8:
+            finite = values[~np.isnan(values)]
+            if len(finite) < 8:
                 continue
+            # One EM fit per component count: configs differ in the cut.
+            mixture_scores: Dict[int, Optional[np.ndarray]] = {}
             best_flags: Optional[np.ndarray] = None
             best_score = -np.inf
             for _ in range(self.n_search):
                 config = self._random_config(rng)
-                flagged = self._apply(values, config, rng)
+                if config.model == "gaussian":
+                    flagged = _gaussian_outliers(values, config.threshold)
+                elif config.model == "histogram":
+                    flagged = _histogram_outliers(
+                        values, config.threshold, config.n_bins
+                    )
+                else:
+                    k = config.n_components
+                    if k not in mixture_scores:
+                        mixture_scores[k] = _mixture_scores(finite, k)
+                    flagged = _mixture_cut(
+                        values, mixture_scores[k], config.threshold
+                    )
                 score = self._separation_score(values, flagged)
                 if score > best_score:
                     best_score, best_flags = score, flagged

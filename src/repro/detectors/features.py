@@ -2,43 +2,34 @@
 
 RAHA, ED2, and the metadata-driven detector all learn a per-cell dirty/clean
 classifier; what differs is how features are built and how labels are
-acquired.  This module provides the two feature families they draw on:
+acquired.  They draw on two feature families, computed together in one
+pass per table (:func:`combined_features`):
 
-- *strategy features*: binary outputs of a battery of cheap detection
-  strategies (outlier tests at several thresholds, missing-value checks,
-  pattern-shape deviation, rare-value tests) -- RAHA's feature generation;
-- *metadata features*: per-cell profile statistics (value length, token
-  count, frequency, z-score, row-level missingness) -- ED2 / metadata-driven
-  profiling features.
+- *strategy features* (columns ``[:N_STRATEGY_FEATURES]``): binary outputs
+  of a battery of cheap detection strategies (outlier tests at several
+  thresholds, missing-value checks, pattern-shape deviation, rare-value
+  tests) -- RAHA's feature generation;
+- *metadata features* (the remaining columns): per-cell profile
+  statistics (value length, token count, frequency, z-score, row-level
+  missingness) -- ED2 / metadata-driven profiling features.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.keys import (
-    artifact_key,
-    config_fingerprint,
-    table_block_fingerprint,
-    table_fingerprint,
-)
+from repro.cache.keys import artifact_key, table_fingerprint
 from repro.cache.store import current_cache
-from repro.dataset.columnar import normalized_column
-from repro.dataset.table import Table, is_missing
+from repro.dataset.columnar import KIND_FLOAT
+from repro.dataset.table import Table, text_key
 
 _SENTINEL_STRINGS = {"unknown", "unk", "xxx", "missing", "tbd", "-", "x"}
 
-#: Fixed widths of the two feature families (block assembly preallocates).
+#: Width of the strategy family: the first columns of every matrix.
 N_STRATEGY_FEATURES = 11
-N_METADATA_FEATURES = 7
-
-
-def _lower_key(value: Any) -> Optional[str]:
-    return None if is_missing(value) else str(value).strip().lower()
 
 
 class _CodePointTable(dict):
@@ -77,11 +68,9 @@ def _digit_fraction(text: str) -> float:
 class ColumnProfile:
     """Whole-table statistics one column's cell features depend on.
 
-    Fitting a profile is the only pass that must see every row at once;
-    given the profile, every per-cell feature is a pure elementwise
-    function of that cell's row, so inference can stream over row blocks
-    and stay byte-identical to the whole-table evaluation.  Instances are
-    plain picklable data so the parallel engine can ship them to workers.
+    ``counts`` maps each lower-cased cell text to its number of cells,
+    in first-occurrence order, and ``dominant_shape`` is the most common
+    value shape (the first to occur among equally common ones).
     """
 
     column: str
@@ -98,17 +87,74 @@ class ColumnProfile:
     dominant_shape: Optional[str]
 
 
-def fit_column_profile(table: Table, column: str) -> ColumnProfile:
-    """Fit the whole-table statistics for one column (the 'fit' half)."""
+def _entry_texts(
+    table: Table, column: str
+) -> Tuple[List[Optional[str]], np.ndarray]:
+    """Each distinct entry's :func:`text_key`, in first-occurrence
+    order, and each cell's entry id.
+
+    A float cell's text is its ``repr`` (``str`` of an exact float, which
+    needs no stripping or lower-casing), taken in bulk; NaN is missing.
+    """
+    view = table.column_view(column)
+    first, inverse = view.entries()
+    floats = view.tags[first] == KIND_FLOAT
+    texts = np.empty(len(first), dtype=object)
+    lane = view.lane[first[floats]]
+    texts[floats] = list(map(float.__repr__, lane.tolist()))
+    texts[np.flatnonzero(floats)[np.isnan(lane)]] = None
+    rest = np.flatnonzero(~floats)
+    texts[rest] = list(map(text_key, view.cells[first[rest]]))
+    return texts.tolist(), inverse
+
+
+def _summed(
+    keys: List[str], sizes: np.ndarray
+) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """``(distinct, totals, ids)``: the distinct keys in first-occurrence
+    order, the summed ``sizes`` of each, and each key's id.
+
+    The order is a per-cell ``Counter``'s insertion order when the keys
+    are per-entry and entries are in first-occurrence order, so
+    ``argmax`` breaks ties as ``most_common`` does.
+    """
+    index: Dict[str, int] = {}
+    ids = np.fromiter(
+        (index.setdefault(key, len(index)) for key in keys),
+        dtype=np.int64,
+        count=len(keys),
+    )
+    totals = np.bincount(ids, weights=sizes, minlength=len(index))
+    return list(index), totals.astype(np.int64), ids
+
+
+def _column_features(
+    table: Table, column: str, row_missing: np.ndarray
+) -> Tuple[ColumnProfile, np.ndarray]:
+    """One column's profile and its ``(n_rows, 18)`` feature matrix.
+
+    Every key-derived feature (missing, frequency, shape deviation,
+    sentinel, length, tokens, digit share) is computed once per distinct
+    entry and gathered through the entry ids; so are the profile and
+    shape counts (:func:`_summed`).  ``row_missing`` is the table's
+    share of missing cells per row, the last column.
+    """
+    n_rows = table.n_rows
+    texts, inverse = _entry_texts(table, column)
+    sizes = np.bincount(inverse, minlength=len(texts))
+    present = [i for i, text in enumerate(texts) if text is not None]
+    words = [texts[i] for i in present]
+    lowered = list(map(str.lower, words))
+    shapes = list(map(_shape_of, lowered))
+    keys, key_counts, key_of = _summed(lowered, sizes[present])
+    shape_names, shape_counts, _ = _summed(shapes, sizes[present])
+    total = int(key_counts.sum()) or 1
+    dominant = (
+        shape_names[int(np.argmax(shape_counts))] if shape_names else None
+    )
+
     numeric = table.as_float(column)
     finite = numeric[~np.isnan(numeric)]
-    keys = normalized_column(table.column_view(column), _lower_key)
-    counts = Counter(k for k in keys if k is not None)
-    total = sum(counts.values()) or 1
-    shape_counts = Counter(_shape_of(k) for k in keys if k is not None)
-    dominant = (
-        shape_counts.most_common(1)[0][0] if shape_counts else None
-    )
     has_z = len(finite) >= 3 and float(finite.std()) > 0
     has_iqr = len(finite) >= 4
     if has_iqr:
@@ -116,7 +162,7 @@ def fit_column_profile(table: Table, column: str) -> ColumnProfile:
         q1, q3 = float(q1), float(q3)
     else:
         q1 = q3 = 0.0
-    return ColumnProfile(
+    profile = ColumnProfile(
         column=column,
         numerical=table.schema.kind_of(column) == "numerical",
         has_z=has_z,
@@ -126,256 +172,84 @@ def fit_column_profile(table: Table, column: str) -> ColumnProfile:
         q1=q1,
         q3=q3,
         iqr=q3 - q1,
-        counts=dict(counts),
+        counts=dict(zip(keys, key_counts.tolist())),
         total=total,
         dominant_shape=dominant,
     )
 
+    # Per-entry features; a missing entry keeps its zeros (missing: 1).
+    per_entry = np.zeros((len(texts), 7))
+    missing, frequency, deviates, sentinel, length, tokens, digits = (
+        per_entry[:, j] for j in range(7)
+    )
+    missing[:] = 1.0
+    missing[present] = 0.0
+    frequency[present] = key_counts[key_of] / total
+    if dominant is not None:
+        deviates[present] = [shape != dominant for shape in shapes]
+    sentinel[present] = [low in _SENTINEL_STRINGS for low in lowered]
+    length[present] = list(map(len, words))
+    tokens[present] = [len(word.split()) for word in words]
+    digits[present] = [_digit_fraction(w) if w else 0.0 for w in words]
+    cell = per_entry[inverse]
 
-def strategy_features_block(
-    profile: ColumnProfile, block: Table
-) -> np.ndarray:
-    """Strategy-output matrix for one row block, given a fitted profile.
-
-    Every strategy decision is elementwise against the profile's scalar
-    statistics, so evaluating block-by-block yields exactly the bytes the
-    whole-table evaluation would produce for the same rows.
-    """
-    n_rows = block.n_rows
-    numeric = block.as_float(profile.column)
-    missing = block.missing_mask(profile.column)
-
-    columns: List[np.ndarray] = [missing.astype(float)]
-    # Z-score strategies.
-    if profile.has_z:
+    out = np.zeros((n_rows, N_STRATEGY_FEATURES + 7))
+    is_missing = cell[:, 0]
+    out[:, 0] = is_missing
+    if has_z:
         z = np.abs(numeric - profile.mean) / profile.std
         z = np.where(np.isnan(z), 0.0, z)
-        for threshold in (2.0, 3.0, 4.0):
-            columns.append((z > threshold).astype(float))
-    else:
-        columns.extend([np.zeros(n_rows)] * 3)
-    # IQR strategies.
-    if profile.has_iqr:
-        q1, q3, iqr = profile.q1, profile.q3, profile.iqr
-        for k in (1.5, 3.0):
-            if iqr > 0:
-                out = (numeric < q1 - k * iqr) | (numeric > q3 + k * iqr)
-                columns.append(np.where(np.isnan(numeric), 0.0, out).astype(float))
-            else:
-                columns.append(np.zeros(n_rows))
-    else:
-        columns.extend([np.zeros(n_rows)] * 2)
-    # Frequency strategies.
-    keys = normalized_column(block.column_view(profile.column), _lower_key)
-    counts, total = profile.counts, profile.total
-    frequency = np.array(
-        [counts.get(k, 0) / total if k is not None else 0.0 for k in keys]
-    )
-    columns.append((frequency < 0.01).astype(float))
-    columns.append((frequency < 0.001).astype(float))
-    # Shape deviation.
-    if profile.dominant_shape is not None:
-        dominant = profile.dominant_shape
-        deviates = np.array(
-            [
-                0.0 if k is None else float(_shape_of(k) != dominant)
-                for k in keys
-            ]
-        )
-    else:
-        deviates = np.zeros(n_rows)
-    columns.append(deviates)
-    # Sentinel lexicon.
-    columns.append(
-        np.array(
-            [float(k in _SENTINEL_STRINGS) if k is not None else 0.0 for k in keys]
-        )
-    )
-    # Non-numeric payload in a numeric column.
+        for j, threshold in enumerate((2.0, 3.0, 4.0), start=1):
+            out[:, j] = z > threshold
+        out[:, 15] = np.minimum(z, 10.0)
+    iqr = profile.iqr
+    if has_iqr and iqr > 0:
+        for j, k in enumerate((1.5, 3.0), start=4):
+            out[:, j] = (numeric < q1 - k * iqr) | (numeric > q3 + k * iqr)
+    out[:, 6] = cell[:, 1] < 0.01
+    out[:, 7] = cell[:, 1] < 0.001
+    out[:, 8:10] = cell[:, 2:4]
     if profile.numerical:
-        corrupted = (~missing & np.isnan(numeric)).astype(float)
-    else:
-        corrupted = np.zeros(n_rows)
-    columns.append(corrupted)
-    return np.column_stack(columns)
-
-
-def strategy_features(table: Table, column: str) -> np.ndarray:
-    """Binary strategy-output matrix for one column (n_rows x n_strategies).
-
-    Strategies: missing check, |z| > {2, 3, 4}, IQR k in {1.5, 3},
-    frequency < {1%, 0.1%}, shape deviates from dominant shape,
-    sentinel-lexicon membership, non-numeric payload in numeric column.
-
-    Equivalent to fitting a :class:`ColumnProfile` and evaluating the
-    whole table as one block.
-    """
-    return strategy_features_block(fit_column_profile(table, column), table)
-
-
-def metadata_features_block(
-    profile: ColumnProfile, block: Table
-) -> np.ndarray:
-    """Metadata-feature matrix for one row block, given a fitted profile."""
-    n_rows = block.n_rows
-    numeric = block.as_float(profile.column)
-    keys = block.text_keys(profile.column)
-    counts, total = profile.counts, profile.total
-
-    lengths = np.array([0.0 if k is None else float(len(k)) for k in keys])
-    tokens = np.array(
-        [0.0 if k is None else float(len(k.split())) for k in keys]
-    )
-    digit_fraction = np.array(
-        [0.0 if not k else _digit_fraction(k) for k in keys]
-    )
-    frequency = np.array(
-        [
-            counts.get(k.lower(), 0) / total if k is not None else 0.0
-            for k in keys
-        ]
-    )
-    if profile.has_z:
-        z = np.abs(numeric - profile.mean) / profile.std
-        z = np.where(np.isnan(z), 0.0, np.minimum(z, 10.0))
-    else:
-        z = np.zeros(n_rows)
-    missing = np.array([float(k is None) for k in keys])
-    row_missing = np.zeros(n_rows)
-    for other in block.column_names:
-        row_missing += block.missing_mask(other).astype(float)
-    row_missing /= max(len(block.column_names), 1)
-    return np.column_stack(
-        [lengths, tokens, digit_fraction, frequency, z, missing, row_missing]
-    )
-
-
-def metadata_features(table: Table, column: str) -> np.ndarray:
-    """Profile-statistic matrix for one column (n_rows x n_features).
-
-    Features: value length, token count, digit fraction, frequency,
-    z-score (0 for non-numeric), is-missing, and the row's missing count
-    (tuple-level feature, per ED2).
-    """
-    return metadata_features_block(fit_column_profile(table, column), table)
+        out[:, 10] = (is_missing == 0.0) & np.isnan(numeric)
+    out[:, 11:14] = cell[:, 4:7]
+    out[:, 14] = cell[:, 1]
+    out[:, 16] = is_missing
+    out[:, 17] = row_missing
+    return profile, out
 
 
 def _combined_features_fresh(table: Table) -> Dict[str, np.ndarray]:
-    features = {}
-    for column in table.column_names:
-        profile = fit_column_profile(table, column)
-        features[column] = np.hstack([
-            strategy_features_block(profile, table),
-            metadata_features_block(profile, table),
-        ])
-    return features
-
-
-def _profile_digest(profile: ColumnProfile) -> str:
-    """Content digest of a fitted profile (keys block-level cache entries)."""
-    return config_fingerprint(
-        {
-            "column": profile.column,
-            "numerical": profile.numerical,
-            "has_z": profile.has_z,
-            "mean": profile.mean,
-            "std": profile.std,
-            "has_iqr": profile.has_iqr,
-            "q1": profile.q1,
-            "q3": profile.q3,
-            "iqr": profile.iqr,
-            "counts": dict(profile.counts),
-            "total": profile.total,
-            "dominant_shape": profile.dominant_shape,
-        }
-    )
-
-
-def _combined_features_blocked(
-    table: Table, block_rows: int
-) -> Dict[str, np.ndarray]:
-    """Streamed evaluation of :func:`combined_features` over row blocks.
-
-    Profiles are fitted once against the whole table; each block is then
-    evaluated independently into a preallocated output, so peak transient
-    memory is one block's feature rows instead of the whole matrix.  When
-    a cache is installed, each block gets its own content-addressed entry
-    keyed by its :func:`table_block_fingerprint` plus the profiles that
-    shaped it, so unchanged blocks are reused even when sibling blocks of
-    the table changed.
-    """
-    cache = current_cache()
     names = table.column_names
-    profiles = {name: fit_column_profile(table, name) for name in names}
-    block_config: Dict[str, Any] = {}
-    if cache is not None:
-        block_config = {
-            "profiles": {
-                name: _profile_digest(profiles[name]) for name in names
-            }
-        }
-    width = N_STRATEGY_FEATURES + N_METADATA_FEATURES
-    out = {
-        name: np.empty((table.n_rows, width), dtype=np.float64)
-        for name in names
+    row_missing = np.zeros(table.n_rows)
+    for name in names:
+        row_missing += table.missing_mask(name).astype(float)
+    row_missing /= max(len(names), 1)
+    return {
+        name: _column_features(table, name, row_missing)[1] for name in names
     }
-    for start, block in table.iter_blocks(block_rows):
-        stop = start + block.n_rows
-        arrays: Optional[Dict[str, np.ndarray]] = None
-        key = None
-        if cache is not None:
-            key = artifact_key(
-                "detector/combined_features@v1+block",
-                [table_block_fingerprint(table, start, stop)],
-                block_config,
-            )
-            entry = cache.get(key)
-            if entry is not None:
-                arrays = {
-                    name: entry.arrays[f"c{i}"]
-                    for i, name in enumerate(entry.meta["columns"])
-                }
-        if arrays is None:
-            arrays = {
-                name: np.hstack(
-                    [
-                        strategy_features_block(profiles[name], block),
-                        metadata_features_block(profiles[name], block),
-                    ]
-                )
-                for name in names
-            }
-            if cache is not None and key is not None:
-                cache.put(
-                    key,
-                    {f"c{i}": arrays[name] for i, name in enumerate(names)},
-                    {"columns": names},
-                )
-        for name in names:
-            out[name][start:stop] = arrays[name]
-    return out
 
 
-def combined_features(
-    table: Table, block_rows: Optional[int] = None
-) -> Dict[str, np.ndarray]:
-    """Strategy + metadata features for every column.
+def combined_features(table: Table) -> Dict[str, np.ndarray]:
+    """Strategy + metadata features for every column, in one pass.
 
-    This is the dominant featurization cost of the ML-supported detectors
-    (RAHA and friends re-derive it for every table version), so the whole
-    per-column mapping is memoized in the artifact cache when one is
-    installed.  Column names can be arbitrary strings, so the entry stores
-    arrays under positional names with the real column order in the JSON
-    metadata.
+    Per column, an ``(n_rows, 18)`` matrix: the strategy features
+    (missing check, |z| > {2, 3, 4}, IQR k in {1.5, 3}, frequency <
+    {1%, 0.1%}, shape deviates from the dominant shape, sentinel-lexicon
+    membership, non-numeric payload in a numeric column), then the
+    metadata features (value length, token count, digit share,
+    frequency, z-score capped at 10 and 0 for non-numeric, is-missing,
+    and the row's share of missing cells, a tuple-level feature per
+    ED2).
 
-    With ``block_rows`` set, evaluation streams over row blocks (fit
-    stays whole-table) and the result is byte-identical to the unblocked
-    call; both paths share the same whole-table cache entry.
+    RAHA, ED2 and Meta each call this once per ``detect`` and slice it.
+    With a cache installed the mapping is one entry
+    (``detector/combined_features@v1``) that all three share across
+    processes; column names can be arbitrary strings, so the entry
+    stores arrays under positional names with the real column order in
+    its JSON metadata.
     """
     cache = current_cache()
     if cache is None:
-        if block_rows is not None:
-            return _combined_features_blocked(table, block_rows)
         return _combined_features_fresh(table)
     key = artifact_key(
         "detector/combined_features@v1",
@@ -388,10 +262,7 @@ def combined_features(
         return {
             name: entry.arrays[f"c{i}"] for i, name in enumerate(columns)
         }
-    if block_rows is not None:
-        features = _combined_features_blocked(table, block_rows)
-    else:
-        features = _combined_features_fresh(table)
+    features = _combined_features_fresh(table)
     columns = list(features)
     cache.put(
         key,

@@ -24,11 +24,7 @@ from repro.dataset.encoding import TableEncoder
 from repro.dataset.table import Cell, Table
 from repro.detectors.base import ML_SUPPORTED, Detector, nested_cells
 from repro.detectors.ensembles import default_base_detectors
-from repro.detectors.features import (
-    combined_features,
-    metadata_features,
-    strategy_features,
-)
+from repro.detectors.features import N_STRATEGY_FEATURES, combined_features
 from repro.errors import profile
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import RidgeRegressor
@@ -106,8 +102,9 @@ class MetadataDrivenDetector(Detector):
                 if column in offset and 0 <= row < n_rows
             ]
             tool_features[np.asarray(hits, dtype=np.int64), j] = 1.0
+        all_features = combined_features(table)
         meta_matrix = np.concatenate(
-            [metadata_features(table, column) for column in columns]
+            [all_features[c][:, N_STRATEGY_FEATURES:] for c in columns]
         )
         features = np.hstack([tool_features, meta_matrix])
         budget = min(self.label_budget, n_cells)
@@ -194,9 +191,10 @@ class RahaDetector(Detector):
             return set()
         table = context.dirty
         rng = context.rng(37)
+        all_features = combined_features(table)
         cells: Set[Cell] = set()
         for column in table.column_names:
-            features = strategy_features(table, column)
+            features = all_features[column][:, :N_STRATEGY_FEATURES]
             clusters = self._cluster_cells(features, self.labels_per_column)
             for cluster in clusters:
                 representative = cluster[int(rng.integers(len(cluster)))]

@@ -245,6 +245,35 @@ def _grow_iso_tree(
     )
 
 
+#: A one-feature isolation tree in order: ``(thresholds, leaf_values)``.
+SearchTree = Tuple[np.ndarray, np.ndarray]
+
+
+def _search_arrays(tree: IsoTree) -> Optional[SearchTree]:
+    """A one-feature tree as ``(thresholds, leaf_values)`` in order.
+
+    In a pre-order tree the last node before an internal node's right
+    child is the last leaf of its left subtree, so ranking the leaves in
+    pre-order (which is their in-order) places each internal threshold
+    between its two neighbouring leaves.  When those thresholds are
+    non-decreasing, a row's leaf is the number of thresholds below its
+    value -- ``x <= t`` goes left, NaN goes right at every node, to the
+    last leaf -- so scoring is one ``searchsorted``.  A drawn threshold
+    can fall outside its node's range (a rounded uniform draw, the
+    overflow branch, an infinite span) and break the order: that tree
+    returns None and keeps routing.
+    """
+    feature, threshold, _, right, path_value = tree
+    leaf = feature < 0
+    internal = np.flatnonzero(~leaf)
+    rank = np.cumsum(leaf) - 1
+    thresholds = np.empty(len(internal), dtype=np.float64)
+    thresholds[rank[right[internal] - 1]] = threshold[internal]
+    if np.any(thresholds[1:] < thresholds[:-1]) or np.isnan(thresholds).any():
+        return None
+    return thresholds, path_value[leaf]
+
+
 class IsolationForest(BaseEstimator):
     """Isolation forest anomaly detector (Liu & Zhou).
 
@@ -266,6 +295,7 @@ class IsolationForest(BaseEstimator):
         self.contamination = contamination
         self.seed = seed
         self.trees_: Optional[List[IsoTree]] = None
+        self.search_trees_: Optional[List[Optional[SearchTree]]] = None
         self.subsample_size_: int = 0
         self.threshold_: float = 0.5
 
@@ -298,6 +328,10 @@ class IsolationForest(BaseEstimator):
         for _ in range(self.n_estimators):
             idx = rng.choice(n_samples, size=psi, replace=False)
             self.trees_.append(_grow_iso_tree(features[idx], max_depth, rng))
+        self.search_trees_ = (
+            [_search_arrays(tree) for tree in self.trees_]
+            if features.shape[1] == 1 else None
+        )
         scores = self.score_samples(features, block_rows=block_rows)
         self.threshold_ = float(
             np.quantile(scores, 1.0 - self.contamination)
@@ -307,8 +341,17 @@ class IsolationForest(BaseEstimator):
     def _score_rows(self, features: np.ndarray, c_norm: float) -> np.ndarray:
         n = len(features)
         total_path = np.zeros(n)
-        for *routing, path_value in self.trees_:
-            total_path += path_value[_leaf_indices(*routing, features)]
+        searches = self.search_trees_
+        if searches is None or features.shape[1] != 1:
+            searches = [None] * len(self.trees_)
+        for (*routing, path_value), search in zip(self.trees_, searches):
+            if search is None:
+                total_path += path_value[_leaf_indices(*routing, features)]
+            else:
+                thresholds, leaf_values = search
+                total_path += leaf_values[
+                    np.searchsorted(thresholds, features[:, 0], side="left")
+                ]
         mean_path = total_path / max(len(self.trees_), 1)
         return 2.0 ** (-mean_path / c_norm)
 

@@ -16,10 +16,10 @@ Two executors:
 - :class:`SerialExecutor` -- in-process, canonical order; the reference
   implementation and the default everywhere.
 - :class:`ProcessPoolExecutor` -- shards units across N worker
-  processes via :mod:`multiprocessing`; unit payloads (the same JSON
-  payloads the checkpoint layer stores) travel back over the pool's
-  result queue and the parent -- the single writer -- drains it,
-  finalizing units in canonical order and batching checkpoint commits.
+  processes via :mod:`multiprocessing`; each unit's checkpoint text
+  travels back over the pool's result queue and the parent -- the
+  single writer -- drains it, finalizing units in canonical order and
+  batching checkpoint commits.
 
 A :class:`ProcessPoolExecutor` keeps one pool from its first plan until
 ``close()``, so a run of many stage calls pays one pool start; each
@@ -30,8 +30,10 @@ The pool dispatches through the shared-memory data plane
 (:mod:`repro.dataplane`): the stage's ``shared`` context is packed once
 per plan into named segments plus a small pickled shell (tables are
 *not* pickled per worker), workers attach the segments read-only, and
-results come back as canonical-JSON payload frames -- byte-for-byte the
-text the checkpoint layer would store -- batched in chunks sized by
+results come back as frames that are the units' checkpoint text
+(:func:`~repro.repository.store.encode_payload`, encoded once, in the
+worker; the driver decodes each as a resume would and stores it as it
+is), batched in chunks sized by
 :func:`adaptive_chunk_size`.  Segments belong to the plan, not the
 pool: a ``finally`` around dispatch closes and unlinks every segment on
 normal teardown, interrupts, and worker crashes alike (a SIGKILLed
@@ -55,7 +57,6 @@ byte-identical too -- tier-1 asserts it across both start methods).
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -74,6 +75,7 @@ from repro.observability.telemetry import (
 )
 from repro.observability.trace import DATAPLANE, Tracer
 from repro.parallel.plan import ExecutionPlan, UnitSpec
+from repro.repository.store import decode_payload, encode_payload
 
 
 def null_sleep(seconds: float) -> None:
@@ -151,36 +153,27 @@ def _enter_plan(token: int, header: bytes) -> None:
     )
 
 
-def _encode_frame(payload: Dict[str, Any]) -> bytes:
-    """One unit payload as a canonical-JSON frame.
-
-    Key order is canonical (``sort_keys``) and the text round-trips
-    through the same JSON value space the checkpoint store uses, so the
-    driver's ``from_payload(json.loads(frame))`` sees exactly what a
-    checkpoint resume would -- the store's bytes cannot depend on the
-    transport.
-    """
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-
-
 def _run_unit_in_worker(
     spec: UnitSpec,
-) -> Tuple[int, bytes, Optional[Dict[str, Any]]]:
-    """Execute one unit in a worker; ship its canonical payload frame
-    back, plus the telemetry recorded while executing it (``None`` when
-    nothing was recorded, so idle spans cost no per-unit IPC)."""
+) -> Tuple[int, str, Optional[Dict[str, Any]]]:
+    """Execute one unit in a worker; ship its frame back, plus the
+    telemetry recorded while executing it (``None`` when nothing was
+    recorded, so idle spans cost no per-unit IPC).
+
+    The frame is the unit's checkpoint text (:func:`encode_payload`):
+    the driver decodes it as a resume would and stores it as it is, so
+    the store's bytes cannot depend on the transport.
+    """
     adapter = _WORKER_STATE["adapter"]
     run = adapter.execute(_WORKER_STATE["shared"], spec)
     telemetry = _WORKER_STATE.get("telemetry")
     transport = telemetry.drain_transport() if telemetry is not None else None
-    return spec.index, _encode_frame(adapter.to_payload(run)), transport
+    return spec.index, encode_payload(adapter.to_payload(run)), transport
 
 
 def _run_chunk_in_worker(
     task: Tuple[int, bytes, List[UnitSpec]],
-) -> List[Tuple[int, bytes, Optional[Dict[str, Any]]]]:
+) -> List[Tuple[int, str, Optional[Dict[str, Any]]]]:
     """Execute one dispatch chunk; frames come back batched per chunk.
 
     A task is ``(plan token, plan header, specs)``; the header is only
@@ -425,8 +418,9 @@ class ProcessPoolExecutor:
                     frame_bytes += len(frame)
                     yield (
                         index,
-                        plan.adapter.from_payload(json.loads(frame)),
+                        plan.adapter.from_payload(decode_payload(frame)),
                         transport,
+                        frame,
                     )
             finished = True
         finally:
@@ -589,8 +583,9 @@ def execute_plan(
     groups: List[Tuple[UnitSpec, int, int]] = []
 
     executed: Dict[int, Any] = {}
-    # Decoded checkpoint payloads of memo hits, written as they are.
-    hit_payloads: Dict[int, Dict[str, Any]] = {}
+    # What executed runs are checkpointed as, when the driver has it
+    # already: a memo hit's decoded payload, a worker frame's text.
+    stored: Dict[int, Any] = {}
     transports: Dict[int, Any] = {}
     received_at: Dict[int, float] = {}
     state = {"next": 0, "group": 0}
@@ -622,7 +617,7 @@ def execute_plan(
                 # executed, finalized like any other.
                 spec = replace(spec, blocks=())
                 executed[first] = read.run
-                hit_payloads[first] = read.payload
+                stored[first] = read.payload
         for sub in _sub_units(spec, first):
             subunits.append(sub)
             sub_runs.append(load(sub.key) if spec.blocks else None)
@@ -634,9 +629,7 @@ def execute_plan(
         if not cached[sub.index] and sub.index not in executed
     ]
 
-    def checkpoint_put(
-        spec: UnitSpec, run: Any, payload: Optional[Dict[str, Any]] = None
-    ) -> None:
+    def checkpoint_put(spec: UnitSpec, run: Any, payload: Any = None) -> None:
         checkpoint.put(
             spec.key, adapter.to_payload(run) if payload is None else payload
         )
@@ -674,6 +667,7 @@ def execute_plan(
         ):
             executed.pop(index, None)  # a worker may have raced ahead
             transports.pop(index, None)  # ...its telemetry is wasted too
+            stored.pop(index, None)
             run = adapter.quarantine_skip(
                 plan.shared, spec, breaker.reason(spec.method)
             )
@@ -708,7 +702,7 @@ def execute_plan(
                             spec.method, breaker.reason(spec.method)
                         )
             if checkpoint is not None:
-                checkpoint_put(spec, run, hit_payloads.pop(index, None))
+                checkpoint_put(spec, run, stored.pop(index, None))
         else:
             return False  # waiting on an out-of-order completion
         sub_runs[index] = run
@@ -757,6 +751,8 @@ def execute_plan(
         for item in executor.run(plan, pending, should_execute):
             index, run = item[0], item[1]
             executed[index] = run
+            if len(item) > 3:
+                stored[index] = item[3]
             if telemetry is not None:
                 if len(item) > 2 and item[2]:
                     transports[index] = item[2]

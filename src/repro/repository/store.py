@@ -7,7 +7,7 @@ import json
 import math
 import sqlite3
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -259,8 +259,11 @@ class CheckpointStore:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def put(self, run_id: str, unit: str, payload: Dict[str, Any]) -> None:
-        """Insert or replace one completed unit's payload.
+    def put(
+        self, run_id: str, unit: str, payload: Union[Dict[str, Any], str]
+    ) -> None:
+        """Insert or replace one completed unit's payload, or the text
+        :func:`encode_payload` made of it (stored as it is).
 
         NaN scores are encoded as ``null`` (:func:`sanitize_payload`) and
         ``±inf`` values -- an infinite dirty cell a repair left alone, or
@@ -275,7 +278,9 @@ class CheckpointStore:
         replaces it) and becomes durable at the next :meth:`commit`
         (automatic every ``commit_interval`` pending units).
         """
-        self._batch[(run_id, unit)] = encode_payload(payload)
+        self._batch[(run_id, unit)] = (
+            payload if isinstance(payload, str) else encode_payload(payload)
+        )
         if len(self._batch) >= self.commit_interval:
             self.commit()
 

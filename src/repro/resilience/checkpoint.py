@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
@@ -149,7 +149,8 @@ class SuiteCheckpoint:
     def get(self, unit: str) -> Optional[Dict[str, Any]]:
         return self.store.get(self.run_id, unit)
 
-    def put(self, unit: str, payload: Dict[str, Any]) -> None:
+    def put(self, unit: str, payload: Union[Dict[str, Any], str]) -> None:
+        """Store a unit's payload or its :func:`encode_payload` text."""
         self.store.put(self.run_id, unit, payload)
 
     def flush(self) -> None:

@@ -27,6 +27,8 @@ from oracles.constraints import (
 )
 from oracles.detectors import (
     reference_build_blocks,
+    reference_column_features,
+    reference_dboost_detect_columns,
     reference_digit_fraction,
     reference_enumerate_block_pairs,
     reference_histogram_outliers,
@@ -47,6 +49,7 @@ from repro.constraints.dc import DenialConstraint
 from repro.constraints.fd import FunctionalDependency
 from repro.dataset.table import Table
 from repro.detectors import dboost, duplicates, features, katara
+from repro.detectors.dboost import DBoostDetector
 from repro.detectors.ml_detectors import MetadataDrivenDetector
 from repro.detectors.simple import IQRDetector, MVDetector, SDDetector
 from repro.repair.baran import BaranRepair
@@ -58,11 +61,13 @@ from repro.repair.holistic import HoloCleanRepair
 KERNELS: Tuple[Tuple[Any, str, Callable[..., Any]], ...] = (
     (dboost, "_histogram_outliers", reference_histogram_outliers),
     (dboost, "_mixture_outliers", reference_mixture_outliers),
+    (DBoostDetector, "_detect_columns", reference_dboost_detect_columns),
     (MVDetector, "_detect", reference_mv_detect),
     (SDDetector, "_detect", reference_sd_detect),
     (IQRDetector, "_detect", reference_iqr_detect),
     (features, "_shape_of", reference_shape_of),
     (features, "_digit_fraction", reference_digit_fraction),
+    (features, "_column_features", reference_column_features),
     (MetadataDrivenDetector, "_detect", reference_meta_detect),
     (duplicates, "build_blocks", reference_build_blocks),
     (duplicates, "_enumerate_block_pairs", reference_enumerate_block_pairs),

@@ -16,6 +16,13 @@ vectorization pass (mirroring :mod:`oracles.ml`):
   column views;
 - the cell-feature value shape and digit fraction by one
   ``isdigit``/``isalpha`` call per character;
+- the cell features as two families fitted per column: a whole
+  ``ColumnProfile`` fit (lower-cased keys and ``Counter`` objects per
+  cell), then the strategy and the metadata blocks, each deriving its
+  keys again and the metadata block summing every column's missing mask
+  for the row-missing share;
+- dBoost's configuration search, which fits a fresh mixture EM for
+  every mixture configuration;
 - the Metadata-driven detector body, which enumerates every cell into a
   list and a position dict and stacks one metadata row view per cell.
 
@@ -40,12 +47,15 @@ ships in.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from collections import Counter
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.dataset.columnar import normalized_column
 from repro.dataset.table import Table, coerce_float, is_missing
-from repro.detectors.features import metadata_features
+from repro.detectors import dboost
+from repro.detectors.features import ColumnProfile
 from repro.detectors.ml_detectors import _train_and_classify
 
 # ----------------------------------------------------------------------
@@ -112,6 +122,40 @@ def reference_mixture_outliers(
     valid = ~np.isnan(values)
     flagged[valid] = loglik(values[valid]) < cut
     return flagged
+
+
+def reference_dboost_detect_columns(detector, context) -> Set[Tuple[int, str]]:
+    """Original ``DBoostDetector._detect_columns``: each mixture
+    configuration fits its own EM (``dboost._mixture_outliers``)."""
+    rng = context.rng(17)
+    table = context.dirty
+    cells: Set[Tuple[int, str]] = set()
+    for column in table.schema.numerical_names:
+        values = table.as_float(column)
+        if (~np.isnan(values)).sum() < 8:
+            continue
+        best_flags: Optional[np.ndarray] = None
+        best_score = -np.inf
+        for _ in range(detector.n_search):
+            config = detector._random_config(rng)
+            if config.model == "gaussian":
+                flagged = dboost._gaussian_outliers(values, config.threshold)
+            elif config.model == "histogram":
+                flagged = dboost._histogram_outliers(
+                    values, config.threshold, config.n_bins
+                )
+            else:
+                flagged = dboost._mixture_outliers(
+                    values, config.threshold, config.n_components, rng
+                )
+            score = detector._separation_score(values, flagged)
+            if score > best_score:
+                best_score, best_flags = score, flagged
+        if best_flags is None or best_score == -np.inf:
+            continue
+        for i in np.flatnonzero(best_flags):
+            cells.add((int(i), column))
+    return cells
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +395,158 @@ def reference_digit_fraction(text: str) -> float:
     return sum(ch.isdigit() for ch in text) / len(text)
 
 
+_REFERENCE_SENTINELS = {"unknown", "unk", "xxx", "missing", "tbd", "-", "x"}
+
+
+def _reference_lower_key(value) -> Optional[str]:
+    return None if is_missing(value) else str(value).strip().lower()
+
+
+def reference_fit_column_profile(table: Table, column: str) -> ColumnProfile:
+    """Original profile fit: lower-cased keys and shapes counted per cell."""
+    numeric = table.as_float(column)
+    finite = numeric[~np.isnan(numeric)]
+    keys = normalized_column(table.column_view(column), _reference_lower_key)
+    counts = Counter(k for k in keys if k is not None)
+    total = sum(counts.values()) or 1
+    shape_counts = Counter(reference_shape_of(k) for k in keys if k is not None)
+    dominant = (
+        shape_counts.most_common(1)[0][0] if shape_counts else None
+    )
+    has_z = len(finite) >= 3 and float(finite.std()) > 0
+    has_iqr = len(finite) >= 4
+    if has_iqr:
+        q1, q3 = np.quantile(finite, [0.25, 0.75])
+        q1, q3 = float(q1), float(q3)
+    else:
+        q1 = q3 = 0.0
+    return ColumnProfile(
+        column=column,
+        numerical=table.schema.kind_of(column) == "numerical",
+        has_z=has_z,
+        mean=float(finite.mean()) if has_z else 0.0,
+        std=float(finite.std()) if has_z else 0.0,
+        has_iqr=has_iqr,
+        q1=q1,
+        q3=q3,
+        iqr=q3 - q1,
+        counts=dict(counts),
+        total=total,
+        dominant_shape=dominant,
+    )
+
+
+def reference_strategy_features_block(
+    profile: ColumnProfile, block: Table
+) -> np.ndarray:
+    """Original strategy-output matrix (keys derived per cell again)."""
+    n_rows = block.n_rows
+    numeric = block.as_float(profile.column)
+    missing = block.missing_mask(profile.column)
+
+    columns: List[np.ndarray] = [missing.astype(float)]
+    if profile.has_z:
+        z = np.abs(numeric - profile.mean) / profile.std
+        z = np.where(np.isnan(z), 0.0, z)
+        for threshold in (2.0, 3.0, 4.0):
+            columns.append((z > threshold).astype(float))
+    else:
+        columns.extend([np.zeros(n_rows)] * 3)
+    if profile.has_iqr:
+        q1, q3, iqr = profile.q1, profile.q3, profile.iqr
+        for k in (1.5, 3.0):
+            if iqr > 0:
+                out = (numeric < q1 - k * iqr) | (numeric > q3 + k * iqr)
+                columns.append(np.where(np.isnan(numeric), 0.0, out).astype(float))
+            else:
+                columns.append(np.zeros(n_rows))
+    else:
+        columns.extend([np.zeros(n_rows)] * 2)
+    keys = normalized_column(
+        block.column_view(profile.column), _reference_lower_key
+    )
+    counts, total = profile.counts, profile.total
+    frequency = np.array(
+        [counts.get(k, 0) / total if k is not None else 0.0 for k in keys]
+    )
+    columns.append((frequency < 0.01).astype(float))
+    columns.append((frequency < 0.001).astype(float))
+    if profile.dominant_shape is not None:
+        dominant = profile.dominant_shape
+        deviates = np.array(
+            [
+                0.0 if k is None else float(reference_shape_of(k) != dominant)
+                for k in keys
+            ]
+        )
+    else:
+        deviates = np.zeros(n_rows)
+    columns.append(deviates)
+    columns.append(
+        np.array(
+            [float(k in _REFERENCE_SENTINELS) if k is not None else 0.0
+             for k in keys]
+        )
+    )
+    if profile.numerical:
+        corrupted = (~missing & np.isnan(numeric)).astype(float)
+    else:
+        corrupted = np.zeros(n_rows)
+    columns.append(corrupted)
+    return np.column_stack(columns)
+
+
+def reference_metadata_features_block(
+    profile: ColumnProfile, block: Table
+) -> np.ndarray:
+    """Original metadata-feature matrix: text keys per cell, and every
+    column's missing mask summed for the row-missing share."""
+    n_rows = block.n_rows
+    numeric = block.as_float(profile.column)
+    keys = block.text_keys(profile.column)
+    counts, total = profile.counts, profile.total
+
+    lengths = np.array([0.0 if k is None else float(len(k)) for k in keys])
+    tokens = np.array(
+        [0.0 if k is None else float(len(k.split())) for k in keys]
+    )
+    digit_fraction = np.array(
+        [0.0 if not k else reference_digit_fraction(k) for k in keys]
+    )
+    frequency = np.array(
+        [
+            counts.get(k.lower(), 0) / total if k is not None else 0.0
+            for k in keys
+        ]
+    )
+    if profile.has_z:
+        z = np.abs(numeric - profile.mean) / profile.std
+        z = np.where(np.isnan(z), 0.0, np.minimum(z, 10.0))
+    else:
+        z = np.zeros(n_rows)
+    missing = np.array([float(k is None) for k in keys])
+    row_missing = np.zeros(n_rows)
+    for other in block.column_names:
+        row_missing += block.missing_mask(other).astype(float)
+    row_missing /= max(len(block.column_names), 1)
+    return np.column_stack(
+        [lengths, tokens, digit_fraction, frequency, z, missing, row_missing]
+    )
+
+
+def reference_column_features(
+    table: Table, column: str, row_missing: np.ndarray
+) -> Tuple[ColumnProfile, np.ndarray]:
+    """Original per-column features: a profile fit, then the strategy
+    and the metadata blocks side by side (the metadata block derives
+    ``row_missing`` itself)."""
+    profile = reference_fit_column_profile(table, column)
+    return profile, np.hstack([
+        reference_strategy_features_block(profile, table),
+        reference_metadata_features_block(profile, table),
+    ])
+
+
 # ----------------------------------------------------------------------
 # Metadata-driven detector: per-cell feature assembly
 # ----------------------------------------------------------------------
@@ -377,7 +573,9 @@ def reference_meta_detect(detector, context) -> Set[Tuple[int, str]]:
             if cell in cell_index:
                 tool_features[cell_index[cell], j] = 1.0
     meta = {
-        column: metadata_features(table, column)
+        column: reference_metadata_features_block(
+            reference_fit_column_profile(table, column), table
+        )
         for column in table.column_names
     }
     meta_matrix = np.vstack([meta[column][i] for i, column in all_cells])

@@ -8,7 +8,9 @@ ML kernels exactly as they were before the vectorization pass:
 - per-row recursive tree prediction;
 - naive O(n*m*d) pairwise squared distances by full broadcasting;
 - the recursive isolation-tree builder over ``_IsoNode`` objects and its
-  ``id()``-keyed flatten, from before isolation trees were grown flat.
+  ``id()``-keyed flatten, from before isolation trees were grown flat;
+- isolation scoring that routes every tree node by node, from before
+  one-feature trees were scored by search.
 
 They exist for two reasons and must not be "improved":
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_arrays
 from repro.ml.forest import _average_path_length
-from repro.ml.tree import FlatTree, _resolve_max_features
+from repro.ml.tree import FlatTree, _leaf_indices, _resolve_max_features
 
 
 @dataclass
@@ -456,3 +458,16 @@ def reference_isolation_fit_predict(forest, features, block_rows=None):
     """The two-pass original: ``fit`` scores the training matrix to set
     ``threshold_``, then ``predict`` scores it again."""
     return forest.fit(features).predict(features, block_rows)
+
+
+def reference_isolation_score_rows(
+    forest, features: np.ndarray, c_norm: float
+) -> np.ndarray:
+    """The original ``IsolationForest._score_rows``: every tree routed
+    node by node (``_leaf_indices``), from before one-feature trees were
+    scored by search."""
+    total_path = np.zeros(len(features))
+    for *routing, path_value in forest.trees_:
+        total_path += path_value[_leaf_indices(*routing, features)]
+    mean_path = total_path / max(len(forest.trees_), 1)
+    return 2.0 ** (-mean_path / c_norm)

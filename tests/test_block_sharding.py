@@ -3,7 +3,7 @@ execution plan, and the blocked == unblocked byte-identity contract.
 
 The substrate's promise is exact: for any block size, streaming
 inference over row blocks produces *byte-identical* results to the
-whole-table run -- detectors, feature extraction, encoder transforms,
+whole-table run -- detectors, encoder transforms,
 and ML-kernel predictions alike.  The property tests here drive that
 promise with hypothesis-chosen tables and block sizes, including blocks
 that split rows carrying quoted/multiline text cells straight out of a
@@ -25,7 +25,6 @@ from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.dataset.encoding import TableEncoder
 from repro.detectors import IQRDetector, MVDetector, SDDetector
 from repro.detectors.base import BlockwiseDetector
-from repro.detectors.features import combined_features
 from repro.ml.forest import (
     IsolationForest,
     RandomForestClassifier,
@@ -402,19 +401,6 @@ def test_encoder_transform_byte_identical(table, block_rows):
     blocked = encoder.transform(table, block_rows=block_rows)
     assert whole.dtype == blocked.dtype
     assert np.array_equal(whole, blocked)  # exact, not approx
-
-
-@given(small_tables(min_rows=2), block_sizes)
-@settings(max_examples=30, deadline=None)
-def test_feature_extraction_byte_identical(table, block_rows):
-    whole = combined_features(table)
-    blocked = combined_features(table, block_rows=block_rows)
-    assert whole.keys() == blocked.keys()
-    for name in whole:
-        assert whole[name].dtype == blocked[name].dtype
-        assert np.array_equal(
-            whole[name], blocked[name], equal_nan=True
-        ), name
 
 
 @given(

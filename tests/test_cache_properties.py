@@ -60,11 +60,16 @@ from repro.metrics.detection import DetectionScores
 from repro.metrics.repair import repair_scores_categorical
 from repro.ml.forest import (
     IsolationForest,
+    _average_path_length,
     RandomForestClassifier,
     RandomForestRegressor,
 )
 from repro.ml.neighbors import _pairwise_sq_distances
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    _leaf_indices,
+)
 from repro.repair.base import RepairResult
 from repro.repository.store import (
     decode_payload,
@@ -83,6 +88,7 @@ from oracles.ml import (
     reference_forest,
     reference_isolation_fit_predict,
     reference_isolation_forest,
+    reference_isolation_score_rows,
     reference_pairwise_sq_distances,
 )
 
@@ -721,6 +727,65 @@ hostile_feature = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0]),
 )
+
+
+@given(
+    st.lists(hostile_feature, min_size=1, max_size=5),
+    st.data(),
+    st.integers(1, 6),
+    st.integers(1, 64),
+    st.integers(0, 10_000),
+)
+@example(
+    [1.7e308, -1.7e308, 0.0, -0.0, 1.0],
+    None,
+    3,
+    16,
+    7,
+)
+@settings(max_examples=80, deadline=None)
+def test_one_feature_isolation_search_equals_routing(
+    pool, data, n_estimators, max_samples, seed
+):
+    if data is None:  # the explicit example: the pool itself, twice
+        column, queries = pool * 2, pool
+    else:
+        column = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                    max_size=40))
+        queries = data.draw(st.lists(hostile_feature, max_size=10))
+    column = np.array(column, dtype=np.float64)
+    probe = np.concatenate([column, np.array(queries, dtype=np.float64)])
+    params = dict(n_estimators=n_estimators, max_samples=max_samples, seed=seed)
+    with np.errstate(all="ignore"):
+        forest = IsolationForest(**params).fit(column[:, None])
+        c_norm = _average_path_length(float(forest.subsample_size_)) or 1.0
+        assert forest.score_samples(probe[:, None]).tobytes() == (
+            reference_isolation_score_rows(forest, probe[:, None], c_norm)
+            .tobytes()
+        )
+        # NaN is refused by ``score_samples``; per tree it goes right at
+        # every node, to the last leaf, on both paths.
+        with_nan = np.append(probe, np.nan)
+        for tree, arrays in zip(forest.trees_, forest.search_trees_):
+            if arrays is None:
+                continue
+            thresholds, leaf_values = arrays
+            by_search = leaf_values[
+                np.searchsorted(thresholds, with_nan, side="left")
+            ]
+            by_routing = tree[4][_leaf_indices(*tree[:4], with_nan[:, None])]
+            assert by_search.tobytes() == by_routing.tobytes()
+        twice = IsolationForest(**params)
+        flags = IsolationForest(**params).fit_predict(column[:, None])
+        expected = reference_isolation_fit_predict(twice, column[:, None])
+    assert flags.tobytes() == expected.tobytes()
+
+
+def test_one_feature_isolation_trees_are_scored_by_search():
+    column = np.random.default_rng(0).normal(size=(500, 1))
+    forest = IsolationForest(n_estimators=20, seed=1).fit(column)
+    assert all(arrays is not None for arrays in forest.search_trees_)
+    assert IsolationForest().fit(np.ones((8, 2))).search_trees_ is None
 
 
 @given(

@@ -24,6 +24,7 @@ import inspect
 import json
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -38,11 +39,13 @@ from repro.datagen import DATASET_NAMES, generate
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
 from repro.detectors import (
     DBoostDetector,
+    ED2Detector,
     KeyCollisionDetector,
     KnowledgeBase,
     MetadataDrivenDetector,
     MVDetector,
     NadeefDetector,
+    RahaDetector,
     ZeroERDetector,
 )
 from repro.detectors import features
@@ -78,6 +81,7 @@ from oracles.constraints import (
 )
 from oracles.detectors import (
     reference_build_blocks,
+    reference_column_features,
     reference_digit_fraction,
     reference_enumerate_block_pairs,
     reference_histogram_outliers,
@@ -305,7 +309,7 @@ class TestNormalizedColumn:
 
 
 # ----------------------------------------------------------------------
-# Cell features: code-point tables, one profile fit per column, Meta
+# Cell features: code-point tables, one pass per table, Meta
 # ----------------------------------------------------------------------
 #: Text mixing ASCII, Latin-1, non-Latin letters, digits that are not
 #: decimal (superscript two), Arabic-Indic digits and separators.
@@ -317,15 +321,66 @@ featurized_text = st.text(
 )
 
 
-def _old_combined_features(table):
-    """The combined features as two separately fitted families."""
-    return {
-        column: np.hstack([
-            features.strategy_features(table, column),
-            features.metadata_features(table, column),
-        ])
-        for column in table.column_names
+def _nan_with_payload(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+#: Cells that stress the one-pass keys: float reprs in exponent form,
+#: signed zeros, infinities and NaN payloads; bools beside ints and big
+#: ints; numpy scalars (``KIND_OTHER``); padded and missing-token text,
+#: sentinel words, a letter whose ``lower()`` changes length and digits
+#: that are not ASCII.
+hostile_cell = st.one_of(
+    st.none(),
+    st.floats(),
+    st.sampled_from([
+        -0.0, 0.0, float("inf"), float("-inf"), 1e16, 1e-05, 1.5e300,
+        _nan_with_payload(1), _nan_with_payload(0xBEEF),
+    ]),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(min_value=2**63, max_value=2**70),
+    st.integers(max_value=-(2**63) - 1, min_value=-(2**70)),
+    st.sampled_from([
+        np.float64(1.5), np.float64("nan"), np.float32(-0.0), np.int64(3),
+        np.str_(" n/a "), np.str_("x"),
+    ]),
+    st.sampled_from([
+        " 12 ", " n/a ", "NULL", "", "  ", "unknown", "UNK", " x ", "-",
+        "tbd", "İ", "İstanbul", "²", "٣", "٣٤", "1e+16", "a b  c", "True",
+    ]),
+    featurized_text,
+)
+
+
+@st.composite
+def hostile_tables(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=24))
+    kinds = draw(
+        st.lists(st.sampled_from([NUMERICAL, CATEGORICAL]), min_size=1,
+                 max_size=3)
+    )
+    pairs = [(f"k{i}", kind) for i, kind in enumerate(kinds)]
+    pool = draw(st.lists(hostile_cell, min_size=1, max_size=6))
+    columns = {
+        name: draw(
+            st.lists(
+                st.one_of(st.sampled_from(pool), hostile_cell),
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+        for name, _ in pairs
     }
+    return Table(Schema.from_pairs(pairs), columns)
+
+
+def _assert_same_matrices(got, want):
+    assert list(got) == list(want)
+    for column in want:
+        assert got[column].dtype == want[column].dtype
+        assert got[column].shape == want[column].shape
+        assert got[column].tobytes() == want[column].tobytes(), column
 
 
 class TestCellFeatureKernels:
@@ -345,23 +400,63 @@ class TestCellFeatureKernels:
 
     @pytest.mark.parametrize("name", DATASET_NAMES)
     def test_features_bit_identical_on_every_generator(self, name):
-        table = generate(name, n_rows=80, seed=2).dirty
-        live = (
-            features.combined_features(table),
-            {c: features.strategy_features(table, c) for c in table.column_names},
-            {c: features.metadata_features(table, c) for c in table.column_names},
-        )
-        with reference_kernels():
-            frozen = (
-                _old_combined_features(table),
-                {c: features.strategy_features(table, c) for c in table.column_names},
-                {c: features.metadata_features(table, c) for c in table.column_names},
-            )
-        for got, want in zip(live, frozen):
-            assert list(got) == list(want)
-            for column in want:
-                assert got[column].dtype == want[column].dtype
-                assert got[column].tobytes() == want[column].tobytes(), column
+        for table in (
+            generate(name, n_rows=80, seed=2).dirty,
+            generate(name, n_rows=80, seed=2).clean,
+        ):
+            live = features.combined_features(table)
+            with reference_kernels():
+                frozen = features.combined_features(table)
+            _assert_same_matrices(live, frozen)
+
+    @given(hostile_tables())
+    @example(Table(
+        Schema.from_pairs([("k0", CATEGORICAL), ("k1", NUMERICAL)]),
+        {"k0": ["İ", "i̇", "İ", " n/a ", True, "true"],
+         "k1": [1e16, "1e+16", -0.0, 0.0, np.float64(2.5), 2**64]},
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_frozen_families_on_hostile_columns(self, table):
+        names = table.column_names
+        row_missing = np.zeros(table.n_rows)
+        for name in names:
+            row_missing += table.missing_mask(name).astype(float)
+        row_missing /= len(names)
+        with np.errstate(all="ignore"):
+            for name in names:
+                profile, matrix = features._column_features(
+                    table, name, row_missing
+                )
+                want_profile, want_matrix = reference_column_features(
+                    table, name, row_missing
+                )
+                assert profile == want_profile
+                assert list(profile.counts.items()) == list(
+                    want_profile.counts.items()
+                )
+                assert profile.dominant_shape == want_profile.dominant_shape
+                assert matrix.dtype == want_matrix.dtype
+                assert matrix.shape == want_matrix.shape
+                assert matrix.tobytes() == want_matrix.tobytes(), name
+            live = features.combined_features(table)
+            with reference_kernels():
+                frozen = features.combined_features(table)
+        _assert_same_matrices(live, frozen)
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_feature_detectors_and_dboost_cells_unchanged(self, name):
+        dataset = generate(name, n_rows=80, seed=2)
+        context = dataset.context(seed=1)
+        detectors = [
+            RahaDetector(), ED2Detector(), MetadataDrivenDetector(),
+            DBoostDetector(),
+        ]
+        with np.errstate(all="ignore"):
+            live = [detector._detect(context) for detector in detectors]
+            with reference_kernels():
+                frozen = [detector._detect(context) for detector in detectors]
+        for detector, got, want in zip(detectors, live, frozen):
+            assert got == want, detector.name
 
     @pytest.mark.parametrize("name", ["Soccer", "Beers", "Adult"])
     def test_meta_cells_unchanged(self, name):
@@ -807,7 +902,12 @@ class TestReferenceSwapTable:
     def test_every_cleaning_oracle_has_a_row(self):
         swapped = {reference for _, _, reference in KERNELS}
         # Called only by other oracles, never in place of a live kernel.
-        helpers = {"reference_fd_groups", "reference_pair_features"}
+        helpers = {
+            "reference_fd_groups", "reference_pair_features",
+            "reference_fit_column_profile",
+            "reference_strategy_features_block",
+            "reference_metadata_features_block",
+        }
         for module in (
             oracles.constraints, oracles.detectors, oracles.repair,
             oracles.table,

@@ -15,7 +15,7 @@ from repro.detectors.duplicates import (
     column_standard_deviations,
     pair_feature_matrix,
 )
-from repro.detectors.features import metadata_features, strategy_features
+from repro.detectors.features import N_STRATEGY_FEATURES, combined_features
 from repro.detectors.openrefine import cluster_column, fingerprint
 
 
@@ -135,7 +135,7 @@ class TestFeaturizers:
 
     def test_strategy_features_shape_and_flags(self):
         table = self._table()
-        features = strategy_features(table, "n")
+        features = combined_features(table)["n"][:, :N_STRATEGY_FEATURES]
         assert features.shape[0] == 6
         # Missing-cell column is the first strategy.
         assert features[3, 0] == 1.0
@@ -145,13 +145,13 @@ class TestFeaturizers:
 
     def test_metadata_features_shape(self):
         table = self._table()
-        features = metadata_features(table, "c")
+        features = combined_features(table)["c"][:, N_STRATEGY_FEATURES:]
         assert features.shape == (6, 7)
         assert np.isfinite(features).all()
 
     def test_identical_values_identical_features(self):
         table = self._table()
-        features = strategy_features(table, "c")
+        features = combined_features(table)["c"]
         assert np.array_equal(features[0], features[1])
 
 
