@@ -16,8 +16,7 @@ pass per table (:func:`combined_features`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,29 +63,6 @@ def _digit_fraction(text: str) -> float:
     return len(text.translate(_DIGIT_TABLE)) / len(text)
 
 
-@dataclass(frozen=True)
-class ColumnProfile:
-    """Whole-table statistics one column's cell features depend on.
-
-    ``counts`` maps each lower-cased cell text to its number of cells,
-    in first-occurrence order, and ``dominant_shape`` is the most common
-    value shape (the first to occur among equally common ones).
-    """
-
-    column: str
-    numerical: bool
-    has_z: bool
-    mean: float
-    std: float
-    has_iqr: bool
-    q1: float
-    q3: float
-    iqr: float
-    counts: Mapping[str, int]
-    total: int
-    dominant_shape: Optional[str]
-
-
 def _entry_texts(
     table: Table, column: str
 ) -> Tuple[List[Optional[str]], np.ndarray]:
@@ -130,14 +106,16 @@ def _summed(
 
 def _column_features(
     table: Table, column: str, row_missing: np.ndarray
-) -> Tuple[ColumnProfile, np.ndarray]:
-    """One column's profile and its ``(n_rows, 18)`` feature matrix.
+) -> np.ndarray:
+    """One column's ``(n_rows, 18)`` feature matrix.
 
     Every key-derived feature (missing, frequency, shape deviation,
     sentinel, length, tokens, digit share) is computed once per distinct
-    entry and gathered through the entry ids; so are the profile and
-    shape counts (:func:`_summed`).  ``row_missing`` is the table's
-    share of missing cells per row, the last column.
+    entry and gathered through the entry ids; so are the key and shape
+    counts (:func:`_summed`), whose most common shape (the first to
+    occur among equally common ones) is the dominant shape.
+    ``row_missing`` is the table's share of missing cells per row, the
+    last column.
     """
     n_rows = table.n_rows
     texts, inverse = _entry_texts(table, column)
@@ -146,7 +124,7 @@ def _column_features(
     words = [texts[i] for i in present]
     lowered = list(map(str.lower, words))
     shapes = list(map(_shape_of, lowered))
-    keys, key_counts, key_of = _summed(lowered, sizes[present])
+    _, key_counts, key_of = _summed(lowered, sizes[present])
     shape_names, shape_counts, _ = _summed(shapes, sizes[present])
     total = int(key_counts.sum()) or 1
     dominant = (
@@ -155,27 +133,6 @@ def _column_features(
 
     numeric = table.as_float(column)
     finite = numeric[~np.isnan(numeric)]
-    has_z = len(finite) >= 3 and float(finite.std()) > 0
-    has_iqr = len(finite) >= 4
-    if has_iqr:
-        q1, q3 = np.quantile(finite, [0.25, 0.75])
-        q1, q3 = float(q1), float(q3)
-    else:
-        q1 = q3 = 0.0
-    profile = ColumnProfile(
-        column=column,
-        numerical=table.schema.kind_of(column) == "numerical",
-        has_z=has_z,
-        mean=float(finite.mean()) if has_z else 0.0,
-        std=float(finite.std()) if has_z else 0.0,
-        has_iqr=has_iqr,
-        q1=q1,
-        q3=q3,
-        iqr=q3 - q1,
-        counts=dict(zip(keys, key_counts.tolist())),
-        total=total,
-        dominant_shape=dominant,
-    )
 
     # Per-entry features; a missing entry keeps its zeros (missing: 1).
     per_entry = np.zeros((len(texts), 7))
@@ -196,26 +153,28 @@ def _column_features(
     out = np.zeros((n_rows, N_STRATEGY_FEATURES + 7))
     is_missing = cell[:, 0]
     out[:, 0] = is_missing
-    if has_z:
-        z = np.abs(numeric - profile.mean) / profile.std
+    if len(finite) >= 3 and float(finite.std()) > 0:
+        z = np.abs(numeric - float(finite.mean())) / float(finite.std())
         z = np.where(np.isnan(z), 0.0, z)
         for j, threshold in enumerate((2.0, 3.0, 4.0), start=1):
             out[:, j] = z > threshold
         out[:, 15] = np.minimum(z, 10.0)
-    iqr = profile.iqr
-    if has_iqr and iqr > 0:
-        for j, k in enumerate((1.5, 3.0), start=4):
-            out[:, j] = (numeric < q1 - k * iqr) | (numeric > q3 + k * iqr)
+    if len(finite) >= 4:
+        q1, q3 = (float(q) for q in np.quantile(finite, [0.25, 0.75]))
+        iqr = q3 - q1
+        if iqr > 0:
+            for j, k in enumerate((1.5, 3.0), start=4):
+                out[:, j] = (numeric < q1 - k * iqr) | (numeric > q3 + k * iqr)
     out[:, 6] = cell[:, 1] < 0.01
     out[:, 7] = cell[:, 1] < 0.001
     out[:, 8:10] = cell[:, 2:4]
-    if profile.numerical:
+    if table.schema.kind_of(column) == "numerical":
         out[:, 10] = (is_missing == 0.0) & np.isnan(numeric)
     out[:, 11:14] = cell[:, 4:7]
     out[:, 14] = cell[:, 1]
     out[:, 16] = is_missing
     out[:, 17] = row_missing
-    return profile, out
+    return out
 
 
 def _combined_features_fresh(table: Table) -> Dict[str, np.ndarray]:
@@ -225,7 +184,7 @@ def _combined_features_fresh(table: Table) -> Dict[str, np.ndarray]:
         row_missing += table.missing_mask(name).astype(float)
     row_missing /= max(len(names), 1)
     return {
-        name: _column_features(table, name, row_missing)[1] for name in names
+        name: _column_features(table, name, row_missing) for name in names
     }
 
 

@@ -17,7 +17,7 @@ vectorization pass (mirroring :mod:`oracles.ml`):
 - the cell-feature value shape and digit fraction by one
   ``isdigit``/``isalpha`` call per character;
 - the cell features as two families fitted per column: a whole
-  ``ColumnProfile`` fit (lower-cased keys and ``Counter`` objects per
+  ``ReferenceColumnProfile`` fit (lower-cased keys and ``Counter`` objects per
   cell), then the strategy and the metadata blocks, each deriving its
   keys again and the metadata block summing every column's missing mask
   for the row-missing share;
@@ -48,6 +48,7 @@ ships in.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -55,7 +56,6 @@ import numpy as np
 from repro.dataset.columnar import normalized_column
 from repro.dataset.table import Table, coerce_float, is_missing
 from repro.detectors import dboost
-from repro.detectors.features import ColumnProfile
 from repro.detectors.ml_detectors import _train_and_classify
 
 # ----------------------------------------------------------------------
@@ -402,7 +402,32 @@ def _reference_lower_key(value) -> Optional[str]:
     return None if is_missing(value) else str(value).strip().lower()
 
 
-def reference_fit_column_profile(table: Table, column: str) -> ColumnProfile:
+@dataclass(frozen=True)
+class ReferenceColumnProfile:
+    """Whole-table statistics one column's cell features depend on.
+
+    ``counts`` maps each lower-cased cell text to its number of cells,
+    in first-occurrence order, and ``dominant_shape`` is the most common
+    value shape (the first to occur among equally common ones).
+    """
+
+    column: str
+    numerical: bool
+    has_z: bool
+    mean: float
+    std: float
+    has_iqr: bool
+    q1: float
+    q3: float
+    iqr: float
+    counts: Mapping[str, int]
+    total: int
+    dominant_shape: Optional[str]
+
+
+def reference_fit_column_profile(
+    table: Table, column: str
+) -> ReferenceColumnProfile:
     """Original profile fit: lower-cased keys and shapes counted per cell."""
     numeric = table.as_float(column)
     finite = numeric[~np.isnan(numeric)]
@@ -420,7 +445,7 @@ def reference_fit_column_profile(table: Table, column: str) -> ColumnProfile:
         q1, q3 = float(q1), float(q3)
     else:
         q1 = q3 = 0.0
-    return ColumnProfile(
+    return ReferenceColumnProfile(
         column=column,
         numerical=table.schema.kind_of(column) == "numerical",
         has_z=has_z,
@@ -437,7 +462,7 @@ def reference_fit_column_profile(table: Table, column: str) -> ColumnProfile:
 
 
 def reference_strategy_features_block(
-    profile: ColumnProfile, block: Table
+    profile: ReferenceColumnProfile, block: Table
 ) -> np.ndarray:
     """Original strategy-output matrix (keys derived per cell again)."""
     n_rows = block.n_rows
@@ -497,7 +522,7 @@ def reference_strategy_features_block(
 
 
 def reference_metadata_features_block(
-    profile: ColumnProfile, block: Table
+    profile: ReferenceColumnProfile, block: Table
 ) -> np.ndarray:
     """Original metadata-feature matrix: text keys per cell, and every
     column's missing mask summed for the row-missing share."""
@@ -536,12 +561,12 @@ def reference_metadata_features_block(
 
 def reference_column_features(
     table: Table, column: str, row_missing: np.ndarray
-) -> Tuple[ColumnProfile, np.ndarray]:
+) -> np.ndarray:
     """Original per-column features: a profile fit, then the strategy
     and the metadata blocks side by side (the metadata block derives
     ``row_missing`` itself)."""
     profile = reference_fit_column_profile(table, column)
-    return profile, np.hstack([
+    return np.hstack([
         reference_strategy_features_block(profile, table),
         reference_metadata_features_block(profile, table),
     ])

@@ -415,6 +415,12 @@ class TestCellFeatureKernels:
         {"k0": ["İ", "i̇", "İ", " n/a ", True, "true"],
          "k1": [1e16, "1e+16", -0.0, 0.0, np.float64(2.5), 2**64]},
     ))
+    # Shapes ``aa`` and ``99`` tie at two cells each, ``aa`` first (and
+    # spread over two entries): only the first to occur is dominant.
+    @example(Table(
+        Schema.from_pairs([("k0", CATEGORICAL)]),
+        {"k0": ["x1", "AB", "12", "ab", "34"]},
+    ))
     @settings(max_examples=200, deadline=None)
     def test_one_pass_equals_frozen_families_on_hostile_columns(self, table):
         names = table.column_names
@@ -424,17 +430,10 @@ class TestCellFeatureKernels:
         row_missing /= len(names)
         with np.errstate(all="ignore"):
             for name in names:
-                profile, matrix = features._column_features(
+                matrix = features._column_features(table, name, row_missing)
+                want_matrix = reference_column_features(
                     table, name, row_missing
                 )
-                want_profile, want_matrix = reference_column_features(
-                    table, name, row_missing
-                )
-                assert profile == want_profile
-                assert list(profile.counts.items()) == list(
-                    want_profile.counts.items()
-                )
-                assert profile.dominant_shape == want_profile.dominant_shape
                 assert matrix.dtype == want_matrix.dtype
                 assert matrix.shape == want_matrix.shape
                 assert matrix.tobytes() == want_matrix.tobytes(), name
