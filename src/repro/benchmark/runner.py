@@ -25,18 +25,19 @@ context its failure records carry; :func:`_execute_unit` and
 :func:`_quarantine_unit` wrap that in deadline, retry and quarantine
 handling for every stage alike.
 
-Under an installed artifact cache, whole units are memoized: detection
-and repair units hold their checkpoint payload
-(:data:`DETECTION_UNIT_KIND`, :data:`REPAIR_UNIT_KIND`), each keyed by
-everything its run is computed from, and supervised scenario units hold
-``y_test`` and the predictions (:data:`SCENARIO_UNIT_KIND`).  The
-driver reads them: each adapter's ``lookup`` hook (:func:`_lookup_unit`)
-runs inside :func:`~repro.parallel.execute_plan`, next to the checkpoint
-loads, and a hit is finalized like an executed unit -- no tool runs,
-nothing is validated, and detection and repair hits are not rescored.
+Under an installed artifact cache, whole units are memoized: each
+detection, repair and scenario unit's entry holds its checkpoint
+payload (:data:`DETECTION_UNIT_KIND`, :data:`REPAIR_UNIT_KIND`,
+:data:`SCENARIO_UNIT_KIND`), keyed by everything its run is computed
+from.  The driver reads them: each adapter's ``lookup`` hook
+(:func:`_lookup_unit`) runs inside :func:`~repro.parallel.execute_plan`,
+next to the checkpoint loads, and a hit is finalized like an executed
+unit -- no tool runs, nothing is validated and nothing is rescored.
 Workers never read memo entries: only misses reach
 :func:`_execute_unit`, which stores a successful run under the key the
-driver looked up.
+driver looked up.  A direct :func:`run_scenario` call is a one-unit
+evaluation: it reads and writes the entry the model stage's unit with
+the same arguments would.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import (
     Any,
@@ -64,22 +65,15 @@ from typing import (
 import numpy as np
 
 from repro.cache.keys import (
-    ConfigTemplate,
     artifact_key,
     canonical_config,
     config_fingerprint,
-    source_digest,
-    table_fingerprint,
     table_identity,
 )
 from repro.cache.store import current_cache
 from repro.context import CleaningContext
 from repro.datagen.benchmark_dataset import BenchmarkDataset
-from repro.dataset.encoding import (
-    SUPERVISED_MAX_CATEGORIES,
-    TableEncoder,
-    encode_supervised,
-)
+from repro.dataset.encoding import TableEncoder, encode_supervised
 from repro.dataset.splits import train_test_split
 from repro.dataset.table import Cell, Table
 from repro.detectors.base import BlockwiseDetector, DetectionResult, Detector
@@ -164,13 +158,14 @@ class _StageShared:
     retry: Optional[RetryPolicy]
     clock: Optional[Callable[[], float]]
     sleep: Callable[[float], None]
-    #: Suite part of every unit memo key (:func:`_suite_memo_key`); None
-    #: when no cache is installed or the suite has no exact identity.
+    #: The part of every unit memo key that all units of the plan share
+    #: (:func:`_suite_memo_key`, :meth:`_ScenarioShared.evaluation_key`);
+    #: None when no cache is installed or it has no exact form.
     memo_suite: Optional[str] = field(default=None, kw_only=True)
 
     def provenance(self, spec: UnitSpec) -> Optional[Dict[str, Any]]:
         """Per-unit part of the unit's memo key: what, besides the
-        suite, its run is computed from.  None: never memoized."""
+        shared part, its run is computed from.  None: never memoized."""
         return None
 
     def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
@@ -233,10 +228,11 @@ class _StageShared:
         cache.put(key, {"payload": np.frombuffer(blob, dtype=np.uint8)})
 
 
-#: Cache kinds of one detection and one repair unit's run: its
+#: Cache kinds of one detection, repair and scenario unit's run: its
 #: checkpoint payload, keyed by everything the run is computed from.
 DETECTION_UNIT_KIND = "benchmark/detection_unit@v1"
 REPAIR_UNIT_KIND = "benchmark/repair_unit@v1"
+SCENARIO_UNIT_KIND = "benchmark/scenario_unit@v2"
 
 
 def _suite_memo_key(dataset: BenchmarkDataset) -> Optional[str]:
@@ -245,8 +241,7 @@ def _suite_memo_key(dataset: BenchmarkDataset) -> Optional[str]:
     It names the exact identity of the dirty and clean tables (exact,
     not the fingerprint: ``None``, NaN and ``"NA"`` cells survive into
     repaired payloads), the sorted error cells, the cleaning signals,
-    the task, and the digest of the package sources and numpy version --
-    so an edit to any tool or scoring code can never serve a stale unit.
+    the target and the task.
     """
     tables = [table_identity(dataset.dirty), table_identity(dataset.clean)]
     signals = canonical_config([
@@ -261,8 +256,6 @@ def _suite_memo_key(dataset: BenchmarkDataset) -> Optional[str]:
         "signals": signals,
         "target": dataset.target,
         "task": dataset.task,
-        "source": source_digest(),
-        "numpy": np.__version__,
     })
 
 
@@ -276,7 +269,7 @@ def _cells_digest(cells: Sequence[Cell]) -> str:
 
 
 def _unit_memo_key(shared: _StageShared, spec: UnitSpec) -> Optional[str]:
-    """The unit's memo key: its stage's kind, the suite part and the
+    """The unit's memo key: its stage's kind, the shared part and the
     unit's provenance; None when the unit is not memoized."""
     if shared.memo_suite is None:
         return None
@@ -930,8 +923,6 @@ def run_scenario(
     model_params: Optional[Dict[str, object]] = None,
     sample_rows: Optional[int] = None,
     tune_trials: Optional[int] = None,
-    *,
-    memo_key: Optional[str] = None,
 ) -> float:
     """Train/test one model under one scenario; return its metric.
 
@@ -943,26 +934,44 @@ def run_scenario(
     (the Optuna analogue) over an inner holdout of the training data
     before the final fit; None uses the zoo defaults.
 
-    Under an installed artifact cache a supervised unit's ``y_test`` and
-    predictions are memoized by provenance (:data:`SCENARIO_UNIT_KIND`):
-    a hit rescores them without splitting, encoding, tuning or fitting.
-    A caller that already looked the unit up and missed (the model
-    stage's driver) passes its ``memo_key``: the unit is computed and
-    stored under it without a second read.
+    The call is a one-unit evaluation: under an installed artifact cache
+    it reads and writes the entry (:data:`SCENARIO_UNIT_KIND`) that the
+    model stage's unit with the same arguments would, and a hit returns
+    the stored metric without splitting, encoding, tuning or fitting.
     """
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    if memo_key is None and current_cache() is not None:
-        template = _scenario_key_template(
-            dataset, model_name, test_fraction, kept_rows, model_params,
-            sample_rows, tune_trials,
-        )
-        memo_key = _scenario_unit_key(
-            template, scenario, variant_table, dataset, seed
-        )
-        value = _replay_scenario_unit(memo_key, dataset.task)
-        if value is not None:
-            return value
+    shared = _scenario_shared(
+        dataset=dataset,
+        deadline_seconds=None,
+        retry=None,
+        clock=None,
+        sleep=time.sleep,
+        variant_table=variant_table,
+        model_name=model_name,
+        kept_rows=kept_rows,
+        sample_rows=sample_rows,
+        test_fraction=test_fraction,
+        model_params=model_params,
+        tune_trials=tune_trials,
+    )
+    spec = UnitSpec(0, "", "", {"scenario": scenario, "seed": seed})
+    read = shared.read_memo(spec)
+    if read is not None and read.run is not None:
+        return read.run.value
+    run = ScenarioRun(shared.attempt(spec, None))
+    if read is not None:
+        shared.remember(read.key, run)
+    return run.value
+
+
+def _scenario_metric(
+    shared: _ScenarioShared, scenario: Union[str, Scenario], seed: int
+) -> float:
+    """One (scenario, seed) unit's metric, computed (see
+    :func:`run_scenario`)."""
+    scenario = _as_scenario(scenario)
+    dataset, variant_table = shared.dataset, shared.variant_table
+    model_name, model_params = shared.model_name, shared.model_params
+    sample_rows, tune_trials = shared.sample_rows, shared.tune_trials
     task = dataset.task
     if task is None:
         raise ValueError(f"dataset {dataset.name} has no associated ML task")
@@ -1000,10 +1009,12 @@ def run_scenario(
 
     target = dataset.target
     assert target is not None
-    mapping = _aligned_rows(variant_table, clean, kept_rows)
-    stratify = _stratify_labels(dataset)
+    mapping = _aligned_rows(variant_table, clean, shared.kept_rows)
+    stratify = None
+    if task == "classification":
+        stratify = [str(v) for v in clean.column(target)]
     train_idx, test_idx = train_test_split(
-        clean.n_rows, test_fraction, rng=rng, stratify=stratify
+        clean.n_rows, shared.test_fraction, rng=rng, stratify=stratify
     )
     if sample_rows is not None and len(train_idx) > sample_rows:
         train_idx = rng.choice(train_idx, size=sample_rows, replace=False)
@@ -1033,112 +1044,12 @@ def run_scenario(
     else:
         model = build_model(task, model_name, **(model_params or {}))
     predictions = fit_predict(model, x_train, y_train, x_test)
-    cache = current_cache()
-    if (
-        memo_key is not None
-        and cache is not None
-        and isinstance(predictions, np.ndarray)
-        and not predictions.dtype.hasobject
-    ):
-        cache.put(memo_key, {"y_test": y_test, "predictions": predictions})
     return _supervised_score(task, y_test, predictions)
 
 
-#: Cache kind of one supervised scenario unit's outcome (``y_test`` and
-#: the predictions), keyed by provenance.  Bump the version whenever the
-#: split, encoding, model or prediction code changes what a unit yields.
-SCENARIO_UNIT_KIND = "benchmark/scenario_unit@v1"
-
-_UNIT_ARRAYS = frozenset({"y_test", "predictions"})
-
-
-def _stratify_labels(dataset: BenchmarkDataset) -> Optional[List[str]]:
-    """A classification split's stratification labels (None otherwise)."""
-    if dataset.task != "classification":
-        return None
-    return [str(v) for v in dataset.clean.column(dataset.target)]
-
-
-def _scenario_key_template(
-    dataset: BenchmarkDataset,
-    model_name: str,
-    test_fraction: float = 0.25,
-    kept_rows: Optional[Sequence[int]] = None,
-    model_params: Optional[Dict[str, object]] = None,
-    sample_rows: Optional[int] = None,
-    tune_trials: Optional[int] = None,
-) -> Optional[ConfigTemplate]:
-    """The part of a supervised unit's provenance key that every
-    (scenario, seed) unit of one evaluation shares; None for a task that
-    is not supervised.
-
-    It names the split, the encoding settings and the model -- not the
-    split tables or matrices built from them, so a hit needs none of
-    those.  The stratification labels are part of it because ``str``
-    tells apart cells that the table fingerprint merges (``None`` and
-    NaN, ``float32`` and ``float64`` payloads).
-    """
-    if dataset.task not in ("classification", "regression"):
-        return None
-    tuned = tune_trials is not None and tune_trials > 0
-    model = build_model(
-        dataset.task, model_name, **({} if tuned else model_params or {})
-    )
-    kind = type(model)
-    return ConfigTemplate({
-        "test_fraction": test_fraction,
-        "kept_rows": (
-            None if kept_rows is None else [int(i) for i in kept_rows]
-        ),
-        "sample_rows": sample_rows,
-        "stratify": _stratify_labels(dataset),
-        "target": dataset.target,
-        "task": dataset.task,
-        "max_categories": SUPERVISED_MAX_CATEGORIES,
-        # The zoo name picks the tuning search space: two names may
-        # build the same default model (Ridge and Lasso-like).
-        "model_name": model_name,
-        "model": f"{kind.__module__}.{kind.__qualname__}",
-        "params": model.get_params(),
-        "tune_trials": tune_trials if tuned else None,
-    })
-
-
-def _scenario_unit_key(
-    template: Optional[ConfigTemplate],
-    scenario: Scenario,
-    variant_table: Table,
-    dataset: BenchmarkDataset,
-    seed: int,
-) -> Optional[str]:
-    """Provenance key of one supervised unit: its evaluation's
-    ``template`` plus the variant and clean tables (memoized
-    fingerprints), the scenario and the seed.  None without a
-    template."""
-    if template is None:
-        return None
-    return artifact_key(
-        SCENARIO_UNIT_KIND,
-        [table_fingerprint(variant_table), table_fingerprint(dataset.clean)],
-        template.bind(
-            scenario=[scenario.name, scenario.train, scenario.test],
-            seed=seed,
-        ),
-    )
-
-
-def _replay_scenario_unit(key: Optional[str], task: str) -> Optional[float]:
-    """The metric rescored from a unit's stored ``y_test`` and
-    predictions; None on a miss or without a key."""
-    cache = current_cache()
-    if key is None or cache is None:
-        return None
-    entry = cache.get(key)
-    if entry is None or not _UNIT_ARRAYS <= entry.arrays.keys():
-        return None
-    return _supervised_score(
-        task, entry.arrays["y_test"], entry.arrays["predictions"]
-    )
+def _as_scenario(scenario: Union[str, Scenario]) -> Scenario:
+    """A scenario given by name or as itself (unknown name: KeyError)."""
+    return get_scenario(scenario) if isinstance(scenario, str) else scenario
 
 
 def _supervised_score(task: str, y_test: np.ndarray, predictions: Any) -> float:
@@ -1267,6 +1178,10 @@ class ScenarioRun:
     value: float
     failure_record: Optional[FailureRecord] = None
 
+    @property
+    def failed(self) -> bool:
+        return self.failure_record is not None
+
     def to_payload(self) -> Dict[str, Any]:
         """Canonical JSON payload for checkpointing."""
         return {
@@ -1287,12 +1202,61 @@ class _ScenarioShared(_StageShared):
     """Per-evaluation context shipped to every (scenario, seed) unit."""
 
     stage: ClassVar[str] = "model"
+    memo_kind: ClassVar[Optional[str]] = SCENARIO_UNIT_KIND
+    run_type: ClassVar[Any] = ScenarioRun
 
     variant_table: Table
-    variant_name: str
     model_name: str
     kept_rows: Optional[Tuple[int, ...]]
     sample_rows: Optional[int]
+    test_fraction: float = 0.25
+    model_params: Optional[Dict[str, object]] = None
+    tune_trials: Optional[int] = None
+
+    def evaluation_key(self) -> Optional[str]:
+        """The memo key part every unit of the evaluation shares, or
+        None (not memoized).
+
+        It names the exact identity of the clean and variant tables, the
+        target and task, the split spec, the zoo model name (it picks
+        the tuning search space too), the model parameters (none when
+        tuned) and ``tune_trials``.  Everything else a unit computes
+        from is code, which every key names.  A unit reads neither the
+        dirty table nor the error cells, so their digests stay out.
+        """
+        tuned = self.tune_trials is not None and self.tune_trials > 0
+        tables = [
+            table_identity(self.dataset.clean),
+            table_identity(self.variant_table),
+        ]
+        evaluation = canonical_config([
+            self.dataset.target,
+            self.dataset.task,
+            self.test_fraction,
+            self.kept_rows,
+            self.sample_rows,
+            self.model_name,
+            None if tuned else dict(self.model_params or {}),
+            self.tune_trials if tuned else None,
+        ])
+        if None in tables or evaluation is None:
+            return None
+        return config_fingerprint({"tables": tables, "evaluation": evaluation})
+
+    def provenance(self, spec: UnitSpec) -> Optional[Dict[str, Any]]:
+        try:
+            scenario = _as_scenario(spec.params["scenario"])
+        except KeyError:
+            return None  # the attempt raises it again, under the guard
+        return {
+            "scenario": [scenario.name, scenario.train, scenario.test],
+            "seed": spec.params["seed"],
+        }
+
+    def within_budget(self, run: ScenarioRun) -> bool:
+        """Always: a scenario run records no runtime to hold against a
+        deadline."""
+        return True
 
     def failure_context(self, spec: UnitSpec) -> Dict[str, Any]:
         return {
@@ -1301,48 +1265,9 @@ class _ScenarioShared(_StageShared):
             "seed": spec.params["seed"],
         }
 
-    @cached_property
-    def key_template(self) -> Optional[ConfigTemplate]:
-        """The key part every unit of the evaluation shares, built once."""
-        return _scenario_key_template(
-            self.dataset, self.model_name, kept_rows=self.kept_rows,
-            sample_rows=self.sample_rows,
-        )
-
-    def read_memo(self, spec: UnitSpec) -> Optional[MemoRead]:
-        if current_cache() is None:
-            return None
-        try:
-            key = _scenario_unit_key(
-                self.key_template,
-                get_scenario(spec.params["scenario"]),
-                self.variant_table,
-                self.dataset,
-                spec.params["seed"],
-            )
-        except (KeyError, ValueError, TypeError):
-            return None  # the attempt raises it again, under the guard
-        if key is None:
-            return None
-        value = _replay_scenario_unit(key, self.dataset.task)
-        if value is None:
-            return MemoRead(key)
-        run = ScenarioRun(value)
-        return MemoRead(key, run, run.to_payload())
-
-    def remember(self, key: str, run: Any) -> None:
-        """Nothing: the attempt stored ``y_test`` and the predictions."""
-
     def attempt(self, spec: UnitSpec, context: CleaningContext) -> float:
-        return run_scenario(
-            spec.params["scenario"],
-            self.variant_table,
-            self.dataset,
-            self.model_name,
-            seed=spec.params["seed"],
-            kept_rows=self.kept_rows,
-            sample_rows=self.sample_rows,
-            memo_key=spec.memo,
+        return _scenario_metric(
+            self, spec.params["scenario"], seed=spec.params["seed"]
         )
 
     def succeeded(self, spec: UnitSpec, value: float) -> ScenarioRun:
@@ -1350,6 +1275,22 @@ class _ScenarioShared(_StageShared):
 
     def failed(self, spec: UnitSpec, record: FailureRecord) -> ScenarioRun:
         return ScenarioRun(math.nan, record)
+
+
+def _scenario_shared(
+    kept_rows: Optional[Sequence[int]], **fields: Any
+) -> _ScenarioShared:
+    """An evaluation's shared context, with its memo key part built once
+    when a cache is installed."""
+    shared = _ScenarioShared(
+        kept_rows=(
+            None if kept_rows is None else tuple(int(i) for i in kept_rows)
+        ),
+        **fields,
+    )
+    if current_cache() is None:
+        return shared
+    return replace(shared, memo_suite=shared.evaluation_key())
 
 
 _SCENARIO_ADAPTER = StageAdapter(
@@ -1389,18 +1330,15 @@ def evaluate_scenarios(
     ``executor`` selects the execution engine (None = serial reference);
     ``telemetry`` observes the stage without perturbing results.
     """
-    shared = _ScenarioShared(
+    shared = _scenario_shared(
         dataset=dataset,
         deadline_seconds=deadline_seconds,
         retry=retry,
         clock=clock,
         sleep=sleep,
         variant_table=variant_table,
-        variant_name=variant_name,
         model_name=model_name,
-        kept_rows=(
-            tuple(int(i) for i in kept_rows) if kept_rows is not None else None
-        ),
+        kept_rows=kept_rows,
         sample_rows=sample_rows,
     )
     units = []

@@ -6,13 +6,11 @@ the process-wide ``current_cache`` hook.
 """
 
 from repro.cache.keys import (
-    CACHE_SCHEMA_VERSION,
     array_fingerprint,
     artifact_key,
     canonical_cell,
     canonical_config,
     config_fingerprint,
-    source_digest,
     table_block_fingerprint,
     table_fingerprint,
     table_identity,
@@ -28,7 +26,6 @@ from repro.cache.store import (
 __all__ = [
     "ArtifactCache",
     "CacheEntry",
-    "CACHE_SCHEMA_VERSION",
     "array_fingerprint",
     "artifact_key",
     "cache_scope",
@@ -37,7 +34,6 @@ __all__ = [
     "config_fingerprint",
     "current_cache",
     "install_cache",
-    "source_digest",
     "table_block_fingerprint",
     "table_fingerprint",
     "table_identity",

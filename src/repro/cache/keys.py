@@ -31,14 +31,17 @@ per-cell reference); unlike JSON, ``inf`` and ``-inf`` cells hash too.
 
 Keys that must name *exactly* what a computation read use the finer
 forms below: :func:`table_identity` (a table's type tags and raw bits,
-so missing markers stay apart), :func:`canonical_config` (a method's
-class and configuration, equal in every process) and
-:func:`source_digest` (the package's own code).
+so missing markers stay apart) and :func:`canonical_config` (a method's
+class and configuration, equal in every process).
+
+Every key names the code that computed its entry: :func:`artifact_key`
+hashes :func:`source_digest` (the package's own sources) and numpy's
+version into each one, so an edit to any ``repro`` source retires
+every entry of every kind.  Nothing else in the package names them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import hashlib
@@ -53,16 +56,12 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Union,
 )
 
 import numpy as np
 
 from repro.dataset.columnar import KIND_OTHER, KIND_TEXT, ColumnView
 from repro.dataset.table import Table, is_missing
-
-#: Bump when the key layout or canonical encodings change incompatibly.
-CACHE_SCHEMA_VERSION = 2
 
 
 def canonical_cell(value: Any) -> Any:
@@ -221,8 +220,8 @@ def source_digest() -> str:
     """SHA-256 over every Python source of the ``repro`` package (its
     relative paths and bytes), computed once per process.
 
-    Keys that name it go stale with any edit to the package, so a cache
-    entry can never outlive the code that computed it.
+    :func:`artifact_key` names it in every key, so a cache entry can
+    never outlive the code that computed it.
     """
     digest = hashlib.sha256()
     paths = sorted(
@@ -364,71 +363,39 @@ def array_fingerprint(array: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _config_text(value: Any) -> str:
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class SerializedConfig:
-    """A configuration mapping already in its canonical JSON text."""
-
-    text: str
-
-
-def config_fingerprint(
-    config: Union[Mapping[str, Any], SerializedConfig],
-) -> str:
+def config_fingerprint(config: Mapping[str, Any]) -> str:
     """SHA-256 hex digest of a JSON-serializable configuration mapping."""
-    if isinstance(config, SerializedConfig):
-        text = config.text
-    else:
-        text = _config_text({str(k): config[k] for k in config})
+    text = json.dumps(
+        {str(k): config[k] for k in config},
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+    )
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-class ConfigTemplate:
-    """A configuration whose constant items are serialized once.
-
-    For keys that many units share all but a few items of (a model
-    stage's units differ only in scenario and seed): :meth:`bind` gives
-    the canonical text of the constant items updated with the variable
-    ones, serializing only the variable ones, so that
-    ``artifact_key(kind, tables, template.bind(**variable))`` equals
-    :func:`artifact_key` of the merged mapping.
-    """
-
-    def __init__(self, constant: Mapping[str, Any]) -> None:
-        self._texts = {str(k): _config_text(v) for k, v in constant.items()}
-
-    def bind(self, **variable: Any) -> SerializedConfig:
-        texts = dict(self._texts)
-        texts.update((k, _config_text(v)) for k, v in variable.items())
-        # The text json.dumps(sort_keys=True) gives the merged mapping.
-        return SerializedConfig("{%s}" % ",".join(
-            f"{_config_text(k)}:{texts[k]}" for k in sorted(texts)
-        ))
 
 
 def artifact_key(
     kind: str,
     tables: Sequence[str],
-    config: Union[Mapping[str, Any], SerializedConfig],
+    config: Mapping[str, Any],
 ) -> str:
     """Canonical cache key for one artifact.
 
-    ``kind`` names the artifact family (and should embed a version so
-    kernel changes invalidate cleanly); ``tables`` are the input tables'
-    :func:`table_fingerprint` digests in positional order; ``config`` is
-    the producing configuration.
+    ``kind`` names the artifact family and the layout of its entries
+    (``@vN``: bump it when the arrays or meta an entry holds change);
+    ``tables`` are the input tables' digests in positional order;
+    ``config`` is the producing configuration.  The key also names
+    :func:`source_digest` and numpy's version, so no entry outlives the
+    code that computed it: that is the one invalidation rule, and no
+    kind needs a bump when its output changes.
     """
     payload = json.dumps(
         {
-            "schema": CACHE_SCHEMA_VERSION,
             "kind": kind,
             "tables": list(tables),
             "config": config_fingerprint(config),
+            "source": source_digest(),
+            "numpy": np.__version__,
         },
         sort_keys=True,
         separators=(",", ":"),

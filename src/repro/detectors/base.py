@@ -18,12 +18,7 @@ from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.cache.keys import (
-    artifact_key,
-    canonical_config,
-    source_digest,
-    table_identity,
-)
+from repro.cache.keys import artifact_key, canonical_config, table_identity
 from repro.cache.store import CacheEntry, current_cache
 from repro.context import CleaningContext
 from repro.dataset.table import Cell, Table
@@ -187,8 +182,8 @@ def _nested_key(
     """The memo key of one nested call, or None (not memoized).
 
     It names the exact identity of the dirty and clean tables, the
-    context's cleaning signals and task, its seed, the detector's
-    canonical configuration, the package sources and numpy's version.
+    context's cleaning signals and task, its seed and the detector's
+    canonical configuration.
     """
     if context.clean is None:
         return None
@@ -205,8 +200,6 @@ def _nested_key(
         "signals": signals,
         "seed": context.seed,
         "method": method,
-        "source": source_digest(),
-        "numpy": np.__version__,
     })
 
 

@@ -78,7 +78,7 @@ def clone(estimator: EstimatorT) -> EstimatorT:
     return type(estimator)(**estimator.get_params())
 
 
-#: Cache kind of memoized predictions; bump when any model's output changes.
+#: Cache kind of memoized predictions (one array: the predictions).
 FIT_PREDICT_KIND = "model/fit_predict@v1"
 
 

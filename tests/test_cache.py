@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import zlib
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from repro.benchmark import runner
 from repro.benchmark.controller import BenchmarkController
 from repro.benchmark.scenarios import scenario as get_scenario
 from repro.cache import (
-    CACHE_SCHEMA_VERSION,
     ArtifactCache,
     artifact_key,
     cache_scope,
@@ -37,15 +37,13 @@ from repro.cache import (
     current_cache,
     install_cache,
     table_fingerprint,
+    table_identity,
 )
+from repro.cache import keys as cache_keys
 from repro.cache.store import _ACTIVE
 from repro.datagen import generate
 from repro.dataset import CATEGORICAL, NUMERICAL, Schema, Table
-from repro.dataset.encoding import (
-    SUPERVISED_MAX_CATEGORIES,
-    TableEncoder,
-    encode_supervised,
-)
+from repro.dataset.encoding import TableEncoder, encode_supervised
 from repro.detectors import Detector, MinKDetector, MVDetector, SDDetector
 from repro.detectors.features import combined_features
 from repro.ml import base as ml_base
@@ -132,14 +130,14 @@ class TestKeys:
         assert json.dumps(canonical_cell(object())).startswith('"<object')
 
     def test_encoding_is_pinned(self):
-        """Changing the canonical encoding must bump the schema version
-        together with this digest, so old cache directories miss."""
+        """The canonical encoding changes only on purpose, together with
+        this digest (old cache directories miss anyway: every key names
+        the package's source digest)."""
         schema = Schema.from_pairs([("num", NUMERICAL), ("cat", CATEGORICAL)])
         num = [1, 1.0, True, -0.0, math.nan, np.float32(2.5), 2**70, math.inf]
         cat = ["1", " na ", None, "é\ud800", np.int64(7), np.bool_(True),
                np.str_("s"), "x"]
         table = Table(schema, {"num": num, "cat": cat})
-        assert CACHE_SCHEMA_VERSION == 2
         assert table_fingerprint(table) == (
             "b794747808454baae2fd17075625bd237475721b36521e92a5cab5ac76cd997b"
         )
@@ -596,15 +594,22 @@ class TestScenarioUnitMemo:
 
     def test_key_separates_provenance(self, tmp_path, splits):
         dataset = generate("SmartFactory", n_rows=80, seed=2)
-        base = {"scenario": "S1", "variant_table": dataset.dirty,
+        name = dataset.dirty.column_names[0]
+        dirty = dataset.dirty.copy()
+        dirty.set_cell(2, name, None)
+        base = {"scenario": "S1", "variant_table": dirty,
                 "dataset": dataset, "model_name": "DT", "seed": 0}
-        variant = dataset.dirty.copy()
-        name = variant.column_names[0]
+        variant = dirty.copy()
         variant.set_cell(0, name, "changed")
+        # The fingerprint merges missing markers; the exact key does not.
+        marker = dirty.copy()
+        marker.set_cell(2, name, "NA")
+        assert table_fingerprint(marker) == table_fingerprint(dirty)
         clean = dataset.clean.copy()
         clean.set_cell(1, name, "changed")
         variations = [
             {"variant_table": variant},
+            {"variant_table": marker},
             {"dataset": dataclasses.replace(dataset, clean=clean)},
             {"scenario": "S4"},
             {"seed": 1},
@@ -684,75 +689,128 @@ class TestScenarioUnitMemo:
         assert np.array(cold).tobytes() == np.array(reference).tobytes()
         assert np.array(warm).tobytes() == np.array(reference).tobytes()
 
+    def test_direct_call_and_model_stage_unit_share_one_entry(
+        self, tmp_path, splits
+    ):
+        dataset = generate("SmartFactory", n_rows=80, seed=2)
+
+        def stage():
+            return evaluate_scenarios(
+                dataset, dataset.dirty, "dirty", "DT", scenario_names=("S1",),
+                n_seeds=1, sample_rows=30,
+            ).scores["S1"][0]
+
+        def direct():
+            return run_scenario(
+                "S1", dataset.dirty, dataset, "DT", seed=0, sample_rows=30
+            )
+
+        for first, second in [(stage, direct), (direct, stage)]:
+            cache = ArtifactCache(str(tmp_path / first.__name__))
+            with cache_scope(cache):
+                splits.clear()
+                value = first()
+                (entry,) = _unit_entries(cache)
+                hits = cache.hits
+                assert second() == value
+                assert cache.hits - hits == 1 and len(splits) == 1
+                assert _unit_entries(cache) == {entry}
+
+    def test_nan_metric_unknown_scenario_and_deadline(self, tmp_path, splits):
+        """A NaN metric (too few rows) is stored and read back as NaN,
+        also under a deadline (a scenario run has no runtime); an unknown
+        scenario fails in its unit's guarded attempt, cold and warm."""
+        dataset = generate("SmartFactory", n_rows=80, seed=2)
+
+        def evaluate():
+            return evaluate_scenarios(
+                dataset, dataset.dirty, "dirty", "DT",
+                scenario_names=("S1", "S9"), n_seeds=1, sample_rows=3,
+                deadline_seconds=60.0,
+            )
+
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            cold = evaluate()
+            hits = cache.hits
+            warm = evaluate()
+        assert cache.hits - hits == 1 and len(splits) == 1
+        for evaluation in (cold, warm):
+            assert math.isnan(evaluation.scores["S1"][0])
+            assert "S1" not in evaluation.failures
+            assert "unknown scenario 'S9'" in evaluation.failure_reason("S9", 0)
+
     @pytest.mark.parametrize("name", ["Adult", "Nasa"])
     def test_model_stage_keys_build_their_constants_once(
         self, tmp_path, monkeypatch, name
     ):
-        """Every unit of one evaluation shares one key template: the
-        stratification labels and the model's parameters are built once,
-        and each key equals the per-unit formula."""
+        """Every unit of one evaluation shares one key part: the table
+        identities and the canonical evaluation settings are built and
+        hashed once, and each unit is stored under the per-unit
+        formula's key."""
         dataset = generate(name, n_rows=60, seed=2)
         kept = list(range(dataset.dirty.n_rows))
+        evaluation = config_fingerprint({
+            "tables": [table_identity(dataset.clean),
+                       table_identity(dataset.dirty)],
+            "evaluation": canonical_config([
+                dataset.target, dataset.task, 0.25, tuple(kept), 20, "DT",
+                {}, None,
+            ]),
+        })
         built = []
-        for attribute in ("_stratify_labels", "build_model"):
+        for attribute in ("table_identity", "canonical_config",
+                          "config_fingerprint"):
             original = getattr(runner, attribute)
             monkeypatch.setattr(
                 runner, attribute,
                 lambda *a, _f=original, _n=attribute, **k:
                     built.append(_n) or _f(*a, **k),
             )
-        shared = runner._ScenarioShared(
-            dataset=dataset, deadline_seconds=None, retry=None, clock=None,
-            sleep=null_sleep, variant_table=dataset.dirty,
-            variant_name="dirty", model_name="DT", kept_rows=tuple(kept),
-            sample_rows=20,
-        )
-        model = DecisionTreeClassifier if name == "Adult" else DecisionTreeRegressor
-        with cache_scope(ArtifactCache(str(tmp_path / "art"))):
-            for scenario in ("S1", "S3", "S4"):
-                for seed in range(3):
-                    spec = UnitSpec(0, "unit", "dirty:DT",
-                                    {"scenario": scenario, "seed": seed})
-                    got = shared.read_memo(spec).key
-                    s = get_scenario(scenario)
-                    expected = artifact_key(
-                        runner.SCENARIO_UNIT_KIND,
-                        [table_fingerprint(dataset.dirty),
-                         table_fingerprint(dataset.clean)],
-                        {
-                            "scenario": [s.name, s.train, s.test],
-                            "seed": seed,
-                            "test_fraction": 0.25,
-                            "kept_rows": kept,
-                            "sample_rows": 20,
-                            "stratify": (
-                                [str(v) for v in
-                                 dataset.clean.column(dataset.target)]
-                                if dataset.task == "classification" else None
-                            ),
-                            "target": dataset.target,
-                            "task": dataset.task,
-                            "max_categories": SUPERVISED_MAX_CATEGORIES,
-                            "model_name": "DT",
-                            "model": f"{model.__module__}.{model.__qualname__}",
-                            "params": model().get_params(),
-                            "tune_trials": None,
-                        },
-                    )
-                    assert got == expected, (scenario, seed)
-        assert sorted(built) == ["_stratify_labels", "build_model"]
+        cache = ArtifactCache(str(tmp_path / "art"))
+        with cache_scope(cache):
+            evaluate_scenarios(
+                dataset, dataset.dirty, "dirty", "DT",
+                scenario_names=("S1", "S3", "S4"), n_seeds=3,
+                kept_rows=kept, sample_rows=20,
+            )
+        assert sorted(built) == [
+            "canonical_config", "config_fingerprint",
+            "table_identity", "table_identity",
+        ]
+        reader = ArtifactCache(cache.root)
+        for scenario in ("S1", "S3", "S4"):
+            s = get_scenario(scenario)
+            for seed in range(3):
+                key = artifact_key(runner.SCENARIO_UNIT_KIND, [evaluation], {
+                    "scenario": [s.name, s.train, s.test], "seed": seed,
+                })
+                assert reader.get(key) is not None, (scenario, seed)
 
-    def test_incomplete_entry_recomputes_and_rewrites(self, tmp_path, splits):
+    @pytest.mark.parametrize(
+        "damage", ["not_zlib", "truncated", "not_a_run", "no_payload"]
+    )
+    def test_corrupt_or_truncated_entry_recomputes_and_rewrites(
+        self, tmp_path, splits, damage
+    ):
         dataset = generate("SmartFactory", n_rows=80, seed=2)
         cache = ArtifactCache(str(tmp_path / "art"))
         with cache_scope(cache):
             reference = run_scenario("S1", dataset.dirty, dataset, "DT")
-            for key in cache.entries():
-                entry = cache.get(key)
-                if "predictions" in entry.arrays and "y_test" in entry.arrays:
-                    cache.put(key, {"predictions": entry.arrays["predictions"]})
+            (key,) = _unit_entries(cache)
+            payload = cache.get(key).arrays["payload"]
+            arrays = {
+                "not_zlib": {"payload": np.frombuffer(b"junk", np.uint8)},
+                "truncated": {"payload": payload[: payload.size // 2]},
+                "not_a_run": {"payload": np.frombuffer(
+                    zlib.compress(b'{"value": 0.5}'), np.uint8)},
+                "no_payload": {"other": payload},
+            }[damage]
+            cache.put(key, arrays)
             assert run_scenario("S1", dataset.dirty, dataset, "DT") == reference
             assert len(splits) == 2
+            rewritten = cache.get(key).arrays["payload"]
+            assert rewritten.tobytes() == payload.tobytes()
             assert run_scenario("S1", dataset.dirty, dataset, "DT") == reference
             assert len(splits) == 2
 
@@ -785,7 +843,7 @@ def _memo_repair(dataset, detections, repairs=None, **guards):
 
 
 def _unit_entries(cache):
-    """Keys of the detection and repair unit entries in ``cache``."""
+    """Keys of the unit entries (one payload array) in ``cache``."""
     reader = ArtifactCache(cache.root)
     return {
         key for key in cache.entries()
@@ -939,7 +997,7 @@ class TestUnitMemo:
         def run(dataset=dataset, seed=0, detectors=None,
                 detections=detections, source=None):
             if source is not None:
-                monkeypatch.setattr(runner, "source_digest", lambda: source)
+                monkeypatch.setattr(cache_keys, "source_digest", lambda: source)
             _memo_detect(dataset, detectors, seed=seed)
             _memo_repair(dataset, detections, seed=seed)
             monkeypatch.undo()

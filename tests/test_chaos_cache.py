@@ -25,6 +25,7 @@ single-writer boundaries rather than inside pool workers.
 """
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -135,23 +136,25 @@ def _pipeline(store_path, cache, executor=None):
             ckpt.put("tuned/DT/S1/0", {"value": tuned})
 
 
-def _unit_entries(cache):
-    """Keys of the scenario-unit entries (``y_test`` plus predictions),
-    read through a second handle so ``cache``'s counters stay put."""
+def _payloads(cache):
+    """Each unit entry's key and decoded checkpoint payload, read
+    through a second handle so ``cache``'s counters stay put."""
     reader = ArtifactCache(cache.root)
-    return [
-        key for key in cache.entries()
-        if set(reader.get(key).arrays) == {"y_test", "predictions"}
-    ]
+    for key in cache.entries():
+        arrays = reader.get(key).arrays
+        if set(arrays) == {"payload"}:
+            text = zlib.decompress(arrays["payload"].tobytes()).decode()
+            yield key, json.loads(text)
+
+
+def _unit_entries(cache):
+    """Keys of the scenario-unit entries (a ``ScenarioRun`` payload)."""
+    return [key for key, payload in _payloads(cache) if "value" in payload]
 
 
 def _memo_entries(cache):
-    """Keys of the detection and repair unit entries (one payload)."""
-    reader = ArtifactCache(cache.root)
-    return [
-        key for key in cache.entries()
-        if set(reader.get(key).arrays) == {"payload"}
-    ]
+    """Keys of the detection and repair unit entries."""
+    return [key for key, payload in _payloads(cache) if "value" not in payload]
 
 
 def _tear(cache, key):

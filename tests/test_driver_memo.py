@@ -167,14 +167,14 @@ EXPECTED_GETS = {
     "cold": {
         "benchmark/detection_unit@v1": 2,
         "benchmark/repair_unit@v1": 4,
-        "benchmark/scenario_unit@v1": 21,
+        "benchmark/scenario_unit@v2": 21,
         "encoder/supervised@v1": 13,
         "model/fit_predict@v1": 15,
     },
     "warm": {
         "benchmark/detection_unit@v1": 2,
         "benchmark/repair_unit@v1": 4,
-        "benchmark/scenario_unit@v1": 21,
+        "benchmark/scenario_unit@v2": 21,
     },
 }
 

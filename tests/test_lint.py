@@ -14,6 +14,7 @@ import check_clocks  # noqa: E402
 import check_dataplane  # noqa: E402
 import check_exceptions  # noqa: E402
 import check_hot_loops  # noqa: E402
+import check_memo_keys  # noqa: E402
 import check_nested_detect  # noqa: E402
 import check_reachable  # noqa: E402
 import check_rng  # noqa: E402
@@ -961,3 +962,41 @@ def test_nested_detect_lint_cli_exit_codes(tmp_path, capsys):
     assert check_nested_detect.main(["prog", str(tmp_path)]) == 1
     assert "meta.py:1: <module> calls" in capsys.readouterr().out
     assert check_nested_detect.main(["prog", str(tmp_path / "nope")]) == 2
+
+
+def test_only_the_key_module_names_the_code_identity():
+    assert check_memo_keys.check_tree(REPO_ROOT / "src") == []
+
+
+def test_memo_key_lint_flags_a_second_invalidation_rule(tmp_path):
+    _scoped_file(
+        tmp_path, "repro/cache/keys.py",
+        "import numpy as np\n"
+        "def artifact_key(kind):\n"
+        "    return [kind, source_digest(), np.__version__]\n",
+    )
+    _scoped_file(
+        tmp_path, "repro/benchmark/runner.py",
+        "from repro.cache.keys import source_digest\n"
+        "KEY = {'numpy': numpy.__version__}\n"
+        "VERSION = repro.__version__\n"
+        "# names source_digest_of nothing: another identifier\n",
+    )
+    _scoped_file(
+        tmp_path, "repro/detectors/base.py",
+        '"""Keys name :func:`source_digest`."""\n',
+    )
+    violations = check_memo_keys.check_tree(tmp_path)
+    assert len(violations) == 3, "\n".join(violations)
+    assert "runner.py:1: names 'source_digest'" in violations[0]
+    assert "runner.py:2: names 'numpy.__version__'" in violations[1]
+    assert "base.py:1: names 'source_digest'" in violations[2]
+
+
+def test_memo_key_lint_cli_exit_codes(tmp_path, capsys):
+    _scoped_file(tmp_path, "repro/cache/keys.py", "source_digest()\n")
+    assert check_memo_keys.main(["prog", str(tmp_path)]) == 0
+    _scoped_file(tmp_path, "repro/ml/base.py", "V = np.__version__\n")
+    assert check_memo_keys.main(["prog", str(tmp_path)]) == 1
+    assert "base.py:1: names 'np.__version__'" in capsys.readouterr().out
+    assert check_memo_keys.main(["prog", str(tmp_path / "nope")]) == 2

@@ -25,6 +25,7 @@ import pytest
 
 from repro.benchmark import run_detection_suite
 from repro.cache import ArtifactCache, cache_scope
+from repro.cache import keys as cache_keys
 from repro.constraints import FunctionalDependency
 from repro.datagen import generate
 from repro.detectors import (
@@ -137,7 +138,7 @@ class TestNestedCells:
                 assert len(runs) == before + 1, change or detector.n_sigmas
                 nested_cells(detector, context)
                 assert len(runs) == before + 1, "a repeated call hits"
-            monkeypatch.setattr(detector_base, "source_digest", lambda: "x")
+            monkeypatch.setattr(cache_keys, "source_digest", lambda: "x")
             nested_cells(SDDetector(3.0), base)
             assert len(runs) == len(variations) + 2, "a source edit misses"
 

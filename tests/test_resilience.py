@@ -505,7 +505,7 @@ class TestRunnerFailureBookkeeping:
 
         import repro.benchmark.runner as runner_module
 
-        real = runner_module.run_scenario
+        real = runner_module._scenario_metric
         calls = {"n": 0}
 
         def sometimes_broken(*args, **kwargs):
@@ -514,7 +514,7 @@ class TestRunnerFailureBookkeeping:
                 raise ValueError("injected scenario crash")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_scenario", sometimes_broken)
+        monkeypatch.setattr(runner_module, "_scenario_metric", sometimes_broken)
         evaluation = runner_module.evaluate_scenarios(
             dataset, dataset.dirty, "dirty", "DT",
             scenario_names=("S1",), n_seeds=3, sample_rows=60,
